@@ -35,15 +35,17 @@ UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 # ---------------------------------------------------------------------------
 
 def _dedupe_rows(points: np.ndarray, tol: float) -> np.ndarray:
-    """Drop rows that are within tol of an earlier row."""
+    """Drop rows that are within tol (max norm) of an earlier kept row."""
     if len(points) <= 1:
         return points.copy()
     if len(points) <= 48:
-        keep: list[np.ndarray] = []
-        for p in points:
-            if not any(np.max(np.abs(p - q)) <= tol for q in keep):
-                keep.append(p)
-        return np.array(keep)
+        diff = np.max(np.abs(points[:, None, :] - points[None, :, :]), axis=2)
+        close = np.tril(diff <= tol, k=-1)
+        keep = ~close.any(axis=1)
+        # a row near only dropped rows survives, so settle those in order
+        for i in np.flatnonzero(~keep):
+            keep[i] = not np.any(close[i] & keep)
+        return points[keep]
     keys = np.round(points / max(tol, 1e-300)).astype(np.int64)
     _, idx = np.unique(keys, axis=0, return_index=True)
     return points[np.sort(idx)]
@@ -256,7 +258,11 @@ class ConvexBody:
             return self.dim if self.radius > 0 else 0
         if len(self.vertices) == 1:
             return 0
-        return _affine_frame(self.vertices, VERTEX_TOL)[1].shape[1]
+        cached = self.__dict__.get("_affine_rank")
+        if cached is None:
+            cached = _affine_frame(self.vertices, VERTEX_TOL)[1].shape[1]
+            self.__dict__["_affine_rank"] = cached
+        return cached
 
     def __repr__(self):
         if self.is_empty:
@@ -350,13 +356,21 @@ def _point_in_hull(verts: np.ndarray, x: np.ndarray, tol: float) -> bool:
 
 
 def contains_point(body: ConvexBody, x, tol: float = 1e-9) -> bool:
-    """True iff the point x lies in the body (within tol)."""
+    """True iff the point x lies in the body (within tol).
+
+    The slack is ``tol * max(1, bounding radius, max|x_i|)``.  A
+    full-dimensional polytope tests x against its cached ``facets()``; a
+    lower-dimensional one falls back to projecting onto its affine hull.
+    """
     x = np.asarray(x, dtype=float)
     if body.is_empty:
         return False
     if body.is_ball:
         return bool(np.linalg.norm(x) <= body.radius + tol * max(1.0, body.radius))
     scale = max(1.0, body.bounding_radius(), float(np.max(np.abs(x))))
+    if body.affine_rank() == body.dim:
+        A, b = body.facets()
+        return bool(np.all(A @ x - b <= tol * scale))
     return _point_in_hull(body.vertices, x, tol * scale)
 
 
@@ -503,8 +517,12 @@ def direction_net(dim: int, count: int = 64) -> np.ndarray:
 def contains(a: ConvexBody, b: ConvexBody, tol: float = 1e-9) -> bool:
     """True iff b is a subset of a (within tol).
 
-    Polytope-in-polytope is exact via vertex membership; ball cases reduce to
-    support-function dominance on the facet normals of ``a``.
+    Polytope-in-polytope is exact via vertex membership: when ``a`` is
+    full-dimensional, all vertices of ``b`` are tested at once against the
+    cached ``a.facets()``, each with the slack ``contains_point`` gives it;
+    a lower-dimensional ``a`` falls back to ``contains_point`` per vertex.
+    Ball cases reduce to support-function dominance on the facet normals of
+    ``a``.
     """
     if a.dim != b.dim:
         raise DimensionMismatch("containment needs equal dimensions")
@@ -524,7 +542,12 @@ def contains(a: ConvexBody, b: ConvexBody, tol: float = 1e-9) -> bool:
             return False
         A, bb = a.facets()
         return bool(np.min(bb) >= b.radius - slack)
-    return all(contains_point(a, v, tol) for v in b.vertices)
+    if a.affine_rank() < a.dim:
+        return all(contains_point(a, v, tol) for v in b.vertices)
+    A, bb = a.facets()
+    verts = b.vertices
+    scales = np.maximum(max(1.0, a.bounding_radius()), np.max(np.abs(verts), axis=1))
+    return bool(np.all(verts @ A.T - bb <= (tol * scales)[:, None]))
 
 
 def approx_equal(a: ConvexBody, b: ConvexBody, tol: float = 1e-9) -> bool:

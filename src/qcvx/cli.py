@@ -68,6 +68,8 @@ class RunConfig:
             raise InputParse("tolerances must be positive")
         if self.dimension not in (1, 2, 3):
             raise InputParse("dimension must be 1, 2 or 3")
+        if self.node_cap is not None and self.node_cap < 1:
+            raise InputParse("--panels must be at least 1")
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":

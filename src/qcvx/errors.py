@@ -70,5 +70,10 @@ class DegenerateBody(QcvxError):
     """Body is lower-dimensional where full dimension was required."""
 
 
+class NumericalFailure(QcvxError):
+    """A computed value is NaN, infinite, or clearly of the wrong sign,
+    typically because the input spans more scales than the tolerances allow."""
+
+
 class InputParse(QcvxError):
     """Malformed JSON input (CLI exit code 2)."""

@@ -40,10 +40,17 @@ from .bodies import (
     scale,
     volume,
 )
-from .errors import ArityMismatch, DimensionMismatch, IndexOutOfRange, SingularSystem
+from .errors import (
+    ArityMismatch,
+    DimensionMismatch,
+    IndexOutOfRange,
+    NumericalFailure,
+    SingularSystem,
+)
 
 BALL_NGON = 128          # 2-D: inscribed/circumscribed regular-gon average
 SPHERE_FREQUENCY = 4     # 3-D: icosahedron subdivision, 20 * f^2 = 320 facets
+NEGATIVE_ROUNDOFF = 1e-6  # largest negative polarization sum, relative, clamped to 0
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +272,7 @@ def mixed_volume(bodies) -> float:
     reps = [g[0] for g in groups]
     mults = [g[1] for g in groups]
     total = 0.0
+    magnitude = 0.0
     for counts in itertools.product(*(range(m + 1) for m in mults)):
         k = sum(counts)
         if k == 0:
@@ -272,7 +280,14 @@ def mixed_volume(bodies) -> float:
         ways = 1
         for c, m in zip(counts, mults):
             ways *= comb(m, c)
-        total += (-1) ** (n - k) * ways * _cached_sum_volume(reps, counts)
+        term = ways * _cached_sum_volume(reps, counts)
+        total += (-1) ** (n - k) * term
+        magnitude += term
+    # a mixed volume is nonnegative: only round-off may take the sum below 0
+    if not math.isfinite(total) or total < -NEGATIVE_ROUNDOFF * magnitude:
+        raise NumericalFailure(
+            f"polarization sum {total} of volumes totalling {magnitude} is not a "
+            "mixed volume; the bodies span more scales than the vertex tolerance allows")
     return max(0.0, total / factorial(n))
 
 

@@ -694,6 +694,8 @@ def supmin_bracket(f: QCFunction, g: QCFunction, grid: GridSpec) -> dict:
     ``ok`` certifies the documented bound: the oracle stays at or below the
     exact values everywhere, and matches them up to a two-cell erosion at
     every height whose operand level sets are at least sqrt(2) * step thick.
+    A lattice too coarse for any such height (``fat_height`` 0) certifies
+    nothing and is not ``ok``.
     """
     from scipy.ndimage import minimum_filter
 
@@ -716,7 +718,7 @@ def supmin_bracket(f: QCFunction, g: QCFunction, grid: GridSpec) -> dict:
     return {
         "max_abs_error": float(np.max(np.abs(field.values - exact))),
         "fat_height": fat_height,
-        "ok": never_above and reached,
+        "ok": never_above and reached and fat_height > 0.0,
         "field": field,
         "exact": exact,
     }

@@ -22,8 +22,10 @@ REL_TOL = 1e-10
 
 
 def set_node_cap(max_nodes: int) -> None:
-    """Override the global node cap (CLI --panels wiring)."""
+    """Override the global node cap (CLI --panels wiring); must be at least 1."""
     global MAX_NODES
+    if max_nodes < 1:
+        raise ValueError(f"node cap must be at least 1, got {max_nodes}")
     MAX_NODES = int(max_nodes)
 
 

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from qcvx.bodies import (
     ConvexBody,
+    _dedupe_rows,
+    _point_in_hull,
     approx_equal,
     body_from_json,
     body_to_json,
@@ -256,6 +258,86 @@ def test_contains_point_degenerate():
     seg = ConvexBody.polytope([[0, 0], [1, 1]])
     assert contains_point(seg, [0.5, 0.5])
     assert not contains_point(seg, [0.5, 0.6])
+
+
+def _contains_per_vertex(a, b, tol=1e-9):
+    """Reference: one affine-hull membership test per vertex of b."""
+    return all(_point_in_hull(a.vertices, v, tol * max(1.0, a.bounding_radius(),
+                                                       float(np.max(np.abs(v)))))
+               for v in b.vertices)
+
+
+def _shifted(body, offset):
+    return ConvexBody.polytope(body.vertices + offset)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_contains_matches_per_vertex_reference(dim):
+    rng = np.random.default_rng(40 + dim)
+    outcomes = set()
+    for trial in range(12):
+        a = random_polytope(rng, dim, 10)
+        if trial % 3 == 2:  # coordinates near 1e4: the max|v| term sets the slack
+            a = _shifted(a, 1e4 * rng.uniform(0.5, 1.5, dim))
+        center = a.vertices.mean(axis=0)
+        cands = [random_polytope(rng, dim, 6, 0.5), _shifted(a, 1e-3 * rng.normal(size=dim))]
+        for lam in (1 - 1e-8, 1 - 1e-10, 1.0, 1 + 1e-10, 1 + 1e-8):
+            cands.append(scale(a, lam))
+            cands.append(_shifted(scale(_shifted(a, -center), lam), center))
+        for b in cands:
+            got = contains(a, b)
+            assert got == _contains_per_vertex(a, b)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_contains_lower_dimensional_container_in_3d():
+    seg = ConvexBody.polytope([[0, 0, 0], [1, 2, 3]])
+    tri = ConvexBody.polytope([[0, 0, 1], [2, 0, 1], [0, 2, 1]])
+    cases = [
+        (seg, scale(seg, 0.5), True),
+        (seg, scale(seg, 1 + 1e-8), False),
+        (seg, ConvexBody.polytope([[0.1, 0.2, 0.3], [0.1, 0.2, 0.31]]), False),
+        (tri, ConvexBody.polytope([[0.5, 0.5, 1], [1, 0.5, 1], [0.5, 1, 1]]), True),
+        (tri, ConvexBody.polytope([[0.5, 0.5, 1], [1.5, 0.6, 1]]), False),
+        (tri, ConvexBody.polytope([[0.5, 0.5, 1], [0.6, 0.5, 1.01]]), False),
+        (tri, ConvexBody.polytope([[0.5, 0.5, 1 + 1e-12]]), True),
+    ]
+    for a, b, expected in cases:
+        assert a.affine_rank() < 3
+        assert contains(a, b) is expected
+        assert _contains_per_vertex(a, b) is expected
+
+
+def _dedupe_rows_loop(points, tol):
+    """Reference: keep a row unless it is within tol of an earlier kept row."""
+    keep = []
+    for p in points:
+        if not any(np.max(np.abs(p - q)) <= tol for q in keep):
+            keep.append(p)
+    return np.array(keep)
+
+
+def test_dedupe_rows_keeps_chain_ends():
+    tol = 1e-10
+    a = np.array([0.3, -0.2, 0.7])
+    b = a + np.array([0.6, 0.0, -0.3]) * tol
+    c = b + np.array([0.6, 0.1, -0.3]) * tol  # within tol of b, not of a
+    chain = np.array([a, b, c])
+    np.testing.assert_array_equal(_dedupe_rows(chain, tol), np.array([a, c]))
+    np.testing.assert_array_equal(_dedupe_rows(chain, tol), _dedupe_rows_loop(chain, tol))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dedupe_rows_matches_loop(seed):
+    rng = np.random.default_rng(seed)
+    tol = 1e-10
+    base = rng.uniform(-1, 1, (6, 3))
+    # random walks of steps up to 0.7 tol make overlapping near-duplicate chains
+    walks = base[rng.integers(0, 6, 40)] + np.cumsum(
+        rng.uniform(-0.7, 0.7, (40, 3)) * tol, axis=0) * (rng.random((40, 1)) < 0.8)
+    for pts in (walks, walks[::-1], base):
+        np.testing.assert_array_equal(_dedupe_rows(pts, tol), _dedupe_rows_loop(pts, tol))
 
 
 # -- json --------------------------------------------------------------------

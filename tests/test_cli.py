@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qcvx import quadrature
 from qcvx.cli import main
 
 SQUARE = {"type": "polytope", "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]}
@@ -70,6 +71,15 @@ def test_oracle_compare(workdir, capsys):
     assert out["ok"]
 
 
+def test_oracle_compare_without_certified_height_fails(workdir, capsys):
+    square = {"type": "polytope", "vertices": [[-1, -1], [1, -1], [-1, 1], [1, 1]]}
+    f = _write(workdir / "f.json", {"type": "stack", "levels": [{"t": 1.0, "body": square}]})
+    assert main(["oracle-compare", f, f, "--grid-size", "3"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["fat_height"] == 0.0
+    assert not out["ok"]
+
+
 def test_rearrange_roundtrip(workdir, capsys):
     stack = {"type": "stack", "levels": [{"t": 1.0, "body": SQUARE}]}
     fn = _write(workdir / "f.json", stack)
@@ -132,6 +142,25 @@ def test_bad_input_exits_two(workdir, capsys):
     assert main(["integral", str(workdir / "missing.json")]) == 2
     wrong_arity = _write(workdir / "one.json", [SQUARE])
     assert main(["mixed-volume", wrong_arity]) == 2
+
+
+def test_zero_panels_exits_two(workdir, capsys):
+    fn = _write(workdir / "f.json", EXP_DISC)
+    assert main(["integral", fn, "--panels", "0"]) == 2
+    assert "panels" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        quadrature.set_node_cap(0)
+
+
+def test_overflowing_mixed_volume_exits_one(workdir, capsys):
+    bodies = _write(workdir / "bodies.json", [
+        {"type": "polytope", "vertices": [[0, 0], [1e300, 0], [0, 1]]},
+        {"type": "polytope", "vertices": [[0, 0], [1, 0], [0, 1]]},
+    ])
+    assert main(["mixed-volume", bodies]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not a mixed volume" in captured.err
 
 
 def test_csv_format(workdir, capsys):
