@@ -20,7 +20,8 @@ import numpy as np
 
 from . import quadrature
 from .bodies import body_from_json
-from .checks import CHECKS, TOL_EXACT, TOL_QUAD, run_all, summarize
+from . import checks
+from .checks import CHECKS, run_all, summarize
 from .duality import GeomConvexFn, polarity_sandwich_check
 from .errors import ArityMismatch, DimensionMismatch, InputParse, QcvxError
 from .grids import GridSpec
@@ -118,6 +119,12 @@ def _functional_from_flag(flag: str, dim: int) -> SizeFunctional:
     return size_functional_from_json(_load_json(flag))
 
 
+def _grid_size(args) -> int:
+    if args.grid_size < 2:
+        raise InputParse("--grid-size must be at least 2")
+    return args.grid_size
+
+
 # -- subcommand handlers -----------------------------------------------------
 
 def cmd_mixed_volume(args) -> int:
@@ -167,7 +174,7 @@ def cmd_oracle_compare(args) -> int:
     f = fn_from_json(_load_json(args.f))
     g = fn_from_json(_load_json(args.g))
     half = args.half_width or 1.2 * max(f.support_radius(), g.support_radius())
-    grid = GridSpec.cube(half, f.dim, args.grid_size)
+    grid = GridSpec.cube(half, f.dim, _grid_size(args))
     result = supmin_bracket(f, g, grid)
     _emit({"max_abs_error": result["max_abs_error"],
            "bound": "oracle <= exact, and reaches every level thicker than "
@@ -190,7 +197,8 @@ def cmd_duality_check(args) -> int:
     domain = body_from_json(spec["domain"]) if spec.get("domain") else None
     phi = GeomConvexFn.from_pieces(spec["slopes"], spec.get("offsets"), domain)
     t_values = [float(t) for t in args.t_values.split(",")]
-    reports = [polarity_sandwich_check(phi, t, grid_npts=args.grid_size)
+    npts = _grid_size(args)
+    reports = [polarity_sandwich_check(phi, t, grid_npts=npts)
                for t in t_values]
     _emit([json.loads(r.to_json()) for r in reports], args)
     return 0 if all(r.ok for r in reports) else 1
@@ -293,7 +301,7 @@ def cmd_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     defaults = {"seed": 0, "trials": 100, "dim": 2, "panels": None,
-                "tol_exact": TOL_EXACT, "tol_quad": TOL_QUAD,
+                "tol_exact": RunConfig.tol_exact, "tol_quad": RunConfig.tol_quad,
                 "format": "json", "out": None}
 
     def add_common(target):
@@ -395,11 +403,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = RunConfig.from_args(args)
-        if config.node_cap is not None:
-            quadrature.set_node_cap(config.node_cap)
-        if (config.tol_exact, config.tol_quad) != (TOL_EXACT, TOL_QUAD):
-            from . import checks
-            checks.set_tolerances(config.tol_exact, config.tol_quad)
+        # set on every call, so no flag outlives the call that gave it
+        quadrature.set_node_cap(config.node_cap or quadrature.DEFAULT_MAX_NODES)
+        checks.set_tolerances(config.tol_exact, config.tol_quad)
         return args.handler(args)
     except (InputParse, ArityMismatch, DimensionMismatch) as exc:
         sys.stderr.write(f"input error: {exc}\n")

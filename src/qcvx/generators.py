@@ -12,7 +12,7 @@ import numpy as np
 
 from .bodies import ConvexBody, minkowski_sum
 from .profiles import PowerLawProfile, StretchedExponentialProfile
-from .qc import LevelStack, QCFunction, RadialQC
+from .qc import LevelStack, RadialQC
 
 
 def rng_for(seed: int, trial: int) -> np.random.Generator:
@@ -81,12 +81,6 @@ def random_radial(rng, dim: int, log_concave: bool = False,
     base = random_ball(rng, dim) if ball_base else \
         random_polytope(rng, dim, origin_interior=True)
     return RadialQC(base, random_profile(rng, dim, log_concave))
-
-
-def random_qc(rng, dim: int, rotation_invariant: bool = False) -> QCFunction:
-    if rng.integers(2):
-        return random_stack(rng, dim, rotation_invariant=rotation_invariant)
-    return random_radial(rng, dim, ball_base=rotation_invariant or None)
 
 
 def random_size_functional(rng, dim: int, name: str | None = None):

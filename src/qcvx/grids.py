@@ -17,6 +17,8 @@ class GridSpec:
 
     @classmethod
     def cube(cls, half_width: float, dim: int, npts: int = 41) -> "GridSpec":
+        if npts < 2:
+            raise ValueError(f"a lattice needs at least 2 points per axis, got {npts}")
         return cls(tuple([-half_width] * dim), tuple([half_width] * dim), npts)
 
     @property
@@ -53,9 +55,3 @@ class SampledField:
         expected = (self.grid.npts,) * self.grid.dim
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
-
-
-def sample_on_grid(fn, grid: GridSpec) -> SampledField:
-    """Evaluate fn on every lattice point; fn takes an (m, dim) array."""
-    vals = np.asarray(fn(grid.points()), dtype=float)
-    return SampledField(grid, vals.reshape((grid.npts,) * grid.dim))

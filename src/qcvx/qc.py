@@ -1,11 +1,16 @@
 """Quasi-concave functions via their upper level sets.
 
-Two concrete representations cover everything the package computes with:
+Every function the package adds or dilates is banded: on each height band
+(lo, hi] its level set is the Minkowski sum of coef_k(t) * base_k, where a
+coefficient is a constant factor or a ``Profile`` radius (``Band``).  Two
+leaf types carry exact fast paths and a JSON form, and one type holds the
+rest:
 
 * ``LevelStack`` -- an exact step function: finitely many heights
   1 = t_1 > ... > t_m > 0 with nested bodies K_1 <= ... <= K_m.
-* ``RadialQC`` -- homothetic level sets r(t) * base for a decreasing profile;
-  ``SumQC`` extends this to levelwise Minkowski sums of such families.
+* ``RadialQC`` -- homothetic level sets r(t) * base for a decreasing profile.
+* ``SumQC`` -- any function given by its bands: levelwise sums of the leaves
+  and of each other, and dilated stacks.
 
 All functions are geometric (max f = f(0) = 1), enforced at construction.
 The levelwise sum ``oplus`` realizes the sup-min convolution exactly on these
@@ -56,17 +61,46 @@ from .profiles import (
 from .quadrature import integrate_height, integrate_interval
 
 HEIGHT_TOL = 1e-12
-DEFAULT_SAMPLING_HEIGHTS = 64
 
 
 @dataclass(frozen=True)
 class Band:
     """On heights (lo, hi], the level set is the Minkowski sum of
-    coef_k(t) * base_k over the parts; a float coef means a constant factor."""
+    coef_k(t) * base_k over the parts; a float coef is a constant factor and
+    a ``Profile`` coef gives the factor profile.inv(t)."""
 
     lo: float
     hi: float
-    parts: tuple  # of (coef: float | callable, base: ConvexBody)
+    parts: tuple  # of (coef: float | Profile, base: ConvexBody)
+
+
+def _coef_at(coef, t) -> float:
+    return float(coef.inv(t)) if isinstance(coef, Profile) else coef
+
+
+def _band_at(bands: Sequence[Band], t: float) -> Band:
+    """The band with lo < t <= hi (bands run top first)."""
+    for band in bands:
+        if band.lo < t <= band.hi:
+            return band
+    raise HeightOutOfRange(f"height {t} outside the bands")
+
+
+def _merge_bands(views: Sequence[Sequence[Band]]) -> list:
+    """Common refinement of banded decompositions, top first: one
+    (lo, hi, [parts of each view on (lo, hi]]) per band of the union of the
+    band edges."""
+    edges = {1.0}
+    for v in views:
+        for band in v:
+            if band.lo > 0.0:
+                edges.add(band.lo)
+            if band.hi < 1.0:
+                edges.add(band.hi)
+    tops = np.sort(np.array(list(edges)))[::-1]
+    lows = np.append(tops[1:], 0.0)
+    return [(lo, hi, [_band_at(v, hi).parts for v in views])
+            for hi, lo in zip(tops, lows)]
 
 
 class QCFunction:
@@ -194,7 +228,7 @@ class RadialQC(QCFunction):
         return np.asarray(self.profile.value(g), dtype=float)
 
     def bands(self):
-        return [Band(0.0, 1.0, ((self.profile.inv, self.base),))]
+        return [Band(0.0, 1.0, ((self.profile, self.base),))]
 
     def scale_space(self, lam: float) -> "RadialQC":
         return RadialQC(self.base, self.profile.scaled(lam))
@@ -210,21 +244,23 @@ class RadialQC(QCFunction):
 
 
 class SumQC(QCFunction):
-    """Levelwise Minkowski sum of radial families (the exact form of oplus
-    for operands with homothetic level sets over different bases)."""
+    """Banded function: on each band (lo, hi] the level set is the Minkowski
+    sum of coef(t) * base over the band's parts.  The bands run top first and
+    cover (0, 1]; ``oplus`` builds them for every pair of operands that is
+    not a pair of stacks or of radial functions over one base."""
 
-    def __init__(self, parts: Sequence[tuple[Profile, ConvexBody]]):
-        if not parts:
-            raise ValueError("need at least one part")
-        self.parts = tuple(parts)
-        self.dim = parts[0][1].dim
-        if any(base.dim != self.dim for _, base in parts):
+    def __init__(self, bands: Sequence[Band]):
+        if not bands:
+            raise ValueError("need at least one band")
+        self._bands = tuple(bands)
+        self.dim = bands[0].parts[0][1].dim
+        if any(base.dim != self.dim for band in bands for _, base in band.parts):
             raise DimensionMismatch("sum parts must share the ambient dimension")
 
     def level_set(self, t: float) -> ConvexBody:
         acc = None
-        for profile, base in self.parts:
-            body = _as_point_or_scaled(base, float(profile.inv(t)))
+        for coef, base in _band_at(self._bands, t).parts:
+            body = _as_point_or_scaled(base, _coef_at(coef, t))
             acc = body if acc is None else minkowski_sum(acc, body)
         return acc
 
@@ -233,84 +269,32 @@ class SumQC(QCFunction):
         return np.array([_bisect_height(self, p) for p in x])
 
     def bands(self):
-        return [Band(0.0, 1.0, tuple((p.inv, base) for p, base in self.parts))]
+        return list(self._bands)
+
+    def map_coefficients(self, fn) -> "SumQC":
+        """The same bands and bases with every coefficient c replaced by fn(c)."""
+        return SumQC([Band(b.lo, b.hi, tuple((fn(c), base) for c, base in b.parts))
+                      for b in self._bands])
 
     def scale_space(self, lam: float) -> "SumQC":
-        return SumQC([(p.scaled(lam), base) for p, base in self.parts])
+        if lam <= 0:
+            raise NonpositiveScale(f"scale factor must be positive, got {lam}")
+        return self.map_coefficients(
+            lambda c: c.scaled(lam) if isinstance(c, Profile) else c * lam)
 
     def is_rotation_invariant(self):
-        return all(base.is_ball for _, base in self.parts)
+        return all(base.is_ball or base.is_point
+                   for band in self._bands for _, base in band.parts)
 
     def is_log_concave(self):
-        if all(p.is_log_concave() for p, _ in self.parts):
+        if len(self._bands) == 1 and all(isinstance(c, Profile) and c.is_log_concave()
+                                         for c, _ in self._bands[0].parts):
             return True  # oplus preserves log-concavity levelwise
         return certify_log_concave(self)
 
     def support_radius(self, t_min: float = 1e-3) -> float:
-        return sum(float(p.inv(t_min)) * base.bounding_radius() for p, base in self.parts)
-
-
-class BandedSum(QCFunction):
-    """Levelwise Minkowski sum of arbitrary banded functions.
-
-    The general form of ``oplus`` when neither the exact stack nor the radial
-    representation applies (for example sums of dilated stacks)."""
-
-    def __init__(self, fs: Sequence[QCFunction]):
-        self.fs = list(fs)
-        self.dim = self.fs[0].dim
-        if any(f.bands() is None for f in self.fs):
-            raise ValueError("operands must have banded decompositions")
-
-    def level_set(self, t: float) -> ConvexBody:
-        acc = None
-        for f in self.fs:
-            body = f.level_set(t)
-            acc = body if acc is None else minkowski_sum(acc, body)
-        return acc
-
-    def evaluate_many(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.array([_bisect_height(self, p) for p in x])
-
-    def bands(self):
-        views = [f.bands() for f in self.fs]
-        edges = {1.0}
-        for v in views:
-            for band in v:
-                if 0.0 < band.lo:
-                    edges.add(band.lo)
-                if band.hi < 1.0:
-                    edges.add(band.hi)
-        tops = np.sort(np.array(list(edges)))[::-1]
-        lows = np.append(tops[1:], 0.0)
-        out = []
-        for hi, lo in zip(tops, lows):
-            mid = 0.5 * (hi + lo)
-            parts = ()
-            for v in views:
-                for band in v:
-                    if band.lo <= mid <= band.hi:
-                        parts = parts + band.parts
-                        break
-            out.append(Band(float(lo), float(hi), parts))
-        return out
-
-    def scale_space(self, lam: float) -> "BandedSum":
-        if lam <= 0:
-            raise NonpositiveScale(f"scale factor must be positive, got {lam}")
-        return BandedSum([f.scale_space(lam) for f in self.fs])
-
-    def is_rotation_invariant(self):
-        return all(f.is_rotation_invariant() for f in self.fs)
-
-    def is_log_concave(self):
-        if all(f.is_log_concave() for f in self.fs):
-            return True  # levelwise sums preserve log-concavity
-        return certify_log_concave(self)
-
-    def support_radius(self, t_min: float = 1e-3) -> float:
-        return sum(f.support_radius(t_min) for f in self.fs)
+        return max(sum(_coef_at(c, t_min) * base.bounding_radius() for c, base in band.parts)
+                   for band in self._bands)
 
 
 def _bisect_height(f: QCFunction, x: np.ndarray) -> float:
@@ -393,22 +377,13 @@ def oplus(f: QCFunction, g: QCFunction) -> QCFunction:
         return LevelStack(
             [(float(t), minkowski_sum(f.level_set(float(t)), g.level_set(float(t)))) for t in hs],
             validate=False)
-    if isinstance(f, (RadialQC, SumQC)) and isinstance(g, (RadialQC, SumQC)):
-        if isinstance(f, RadialQC) and isinstance(g, RadialQC) and f.base is g.base:
-            return RadialQC(f.base, SumProfile([f.profile, g.profile]))
-        fp = f.parts if isinstance(f, SumQC) else ((f.profile, f.base),)
-        gp = g.parts if isinstance(g, SumQC) else ((g.profile, g.base),)
-        return SumQC(fp + gp)
-    if isinstance(f, LevelStack) != isinstance(g, LevelStack):
-        # mixed stack/radial: sample the non-stack operand onto the merged grid
-        stack, other = (f, g) if isinstance(f, LevelStack) else (g, f)
-        tail = min(float(stack.heights[-1]), 1e-2)
-        geo = np.geomspace(1.0, tail, DEFAULT_SAMPLING_HEIGHTS)
-        hs = merged_heights(stack, extra=geo.tolist())
-        return oplus(as_stack(stack, hs), as_stack(other, hs))
-    if f.bands() is not None and g.bands() is not None:
-        return BandedSum([f, g])
-    raise TypeError(f"cannot oplus {type(f).__name__} and {type(g).__name__}")
+    if isinstance(f, RadialQC) and isinstance(g, RadialQC) and f.base is g.base:
+        return RadialQC(f.base, SumProfile([f.profile, g.profile]))
+    fb, gb = f.bands(), g.bands()
+    if fb is None or gb is None:
+        raise TypeError(f"cannot oplus {type(f).__name__} and {type(g).__name__}")
+    return SumQC([Band(float(lo), float(hi), fp + gp)
+                  for lo, hi, (fp, gp) in _merge_bands([fb, gb])])
 
 
 def odot(lam: float, f: QCFunction) -> QCFunction:
@@ -433,13 +408,6 @@ def integral(f: QCFunction) -> float:
 # mixed integrals
 # ---------------------------------------------------------------------------
 
-def _band_at(bands: list[Band], lo: float, hi: float) -> Band:
-    mid = 0.5 * (lo + hi)
-    for band in bands:
-        if band.lo <= mid <= band.hi:
-            return band
-    raise RuntimeError("band lookup failed")  # bands partition (0, 1]
-
 def mixed_integral(fs: Sequence[QCFunction]) -> float:
     """V(f_1, ..., f_n) = integral over t of V(level sets at t)."""
     fs = list(fs)
@@ -457,19 +425,8 @@ def mixed_integral(fs: Sequence[QCFunction]) -> float:
             return np.array([mixed_volume([f.level_set(float(t)) for f in fs]) for t in ts])
         return integrate_height(integrand, rel_tol=1e-8, max_nodes=2 ** 11)
 
-    edges = {1.0}
-    for v in views:
-        for band in v:
-            if band.lo > 0.0:
-                edges.add(band.lo)
-            if band.hi < 1.0:
-                edges.add(band.hi)
-    tops = np.sort(np.array(list(edges)))[::-1]
-    lows = np.append(tops[1:], 0.0)
-
     total = 0.0
-    for hi, lo in zip(tops, lows):
-        slot_parts = [_band_at(v, lo, hi).parts for v in views]
+    for lo, hi, slot_parts in _merge_bands(views):
         const_sum = 0.0
         fn_terms: list[tuple[float, list]] = []
         for choice in itertools.product(*slot_parts):
@@ -477,24 +434,24 @@ def mixed_integral(fs: Sequence[QCFunction]) -> float:
             if V == 0.0:
                 continue
             const = V
-            fns = []
+            profiles = []
             for coef, _ in choice:
-                if callable(coef):
-                    fns.append(coef)
+                if isinstance(coef, Profile):
+                    profiles.append(coef)
                 else:
                     const *= coef
-            if fns:
-                fn_terms.append((const, fns))
+            if profiles:
+                fn_terms.append((const, profiles))
             else:
                 const_sum += const
         total += const_sum * (hi - lo)
         if fn_terms:
             def integrand(ts, terms=fn_terms):
                 acc = np.zeros_like(ts)
-                for const, fns in terms:
+                for const, profiles in terms:
                     prod = np.full_like(ts, const)
-                    for fn in fns:
-                        prod = prod * fn(ts)
+                    for p in profiles:
+                        prod = prod * p.inv(ts)
                     acc += prod
                 return acc
             if lo == 0.0:
@@ -532,8 +489,9 @@ def generalized_surface_area(f: QCFunction, g: QCFunction) -> float:
 def epsilon_extension(f: QCFunction, eps: float) -> QCFunction:
     """f_eps = f oplus (eps . 1_D): every level set grows by eps * D.
 
-    Exact for radial functions; stacks use the fixed polytope stand-in for
-    the unit ball (the Steiner approximation of ``mixed_volumes``).
+    Exact for radial and other banded functions, which gain a part eps * D
+    in every band; stacks use the fixed polytope stand-in for the unit ball
+    (the Steiner approximation of ``mixed_volumes``).
     """
     if eps < 0:
         raise NonpositiveScale("extension radius must be nonnegative")
@@ -542,45 +500,15 @@ def epsilon_extension(f: QCFunction, eps: float) -> QCFunction:
     n = f.dim
     if isinstance(f, RadialQC) and f.base.is_ball:
         return RadialQC(f.base, ShiftedProfile(f.profile, eps / f.base.radius))
-    if isinstance(f, (RadialQC, SumQC)):
-        parts = f.parts if isinstance(f, SumQC) else ((f.profile, f.base),)
-        return SumQC(parts + ((_ConstantRadius(eps), ConvexBody.ball(1.0, n)),))
     if isinstance(f, LevelStack):
         bump = scale(unit_ball_polytope(n), eps)
         return LevelStack([(float(t), minkowski_sum(b, bump))
                            for t, b in zip(f.heights, f.bodies)], validate=False)
-    raise TypeError(f"cannot extend {type(f).__name__}")
-
-
-@dataclass(frozen=True)
-class _ConstantRadius(Profile):
-    """Indicator-style pseudo-profile: level radius eps at every height."""
-
-    eps: float
-
-    def value(self, r):
-        return np.where(np.asarray(r, dtype=float) <= self.eps, 1.0, 0.0)
-
-    def inv(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.full_like(t, self.eps) if t.ndim else self.eps
-
-    def moment(self, p):
-        return self.eps ** (p + 1) / (p + 1)
-
-    def height_integral(self, p):
-        return self.eps ** p
-
-    def is_log_concave(self):
-        return True
-
-    def is_regular(self):
-        return False
-
-    def scaled(self, lam):
-        if lam <= 0:
-            raise NonpositiveScale(f"scale factor must be positive, got {lam}")
-        return _ConstantRadius(self.eps * lam)
+    bands = f.bands()
+    if bands is None:
+        raise TypeError(f"cannot extend {type(f).__name__}")
+    ball = ConvexBody.ball(1.0, n)
+    return SumQC([Band(b.lo, b.hi, b.parts + ((eps, ball),)) for b in bands])
 
 
 # ---------------------------------------------------------------------------

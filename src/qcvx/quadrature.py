@@ -17,7 +17,8 @@ import numpy as np
 from .errors import DivergentIntegral
 
 NODES_PER_PANEL = 64
-MAX_NODES = 2 ** 14
+DEFAULT_MAX_NODES = 2 ** 14
+MAX_NODES = DEFAULT_MAX_NODES
 REL_TOL = 1e-10
 
 

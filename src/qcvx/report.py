@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -70,9 +69,3 @@ def make_report(name: str, statement: str, left: float, right: float, tol: float
                        margin=margin, verdict=verdict, tol=tol,
                        details=details or {},
                        witness=witness if verdict == "violated" else None)
-
-
-def input_digest(payload) -> str:
-    """Stable short digest of serialized inputs, for reproducibility notes."""
-    blob = json.dumps(payload, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]

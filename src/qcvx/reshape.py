@@ -30,7 +30,7 @@ from .errors import (
     NotRegular,
 )
 from .mixed_volumes import mixed_volume
-from .profiles import RescaledProfile, StretchedExponentialProfile
+from .profiles import Profile, RescaledProfile, StretchedExponentialProfile
 from .qc import (
     Band,
     LevelStack,
@@ -38,7 +38,9 @@ from .qc import (
     RadialQC,
     SumQC,
     _as_point_or_scaled,
+    _band_at,
     _bisect_height,
+    _coef_at,
     indicator,
     integral,
     mixed_integral,
@@ -55,14 +57,14 @@ MATCH_TOL = 1e-8
 def is_regular(f: QCFunction) -> bool:
     """Regular = continuous, strictly radially decreasing, vanishing at infinity.
 
-    Exactly the radial functions with regular profiles; step functions never
-    qualify (their size profile is a step map, not a bijection).
+    Exactly the one-band functions whose coefficients are all regular
+    profiles (radial functions and their levelwise sums); a band edge inside
+    (0, 1) is a jump, and step functions never qualify (their size profile is
+    a step map, not a bijection).
     """
-    if isinstance(f, RadialQC):
-        return f.profile.is_regular()
-    if isinstance(f, SumQC):
-        return all(p.is_regular() for p, _ in f.parts)
-    return False
+    bands = f.bands()
+    return (bands is not None and len(bands) == 1
+            and all(isinstance(c, Profile) and c.is_regular() for c, _ in bands[0].parts))
 
 
 def _phi_at_height(phi: SizeFunctional, f: QCFunction, t: float) -> float:
@@ -70,12 +72,7 @@ def _phi_at_height(phi: SizeFunctional, f: QCFunction, t: float) -> float:
     bands = f.bands()
     if bands is None:
         return phi.eval_body(f.level_set(t))
-    for band in bands:
-        if band.lo < t <= band.hi:
-            parts = band.parts
-            break
-    else:
-        raise ValueError(f"height {t} outside (0, 1]")
+    parts = _band_at(bands, t).parts
     refs = list(phi.references)
     m = phi.degree
     total = 0.0
@@ -89,7 +86,7 @@ def _phi_at_height(phi: SizeFunctional, f: QCFunction, t: float) -> float:
         for k, c in counts.items():
             ways //= factorial(c)
             part_coef, base = parts[k]
-            value = float(part_coef(np.float64(t))) if callable(part_coef) else part_coef
+            value = _coef_at(part_coef, np.float64(t))
             coef *= value ** c
             bases.extend([base] * c)
         if coef == 0.0:
@@ -190,12 +187,14 @@ def _apply_rescaling(f: QCFunction, rho: Rescaling) -> QCFunction:
             return rho.alpha_inv(float(t))
         return np.array([rho.alpha_inv(float(x)) for x in t.ravel()]).reshape(t.shape)
 
+    def rescaled(p: Profile) -> Profile:
+        return RescaledProfile(p, vec_alpha, vec_alpha_inv)
+
+    if not is_regular(f):
+        raise NotRegular("only regular (radial) functions can be rescaled")
     if isinstance(f, RadialQC):
-        return RadialQC(f.base, RescaledProfile(f.profile, vec_alpha, vec_alpha_inv))
-    if isinstance(f, SumQC):
-        return SumQC([(RescaledProfile(p, vec_alpha, vec_alpha_inv), base)
-                      for p, base in f.parts])
-    raise NotRegular("only regular (radial) functions can be rescaled")
+        return RadialQC(f.base, rescaled(f.profile))
+    return f.map_coefficients(rescaled)
 
 
 def rescale_to_match(phi: SizeFunctional, f: QCFunction, g: QCFunction,
@@ -336,52 +335,15 @@ def rescaled_af(reference_bodies: Sequence[ConvexBody],
 # dilations to the exponential law
 # ---------------------------------------------------------------------------
 
-class DilatedStack(QCFunction):
+class DilatedStack(SumQC):
     """Dilation of a step function: on the band below height t_i the level
     set is c_i * log(1/t) * K_i, with c_i = (Phi(D)/Phi(K_i))^(1/m)."""
 
     def __init__(self, stack: LevelStack, scales: Sequence[float]):
-        self.stack = stack
-        self.scales = tuple(float(c) for c in scales)
-        self.dim = stack.dim
-
-    def _index(self, t: float) -> int:
-        heights = self.stack.heights
-        idx = int(np.searchsorted(-heights, -t, side="right")) - 1
-        return max(idx, 0)
-
-    def level_set(self, t: float) -> ConvexBody:
-        i = self._index(t)
-        r = self.scales[i] * math.log(1.0 / t) if t < 1.0 else 0.0
-        return _as_point_or_scaled(self.stack.bodies[i], r)
-
-    def evaluate_many(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.array([_bisect_height(self, p) for p in x])
-
-    def bands(self):
-        out = []
-        lows = np.append(self.stack.heights[1:], 0.0)
-        for hi, lo, body, c in zip(self.stack.heights, lows,
-                                   self.stack.bodies, self.scales):
-            def coef(ts, c=c):
-                return c * np.log(1.0 / np.asarray(ts, dtype=float))
-            out.append(Band(float(lo), float(hi), ((coef, body),)))
-        return out
-
-    def scale_space(self, lam: float) -> "DilatedStack":
-        return DilatedStack(self.stack, [c * lam for c in self.scales])
-
-    def is_rotation_invariant(self):
-        return self.stack.is_rotation_invariant()
-
-    def is_log_concave(self):
-        from .qc import certify_log_concave
-        return certify_log_concave(self, heights=np.geomspace(0.9, 1e-3, 9))
-
-    def support_radius(self, t_min: float = 1e-3) -> float:
-        return max(c * math.log(1.0 / t_min) * b.bounding_radius()
-                   for c, b in zip(self.scales, self.stack.bodies))
+        # exp(-r / c) has the level radius c * log(1/t)
+        super().__init__([
+            Band(band.lo, band.hi, ((StretchedExponentialProfile(1.0 / float(c), 1.0), body),))
+            for band, body, c in zip(stack.bands(), stack.bodies, scales)])
 
 
 class DilatedQC(QCFunction):
@@ -406,9 +368,6 @@ class DilatedQC(QCFunction):
     def evaluate_many(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.array([_bisect_height(self, p) for p in x])
-
-    def bands(self):
-        return None
 
     def is_rotation_invariant(self):
         return self.source.is_rotation_invariant()
@@ -549,9 +508,6 @@ class ParabolicCapQC(QCFunction):
     def evaluate_many(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.exp(-(np.abs(x[:, 0]) + x[:, 1] ** 2))
-
-    def bands(self):
-        return None
 
     def scale_space(self, lam: float):
         raise NotImplementedError("homothety of the worked example is not needed")

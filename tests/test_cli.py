@@ -182,3 +182,35 @@ def test_tolerance_flags_are_wired(workdir, capsys):
         assert (checks.TOL_EXACT, checks.TOL_QUAD) == (1e-7, 1e-4)
     finally:
         checks.set_tolerances(*before)
+
+
+def test_flags_do_not_leak_into_later_calls(workdir, capsys):
+    import qcvx.checks as checks
+    run = ["check", "af-bodies", "--trials", "2", "--seed", "3"]
+    fn = _write(workdir / "f.json", EXP_DISC)
+    try:
+        assert main(run + ["--out", "fresh"]) == 0
+        assert main(run + ["--out", "flagged", "--tol-exact", "1e-7",
+                           "--tol-quad", "1e-4"]) == 0
+        assert main(run + ["--out", "after"]) == 0
+        assert (workdir / "after.jsonl").read_bytes() == (workdir / "fresh.jsonl").read_bytes()
+        assert (workdir / "flagged.jsonl").read_bytes() != (workdir / "fresh.jsonl").read_bytes()
+        assert main(["integral", fn, "--panels", "128"]) == 0
+        assert main(["integral", fn]) == 0
+        assert quadrature.MAX_NODES == quadrature.DEFAULT_MAX_NODES
+    finally:
+        checks.set_tolerances(1e-9, 1e-6)
+        quadrature.set_node_cap(quadrature.DEFAULT_MAX_NODES)
+
+
+def test_grid_size_below_two_exits_two(workdir, capsys):
+    from qcvx.grids import GridSpec
+    stack = {"type": "stack", "levels": [{"t": 1.0, "body": SQUARE}]}
+    f = _write(workdir / "f.json", stack)
+    phi = _write(workdir / "phi.json",
+                 {"slopes": [[1.0], [-1.0]], "offsets": [0.0, 0.0], "domain": None})
+    assert main(["oracle-compare", f, f, "--grid-size", "1"]) == 2
+    assert main(["duality-check", phi, "--grid-size", "1"]) == 2
+    assert capsys.readouterr().out == ""
+    with pytest.raises(ValueError):
+        GridSpec.cube(1.0, 2, 1)

@@ -410,3 +410,50 @@ def test_as_stack_inner_approximation():
     approx = as_stack(EXP_DISC, heights)
     pts = np.random.default_rng(0).uniform(-3, 3, (50, 2))
     assert np.all(approx.evaluate_many(pts) <= EXP_DISC.evaluate_many(pts) + 1e-12)
+
+
+# -- banded sums of stacks, radial and dilated functions -------------------------
+
+BOX2 = ConvexBody.box([-1, -1], [1, 1])
+DIAMOND = ConvexBody.polytope([[1, 0], [-1, 0], [0, 1], [0, -1]])
+
+
+def _dilated_box():
+    from qcvx.rearrange import SizeFunctional
+    from qcvx.reshape import dilate_to_exponential
+    return dilate_to_exponential(SizeFunctional.vol(2), indicator(BOX2))
+
+
+def test_oplus_stack_radial_is_exact():
+    # int (1_K (+) exp(-|x|_L)) = |K| + 2 V(K, L) + 2 |L| by the Steiner-type
+    # expansion of |K + r L| integrated against the exponential height law
+    square = oplus(indicator(BOX2), RadialQC(BOX2, exponential_profile(1.0)))
+    assert integral(square) == pytest.approx(20.0, rel=1e-9)
+    disc = oplus(indicator(BOX2), EXP_DISC)
+    assert integral(disc) == pytest.approx(12.0 + 2.0 * math.pi, rel=1e-9)
+
+
+@pytest.mark.parametrize("make", [lambda: indicator(BOX2), _dilated_box])
+def test_odot_scales_banded_sum_integral(make):
+    s = oplus(make(), RadialQC(DIAMOND, exponential_profile(1.0)))
+    lam = 1.7
+    assert integral(odot(lam, s)) == pytest.approx(lam ** 2 * integral(s), rel=1e-9)
+
+
+def test_mixed_integral_of_dilated_sum_keeps_its_value():
+    # the value the two-operand banded sum gave before SumQC held all bands
+    s = oplus(_dilated_box(), RadialQC(DIAMOND, exponential_profile(1.0)))
+    g = RadialQC(ConvexBody.ball(1.0, 2), GaussianProfile(1.0))
+    assert mixed_integral([s, g]) == pytest.approx(8.472331392316487, rel=1e-12)
+
+
+def test_phi_at_height_matches_level_set_on_multipart_sum():
+    from qcvx.rearrange import SizeFunctional
+    from qcvx.reshape import _phi_at_height
+    stack = LevelStack([(1.0, SQUARE), (0.4, DIAMOND)])
+    f = oplus(stack, RadialQC(BOX2, exponential_profile(2.0)))
+    assert len(f.bands()) == 2
+    for phi in (SizeFunctional.vol(2), SizeFunctional.quermass(2, 1)):
+        for t in (0.9, 0.4, 0.2, 0.05):
+            assert _phi_at_height(phi, f, t) == pytest.approx(
+                phi.eval_body(f.level_set(t)), rel=1e-10)
