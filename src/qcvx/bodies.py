@@ -374,6 +374,19 @@ def contains_point(body: ConvexBody, x, tol: float = 1e-9) -> bool:
     return _point_in_hull(body.vertices, x, tol * scale)
 
 
+def membership_mask(body: ConvexBody, x: np.ndarray, tol: float) -> np.ndarray:
+    """Row-wise membership of x: ``A x <= b + tol`` on a full-dimensional
+    polytope's facets, 1e-12 on a ball's radius, else ``contains_point``."""
+    if body.is_empty:
+        return np.zeros(len(x), dtype=bool)
+    if body.is_ball:
+        return np.linalg.norm(x, axis=1) <= body.radius + 1e-12
+    if body.affine_rank() == body.dim:
+        A, b = body.facets()
+        return np.all(x @ A.T <= b + tol, axis=1)
+    return np.array([contains_point(body, p) for p in x])
+
+
 def minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
     """Exact Minkowski sum {x + y : x in a, y in b}."""
     if a.dim != b.dim:

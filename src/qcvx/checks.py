@@ -9,8 +9,6 @@ is treated as a build failure by the test suite.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 import numpy as np
@@ -496,22 +494,14 @@ def run_check(name: str, seed: int = 0, trials: int = 100, dim: int = 2) -> list
 
 
 def run_all(seed: int = 0, trials: int = 100, dim: int = 2,
-            names: Optional[Sequence[str]] = None,
-            max_workers: Optional[int] = None) -> dict[str, list[CheckReport]]:
-    """Run every check concurrently over a work queue; results merged by name.
+            names: Optional[Sequence[str]] = None) -> dict[str, list[CheckReport]]:
+    """Run every named check in sorted order; results keyed by name.
 
     Checks whose minimum dimension exceeds ``dim`` are skipped.
     """
     names = sorted(names or CHECKS)
     names = [n for n in names if dim >= MIN_DIM.get(n, 1)]
-    if max_workers is None:
-        max_workers = int(os.environ.get("QCVX_THREADS", "1"))
-    if max_workers <= 1:
-        return {name: run_check(name, seed, trials, dim) for name in names}
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = {name: pool.submit(run_check, name, seed, trials, dim)
-                   for name in names}
-        return {name: futures[name].result() for name in names}
+    return {name: run_check(name, seed, trials, dim) for name in names}
 
 
 def summarize(results: dict[str, list[CheckReport]]) -> list[dict]:

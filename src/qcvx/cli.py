@@ -3,7 +3,7 @@
 Exit codes: 0 on success with every verdict in {holds, holds-with-equality},
 1 when any check is violated, 2 on malformed input.  Identical seed and
 configuration produce byte-identical output files (keys sorted, no
-timestamps); QCVX_THREADS caps the harness worker count.
+timestamps).
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ class RunConfig:
     node_cap: Optional[int] = None
     tol_exact: float = 1e-9
     tol_quad: float = 1e-6
-    output_format: str = "json"
-    out: Optional[str] = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -76,8 +74,7 @@ class RunConfig:
     def from_args(cls, args) -> "RunConfig":
         return cls(seed=args.seed, trials=args.trials, dimension=args.dim,
                    node_cap=args.panels, tol_exact=args.tol_exact,
-                   tol_quad=args.tol_quad, output_format=args.format,
-                   out=args.out)
+                   tol_quad=args.tol_quad)
 
 
 def _load_json(path: str):
@@ -197,9 +194,7 @@ def cmd_duality_check(args) -> int:
     domain = body_from_json(spec["domain"]) if spec.get("domain") else None
     phi = GeomConvexFn.from_pieces(spec["slopes"], spec.get("offsets"), domain)
     t_values = [float(t) for t in args.t_values.split(",")]
-    npts = _grid_size(args)
-    reports = [polarity_sandwich_check(phi, t, grid_npts=npts)
-               for t in t_values]
+    reports = [polarity_sandwich_check(phi, t) for t in t_values]
     _emit([json.loads(r.to_json()) for r in reports], args)
     return 0 if all(r.ok for r in reports) else 1
 
@@ -373,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("duality-check", help="level-set polarity sandwich checks")
     p.add_argument("phi", help="JSON with slopes/offsets/domain")
     p.add_argument("--t-values", default="0.5,1,2")
-    p.add_argument("--grid-size", type=int, default=81)
     p.set_defaults(handler=cmd_duality_check)
 
     p = sub.add_parser("check", help="run a named inequality check (or 'all')")

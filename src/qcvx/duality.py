@@ -4,18 +4,19 @@ ratio transform phi -> sup_y (<x,y> - 1)/phi(y), and level-set polarity.
 Functions are finite maxima of affine pieces max_j (<a_j, x> + b_j) with
 phi(0) = 0 and phi >= 0 (a zero piece is always included), optionally
 restricted to a polytope domain (value +inf outside), which covers convex
-indicators.  The transforms here are verification-oriented lattice fields,
-not symbolic objects; level sets, however, are extracted as exact polytopes
-wherever the representation allows (n <= 2).
+indicators.  The ratio transform is exact: its values and its level sets
+(exact polytopes) are built from the vertices of phi's epigraph.  Only the
+convolutions, the inf-convolution and the inf-max sum, are lattice fields.
 
 Convention for the ratio transform at phi(y) = 0: the quotient counts as
 +inf when <x, y> > 1 and is skipped otherwise (the lower-semicontinuous
 closure); rays along which phi grows linearly contribute their asymptotic
-slope ratio <x, u> / slope(u).
+slope ratio <x, u> / slope(u), whose sup over u is the gauge of conv(slopes).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -24,13 +25,14 @@ import numpy as np
 
 from .bodies import (
     ConvexBody,
+    _dedupe_rows,
     contains_point,
     direction_net,
+    membership_mask,
     polar,
     scale,
-    support,
 )
-from .errors import DimensionMismatch, GridTooCoarse, OriginNotInterior
+from .errors import DimensionMismatch, GridTooCoarse
 from .grids import GridSpec, SampledField
 from .report import CheckReport
 
@@ -84,8 +86,7 @@ class GeomConvexFn:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         vals = np.max(x @ self.slopes.T + self.offsets, axis=1)
         if self.domain is not None:
-            inside = _inside_mask(self.domain, x)
-            vals = np.where(inside, vals, np.inf)
+            vals = np.where(membership_mask(self.domain, x, 1e-12), vals, np.inf)
         return vals
 
     def __call__(self, x) -> float:
@@ -105,66 +106,40 @@ class GeomConvexFn:
         return float(np.max(np.linalg.norm(self.slopes, axis=1)))
 
 
-def _inside_mask(body: ConvexBody, x: np.ndarray) -> np.ndarray:
-    if body.is_ball:
-        return np.linalg.norm(x, axis=1) <= body.radius + 1e-12
-    if body.affine_rank() == body.dim:
-        A, b = body.facets()
-        return np.all(x @ A.T <= b + 1e-12, axis=1)
-    return np.array([contains_point(body, p) for p in x])
-
-
 # ---------------------------------------------------------------------------
-# exact lower level sets (n <= 2)
+# exact lower level sets and vertex enumeration (n <= 2)
 # ---------------------------------------------------------------------------
 
 def lower_level_set(phi: GeomConvexFn, s: float) -> ConvexBody:
     """{x : phi(x) <= s} as an exact polytope; raises if unbounded."""
     if s <= 0:
         raise ValueError("level must be positive (phi(0) = 0 needs s > 0)")
-    rows_a, rows_c = [], []
-    for a, b in zip(phi.slopes, phi.offsets):
-        if np.linalg.norm(a) <= 1e-14:
-            continue  # 0 <= s - b always (b <= 0 < s)
-        rows_a.append(a)
-        rows_c.append(s - b)
+    keep = np.linalg.norm(phi.slopes, axis=1) > 1e-14  # 0 <= s - b holds anyway
+    A, c = phi.slopes[keep], s - phi.offsets[keep]
     if phi.domain is not None:
-        A, c = phi.domain.facets()
-        rows_a.extend(A)
-        rows_c.extend(c)
-    A = np.array(rows_a) if rows_a else np.zeros((0, phi.dim))
-    c = np.array(rows_c)
-
-    if phi.dim == 1:
-        hi, lo = np.inf, -np.inf
-        for a, ci in zip(A[:, 0], c):
-            if a > 0:
-                hi = min(hi, ci / a)
-            elif a < 0:
-                lo = max(lo, ci / a)
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise ValueError("level set is unbounded; the function is not coercive")
-        return ConvexBody.interval(lo, hi)
-
-    if len(A) == 0:
+        A_dom, c_dom = phi.domain.facets()
+        A, c = np.vstack([A, A_dom]), np.concatenate([c, c_dom])
+    # bounded iff no u != 0 has A u <= 0, i.e. 0 is interior to conv(rows)
+    normals = ConvexBody.polytope(A) if len(A) else ConvexBody.empty(phi.dim)
+    if normals.affine_rank() < phi.dim or np.min(normals.facets()[1]) <= 1e-12:
         raise ValueError("level set is unbounded; the function is not coercive")
-    net = direction_net(2, 256)
-    if np.any(np.max(net @ A.T, axis=1) <= 1e-12):
-        raise ValueError("level set is unbounded; the function is not coercive")
-    pts = []
-    m = len(A)
-    for i in range(m):
-        for j in range(i + 1, m):
-            M = np.array([A[i], A[j]])
-            det = np.linalg.det(M)
-            if abs(det) < 1e-12:
-                continue
-            p = np.linalg.solve(M, [c[i], c[j]])
-            if np.all(A @ p <= c + 1e-9 * max(1.0, np.max(np.abs(c)))):
-                pts.append(p)
-    if not pts:
+    pts = _subset_solutions(A, c)
+    pts = pts[np.all(pts @ A.T <= c + 1e-9 * max(1.0, np.max(np.abs(c))), axis=1)]
+    if not len(pts):
         raise ValueError("empty level set (inconsistent constraints)")
-    return ConvexBody.polytope(np.array(pts))
+    return ConvexBody.polytope(pts)
+
+
+def _subset_solutions(R: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solutions of R_S y = r_S for every square subset S of the rows of R
+    whose determinant exceeds 1e-12 times the product of its row norms."""
+    k = R.shape[1]
+    if len(R) < k:
+        return np.zeros((0, k))
+    subsets = np.array(list(itertools.combinations(range(len(R)), k)))
+    M = R[subsets]
+    regular = np.abs(np.linalg.det(M)) > 1e-12 * np.prod(np.linalg.norm(M, axis=2), axis=1)
+    return np.linalg.solve(M[regular], r[subsets[regular]][..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -264,60 +239,104 @@ def sandwich_check(phis: Sequence[GeomConvexFn], lambdas: Sequence[float],
 
 
 # ---------------------------------------------------------------------------
-# the ratio transform
+# the ratio transform (exact, from the epigraph vertices)
 # ---------------------------------------------------------------------------
 
-def a_transform_values(phi: GeomConvexFn, x: np.ndarray,
-                       y_halfwidth: float = 8.0, y_npts: int = 97,
-                       ndirs: int = 64) -> np.ndarray:
-    """sup_y (<x, y> - 1)/phi(y) evaluated at the rows of x.
+def _span_split(slopes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (as columns) of span(slopes) and of its complement."""
+    n = slopes.shape[1]
+    _, sv, vt = np.linalg.svd(slopes)
+    rank = int(np.sum(sv > 1e-12 * max(1.0, float(sv[0]))))
+    if rank == n:
+        return np.eye(n), np.zeros((n, 0))
+    return vt[:rank].T, vt[rank:].T
 
-    Finite net over y, plus asymptotic ray terms <x,u>/slope(u) for functions
-    finite on all of R^n; phi(y) = 0 contributes +inf iff <x, y> > 1.
+
+def _epigraph_vertices(phi: GeomConvexFn) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices (y_v, phi(y_v)) of the epigraph of phi over its domain.
+
+    The epigraph is {(y, s) : s >= <a_j, y> + b_j for every piece, y in D}.
+    A vertex is a feasible point where n + 1 of these constraints with
+    independent normals are active, so one (n+1)-subset solve finds it.  The
+    facets of D take part in the enumeration; without a domain, slopes that
+    do not span R^n add their complement as <l, y> = 0 (phi is constant
+    along it).  Values at or below 1e-12 are snapped to 0.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    n = phi.dim
     if phi.domain is not None:
-        y_halfwidth = min(y_halfwidth, phi.domain.bounding_radius() * 1.01)
-    ygrid = GridSpec.cube(y_halfwidth, n, y_npts)
-    Y = ygrid.points()
-    vals = phi.evaluate_many(Y)
-    finite = np.isfinite(vals)
-    pos = finite & (vals > 1e-12)
-    zero = finite & (vals <= 1e-12)
-    Ypos, vpos = Y[pos], vals[pos]
-    Yzero = Y[zero]
-
-    out = np.full(len(x), -np.inf)
-    chunk = max(1, 2_000_000 // max(len(Ypos), 1))
-    for k in range(0, len(x), chunk):
-        xs = x[k:k + chunk]
-        if len(Ypos):
-            ratios = (xs @ Ypos.T - 1.0) / vpos
-            out[k:k + chunk] = np.max(ratios, axis=1)
-        if len(Yzero):
-            trigger = np.any(xs @ Yzero.T > 1.0 + 1e-12, axis=1)
-            out[k:k + chunk] = np.where(trigger, np.inf, out[k:k + chunk])
-    if phi.domain is None:
-        U = direction_net(n, ndirs)
-        slopes_u = np.max(U @ phi.slopes.T, axis=1)
-        grows = slopes_u > 1e-12
-        if grows.any():
-            asym = np.max((x @ U[grows].T) / slopes_u[grows], axis=1)
-            out = np.maximum(out, asym)
-        flat = ~grows
-        if flat.any():
-            runaway = np.any(x @ U[flat].T > 1e-12, axis=1)
-            out = np.where(runaway, np.inf, out)
+        A, c = phi.domain.facets()
     else:
-        out = np.maximum(out, 0.0)  # y off the domain: finite numerator over +inf
+        null = _span_split(phi.slopes)[1].T
+        A, c = np.vstack([null, -null]), np.zeros(2 * len(null))
+    R = np.vstack([np.hstack([phi.slopes, -np.ones((len(phi.slopes), 1))]),
+                   np.hstack([A, np.zeros((len(A), 1))])])
+    r = np.concatenate([-phi.offsets, c])
+    sol = _subset_solutions(R, r)
+    slack = 1e-9 * np.maximum(1.0, np.max(np.abs(sol), axis=1, initial=0.0))
+    sol = sol[np.all(sol @ R.T - r <= slack[:, None] * np.max(np.abs(R)), axis=1)]
+    Y = _dedupe_rows(sol, 1e-9)[:, :phi.dim]
+    vals = np.max(Y @ phi.slopes.T + phi.offsets, axis=1)
+    return Y, np.where(vals > 1e-12, vals, 0.0)
+
+
+def _slope_gauge(phi: GeomConvexFn, x: np.ndarray) -> np.ndarray:
+    """Exact gauge of conv(slopes) at the rows of x: +inf off its cone."""
+    basis, null = _span_split(phi.slopes)
+    out = np.zeros(len(x))
+    if basis.shape[1]:
+        A, c = ConvexBody.polytope(phi.slopes @ basis).facets()
+        z = x @ basis
+        flat = c <= 1e-12            # facets through 0, the zero slope
+        out = np.max(z @ A[~flat].T / c[~flat], axis=1, initial=0.0)
+        if flat.any():
+            out = np.where(np.any(z @ A[flat].T > 1e-12, axis=1), np.inf, out)
+    if null.shape[1]:
+        out = np.where(np.linalg.norm(x @ null, axis=1) > 1e-12, np.inf, out)
     return out
 
 
-def a_transform(phi: GeomConvexFn, grid: GridSpec, **kwargs) -> SampledField:
-    """Sampled ratio transform on the lattice."""
-    vals = a_transform_values(phi, grid.points(), **kwargs)
+def a_transform_values(phi: GeomConvexFn, x: np.ndarray) -> np.ndarray:
+    """sup_y (<x, y> - 1)/phi(y) evaluated exactly at the rows of x.
+
+    On each linearity cell the quotient is linear-fractional, so the sup is
+    reached at an epigraph vertex y_v or along a recession ray.  The value is
+    the max of the vertex quotients with phi(y_v) > 0; +inf when a vertex of
+    the zero cell has <x, y_v> > 1; and the ray term, which is the gauge of
+    conv(slopes) without a domain and 0 with one (y off the domain: a finite
+    numerator over +inf).
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    Y, vals = _epigraph_vertices(phi)
+    pos = vals > 0
+    out = np.full(len(x), -np.inf)
+    if pos.any():
+        out = np.max((x @ Y[pos].T - 1.0) / vals[pos], axis=1)
+    if not pos.all():
+        trigger = np.any(x @ Y[~pos].T > 1.0 + 1e-12, axis=1)
+        out = np.where(trigger, np.inf, out)
+    if phi.domain is None:
+        return np.maximum(out, _slope_gauge(phi, x))
+    return np.maximum(out, 0.0)
+
+
+def a_transform(phi: GeomConvexFn, grid: GridSpec) -> SampledField:
+    """The ratio transform sampled on the lattice."""
+    vals = a_transform_values(phi, grid.points())
     return SampledField(grid, vals.reshape((grid.npts,) * grid.dim))
+
+
+def a_transform_level_set(phi: GeomConvexFn, t: float) -> ConvexBody:
+    """K_t(A phi) = {x : <x, y_v> <= 1 + t phi(y_v) for every vertex}, cut by
+    t * conv(slopes) when phi has no domain: an exact polytope.
+
+    A phi(x) <= t says (t phi)^*(x) <= 1, and the sup of <x, y> - t s over
+    the epigraph is finite exactly on t * conv(slopes) (the rays) and is then
+    reached at a vertex.
+    """
+    if t <= 0:
+        raise ValueError("level must be positive")
+    Y, vals = _epigraph_vertices(phi)
+    dom = None if phi.domain is not None else ConvexBody.polytope(t * phi.slopes)
+    return lower_level_set(GeomConvexFn(Y, -t * vals, dom), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -334,39 +353,24 @@ def star_dual(phi: GeomConvexFn, heights: Sequence[float]) -> list[ConvexBody]:
     return out
 
 
-def polarity_sandwich_check(phi: GeomConvexFn, t: float,
-                            grid_npts: int = 81, y_npts: int = 129) -> CheckReport:
+def polarity_sandwich_check(phi: GeomConvexFn, t: float) -> CheckReport:
     """Check polar(K_{1/t}(phi)) <= K_t(transform) <= 2 * polar(K_{1/t}(phi)).
 
-    The middle set is extracted from a lattice sampling of the ratio
-    transform; margins are support-function slacks over a direction net,
-    with the lattice step absorbed into the tolerance.
+    Both sides are exact polytopes; margins are support-function slacks over
+    a 64-direction net, judged at relative tolerance 1e-9.
     """
-    level = lower_level_set(phi, 1.0 / t)
-    try:
-        p = polar(level)
-    except OriginNotInterior:
-        raise
-    reach = 2.0 * p.bounding_radius() * 1.25
-    grid = GridSpec.cube(reach, phi.dim, grid_npts)
-    pts = grid.points()
-    vals = a_transform_values(phi, pts, y_halfwidth=max(8.0, level.bounding_radius() * 4),
-                              y_npts=y_npts)
-    inside = pts[vals <= t * (1 + 1e-9)]
-    if len(inside) == 0:
-        inside = np.zeros((1, phi.dim))
-    q = ConvexBody.polytope(inside)
+    p = polar(lower_level_set(phi, 1.0 / t))
+    q = a_transform_level_set(phi, t)
 
     net = direction_net(phi.dim, 64)
-    h_p = np.array([support(p, u) for u in net])
-    h_q = np.array([support(q, u) for u in net])
+    h_p = np.max(net @ p.vertices.T, axis=1)
+    h_q = np.max(net @ q.vertices.T, axis=1)
     h_2p = 2.0 * h_p
-    left_margin = float(np.min(h_q - h_p))      # polar inside extracted set
-    right_margin = float(np.min(h_2p - h_q))    # extracted set inside 2 * polar
-    step = float(np.max(grid.step)) * math.sqrt(phi.dim)
+    left_margin = float(np.min(h_q - h_p))      # polar inside the transform's set
+    right_margin = float(np.min(h_2p - h_q))    # transform's set inside 2 * polar
     scale_val = max(1.0, float(np.max(h_2p)))
     margin = min(left_margin, right_margin)
-    rel_tol = 2.5 * step / scale_val
+    rel_tol = 1e-9
     verdict = "holds" if margin / scale_val >= -rel_tol else "violated"
     return CheckReport(
         name="polarity-sandwich",
@@ -374,6 +378,5 @@ def polarity_sandwich_check(phi: GeomConvexFn, t: float,
                   "the ratio transform within a factor of 2",
         left=left_margin, right=0.0, margin=margin / scale_val,
         verdict=verdict, tol=rel_tol,
-        details={"t": t, "left_margin": left_margin, "right_margin": right_margin,
-                 "lattice_step": step},
+        details={"t": t, "left_margin": left_margin, "right_margin": right_margin},
         witness=None)

@@ -110,8 +110,8 @@ def conditioned_geom_convex_fn(rng, dim: int, max_aspect: float = 12.0):
     """Like random_geom_convex_fn, conditioned on well-shaped level sets.
 
     Near-degenerate slope draws make a level set hundreds of units long and
-    its polar thinner than any reasonable lattice; polarity checks resample
-    until the unit level set has bounded aspect ratio.
+    its polar a sliver; polarity checks resample until the unit level set
+    has bounded aspect ratio.
     """
     from .bodies import inradius
     from .duality import lower_level_set

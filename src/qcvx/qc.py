@@ -36,6 +36,7 @@ from .bodies import (
     body_to_json,
     contains,
     contains_point,
+    membership_mask,
     minkowski_sum,
     scale,
     volume,
@@ -176,7 +177,7 @@ class LevelStack(QCFunction):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.zeros(len(x))
         for t, body in zip(self.heights[::-1], self.bodies[::-1]):
-            out = np.where(_membership_mask(body, x), t, out)
+            out = np.where(membership_mask(body, x, 1e-9), t, out)
         return out
 
     def bands(self):
@@ -311,17 +312,6 @@ def _bisect_height(f: QCFunction, x: np.ndarray) -> float:
         else:
             hi = mid
     return lo
-
-
-def _membership_mask(body: ConvexBody, x: np.ndarray) -> np.ndarray:
-    if body.is_empty:
-        return np.zeros(len(x), dtype=bool)
-    if body.is_ball:
-        return np.linalg.norm(x, axis=1) <= body.radius + 1e-12
-    if body.affine_rank() == body.dim:
-        A, b = body.facets()
-        return np.all(x @ A.T <= b + 1e-9, axis=1)
-    return np.array([contains_point(body, p) for p in x])
 
 
 # ---------------------------------------------------------------------------

@@ -169,14 +169,6 @@ def body_rearrange_vol(a: ConvexBody) -> ConvexBody:
     return ball_rearrange(SizeFunctional.vol(a.dim), a)
 
 
-def size_functional_to_json(phi: SizeFunctional) -> dict:
-    from .bodies import body_to_json
-
-    return {"dim": phi.dim, "degree": phi.degree,
-            "references": [body_to_json(b) for b in phi.references],
-            "name": phi.name}
-
-
 def size_functional_from_json(obj: dict) -> SizeFunctional:
     from .bodies import body_from_json
 

@@ -380,11 +380,6 @@ class DilatedQC(QCFunction):
         return self.level_set(t_min).bounding_radius()
 
 
-def exponential_law_value(phi: SizeFunctional, t: float) -> float:
-    """Phi of the level set of M(x) = exp(-|x|): (log 1/t)^m Phi(D)."""
-    return math.log(1.0 / t) ** phi.degree * phi.ball_value()
-
-
 def dilate_to_exponential(phi: SizeFunctional, f: QCFunction) -> QCFunction:
     """Dilate each level set so Phi(level at t) = Phi(log(1/t) D).
 

@@ -239,16 +239,6 @@ def test_run_all_summary_shape():
     assert all(row["violations"] == 0 for row in rows)
 
 
-def test_run_all_threaded_matches_serial():
-    serial = run_all(seed=6, trials=2, dim=2, names=["af-bodies", "gen-bm-bodies"],
-                     max_workers=1)
-    threaded = run_all(seed=6, trials=2, dim=2, names=["af-bodies", "gen-bm-bodies"],
-                       max_workers=4)
-    for name in serial:
-        assert [r.to_json() for r in serial[name]] == \
-            [r.to_json() for r in threaded[name]]
-
-
 def test_violated_verdict_carries_witness():
     # force a violation by lying about which inequality should hold
     from qcvx.checks import _radius_report, _witness

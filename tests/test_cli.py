@@ -99,6 +99,23 @@ def test_duality_check(workdir, capsys):
     assert all(r["verdict"] == "holds" for r in out)
 
 
+def test_duality_check_one_sided_and_domain(workdir, capsys):
+    lopsided = _write(workdir / "lop.json",
+                      {"slopes": [[2.0], [-0.5]], "offsets": [-0.3, 0.0]})
+    assert main(["duality-check", lopsided]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [r["details"]["t"] for r in out] == [0.5, 1.0, 2.0]
+    assert all(r["margin"] >= -1e-9 for r in out)
+    domain = {"type": "polytope",
+              "vertices": [[-1, -0.5], [1.2, -0.7], [0.8, 1.1], [-0.6, 0.9]]}
+    phi = _write(workdir / "dom.json", {"slopes": [[1.0, 0.5], [-0.5, 1.0]],
+                                        "offsets": [-0.1, 0.0], "domain": domain})
+    assert main(["duality-check", phi, "--t-values", "0.5,1,2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out) == 3 and all(r["verdict"] == "holds" for r in out)
+    assert all(r["margin"] >= -1e-9 for r in out)
+
+
 def test_check_writes_jsonl_and_csv(workdir, capsys):
     assert main(["check", "af-bodies", "--trials", "4", "--seed", "7"]) == 0
     assert (workdir / "qcvx-check.jsonl").exists()
@@ -210,7 +227,10 @@ def test_grid_size_below_two_exits_two(workdir, capsys):
     phi = _write(workdir / "phi.json",
                  {"slopes": [[1.0], [-1.0]], "offsets": [0.0, 0.0], "domain": None})
     assert main(["oracle-compare", f, f, "--grid-size", "1"]) == 2
-    assert main(["duality-check", phi, "--grid-size", "1"]) == 2
     assert capsys.readouterr().out == ""
+    # the ratio transform is exact, so duality-check has no lattice to size
+    with pytest.raises(SystemExit) as exc:
+        main(["duality-check", phi, "--grid-size", "1"])
+    assert exc.value.code == 2
     with pytest.raises(ValueError):
         GridSpec.cube(1.0, 2, 1)

@@ -6,10 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from qcvx.bodies import ConvexBody, approx_equal, contains, minkowski_sum, polar
+from qcvx.bodies import (
+    ConvexBody,
+    _ccw_order,
+    approx_equal,
+    contains,
+    direction_net,
+    minkowski_sum,
+    polar,
+)
 from qcvx.duality import (
     GeomConvexFn,
     a_transform,
+    a_transform_level_set,
     a_transform_values,
     inf_convolution,
     lower_level_set,
@@ -19,10 +28,53 @@ from qcvx.duality import (
     star_dual,
 )
 from qcvx.errors import OriginNotInterior
-from qcvx.generators import random_geom_convex_fn
+from qcvx.generators import conditioned_geom_convex_fn, random_geom_convex_fn, rng_for
 from qcvx.grids import GridSpec
 
 ABS = GeomConvexFn.abs_value()
+
+
+def net_a_transform(phi, x, y_halfwidth=8.0, y_npts=97, ndirs=64):
+    """Sampled ratio transform, the oracle for the exact one.
+
+    A sup over a y-net of (<x,y> - 1)/phi(y), +inf where a net point of the
+    zero cell has <x,y> > 1, and ray terms <x,u>/slope(u) over a direction
+    net (0 with a domain).  Every term is one the exact sup bounds, so the
+    net never exceeds ``a_transform_values``; nets with y_npts - 1 and ndirs
+    multiples of each other are nested, so the finer never falls below the
+    coarser.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if phi.domain is not None:
+        y_halfwidth = min(y_halfwidth, phi.domain.bounding_radius() * 1.01)
+    Y = GridSpec.cube(y_halfwidth, phi.dim, y_npts).points()
+    vals = phi.evaluate_many(Y)
+    finite = np.isfinite(vals)
+    pos, zero = finite & (vals > 1e-12), finite & (vals <= 1e-12)
+    out = np.full(len(x), -np.inf)
+    if pos.any():
+        out = np.max((x @ Y[pos].T - 1.0) / vals[pos], axis=1)
+    if zero.any():
+        out = np.where(np.any(x @ Y[zero].T > 1.0 + 1e-12, axis=1), np.inf, out)
+    if phi.domain is not None:
+        return np.maximum(out, 0.0)
+    U = direction_net(phi.dim, ndirs)
+    slope_u = np.max(U @ phi.slopes.T, axis=1)
+    grows = slope_u > 1e-12
+    if grows.any():
+        out = np.maximum(out, np.max((x @ U[grows].T) / slope_u[grows], axis=1))
+    if (~grows).any():
+        out = np.where(np.any(x @ U[~grows].T > 1e-12, axis=1), np.inf, out)
+    return out
+
+
+def _gap(net, exact):
+    """Pointwise shortfall of the net below the exact value, capped at 1."""
+    with np.errstate(invalid="ignore"):
+        return np.minimum(np.where(net == exact, 0.0, exact - net), 1.0)
+
+
+SKEW_QUAD = ConvexBody.polytope([[-1, -0.5], [1.2, -0.7], [0.8, 1.1], [-0.6, 0.9]])
 
 
 def test_geometric_normalization():
@@ -50,6 +102,14 @@ def test_lower_level_set_unbounded_rejected():
     one_sided = GeomConvexFn.from_pieces([[1.0]])
     with pytest.raises(ValueError):
         lower_level_set(one_sided, 1.0)
+    # phi = 0 on a wedge of half-angle 1e-3 that falls between the directions
+    # of a 256-direction net, so only an exact test sees the recession ray
+    axis, half = math.pi / 256, 1e-3
+    wedge = GeomConvexFn.from_pieces(
+        [[math.cos(axis + half + math.pi / 2), math.sin(axis + half + math.pi / 2)],
+         [math.cos(axis - half - math.pi / 2), math.sin(axis - half - math.pi / 2)]])
+    with pytest.raises(ValueError):
+        lower_level_set(wedge, 1.0)
 
 
 def test_lower_level_set_2d():
@@ -171,10 +231,72 @@ def test_a_transform_against_fine_net():
     rng = np.random.default_rng(8)
     phi = random_geom_convex_fn(rng, 2)
     xs = rng.normal(size=(10, 2))
-    coarse = a_transform_values(phi, xs, y_npts=49)
-    fine = a_transform_values(phi, xs, y_npts=193)
+    exact = a_transform_values(phi, xs)
+    coarse = net_a_transform(phi, xs, y_npts=49)
+    fine = net_a_transform(phi, xs, y_npts=193, ndirs=1024)
     assert np.all(fine >= coarse - 1e-12)  # finer nets only improve the sup
-    assert np.max(np.abs(fine - coarse) / np.maximum(np.abs(fine), 1.0)) < 5e-2
+    assert np.all(fine <= exact + 1e-12)   # and never pass the exact value
+    assert np.max(np.abs(exact - fine) / np.maximum(np.abs(exact), 1.0)) < 1e-2
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(21)
+    cases = [(random_geom_convex_fn(rng, 2), rng.normal(size=(40, 2)), True)
+             for _ in range(3)]
+    rng = np.random.default_rng(200)
+    cases.append((random_geom_convex_fn(rng, 1), 2.0 * rng.normal(size=(50, 1)), False))
+    rng = np.random.default_rng(1)
+    cases.append((GeomConvexFn.indicator(SKEW_QUAD), rng.normal(size=(50, 2)), True))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_net_oracle_below_exact_and_gap_shrinks(case):
+    phi, xs, strict = _oracle_cases()[case]
+    exact = a_transform_values(phi, xs)
+    coarse = net_a_transform(phi, xs, y_npts=49, ndirs=64)
+    fine = net_a_transform(phi, xs, y_npts=193, ndirs=256)
+    assert np.all(coarse <= exact + 1e-12)
+    assert np.all(fine <= exact + 1e-12)
+    gap_coarse, gap_fine = _gap(coarse, exact), _gap(fine, exact)
+    assert np.all(gap_fine <= gap_coarse + 1e-12)
+    if strict:
+        assert gap_fine.sum() < gap_coarse.sum()
+
+
+def test_a_transform_one_sided_and_lineal():
+    # max(y, 0): the zero cell is the half-line y <= 0, so x < 0 gives +inf
+    one_sided = GeomConvexFn.from_pieces([[1.0]])
+    assert a_transform_values(one_sided, [[-1.0], [0.0], [0.5], [3.0]]).tolist() == \
+        [math.inf, 0.0, 0.5, 3.0]
+    # max(|y_1| - 1/2, 0) in the plane is constant along y_2
+    strip = GeomConvexFn.from_pieces([[1.0, 0.0], [-1.0, 0.0]], [-0.5, -0.5])
+    vals = a_transform_values(strip, [[1.0, 0.0], [3.0, 0.0], [1.0, 1e-3]])
+    assert vals[0] == pytest.approx(1.0, abs=1e-12)
+    assert math.isinf(vals[1]) and math.isinf(vals[2])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_transform_level_set_boundary(seed):
+    rng = np.random.default_rng(seed)
+    phis = [conditioned_geom_convex_fn(rng, 2),
+            GeomConvexFn.from_pieces([[1.0, 0.5], [-0.5, 1.0]], [-0.1, 0.0], SKEW_QUAD),
+            random_geom_convex_fn(rng, 1)]
+    for phi in phis:
+        for t in (0.5, 1.0, 2.0):
+            pts = a_transform_level_set(phi, t).vertices
+            if phi.dim == 2:  # edge midpoints too
+                ring = _ccw_order(pts)
+                pts = np.vstack([pts, 0.5 * (ring + np.roll(ring, -1, axis=0))])
+            vals = a_transform_values(phi, pts)
+            beyond = a_transform_values(phi, (1.0 + 1e-7) * pts)
+            assert np.all(vals <= t * (1.0 + 1e-9))
+            assert np.all(beyond > t)
+            # A phi = t on the boundary, except on the faces <x, y_v> = 1 of
+            # zero-cell vertices, past which it jumps to +inf
+            at_height = np.abs(vals - t) <= 1e-9 * t
+            assert np.all(at_height | np.isinf(beyond))
+            assert at_height.any()
 
 
 # -- polarity -------------------------------------------------------------------
@@ -225,3 +347,30 @@ def test_polarity_sandwich_random(seed):
         rep = polarity_sandwich_check(phi, t)
         assert rep.ok, rep.to_json()
         assert rep.details["right_margin"] >= -rep.tol  # factor 2 never violated
+
+
+def test_polarity_sandwich_abs_is_exact():
+    for t in (0.5, 1.0, 2.0):
+        rep = polarity_sandwich_check(ABS, t)
+        assert rep.details["left_margin"] == 0.0
+        assert rep.details["right_margin"] == pytest.approx(t, rel=1e-15)
+        assert rep.margin == 0.0 and rep.tol == 1e-9
+
+
+def test_polarity_margins_on_criterion_9_instances():
+    for trial in range(30):
+        rng = rng_for(910, trial)
+        phi = conditioned_geom_convex_fn(rng, 2)
+        t = float(rng.choice([0.5, 1.0, 2.0]))
+        rep = polarity_sandwich_check(phi, t)
+        # the relative margin is the smaller of the two support slacks
+        assert rep.margin >= -1e-9, (trial, rep.to_json())
+        assert rep.details["right_margin"] > 0.0  # factor 2 is never tight here
+
+
+def test_polarity_sandwich_with_domain():
+    phi = GeomConvexFn.from_pieces([[1.0, 0.5], [-0.5, 1.0]], [-0.1, 0.0], SKEW_QUAD)
+    for t in (0.5, 1.0, 2.0):
+        rep = polarity_sandwich_check(phi, t)
+        assert rep.ok, rep.to_json()
+        assert rep.margin >= -1e-9
