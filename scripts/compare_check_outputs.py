@@ -8,11 +8,14 @@
         one Python imports, so set PYTHONPATH to pick a checkout.
 
     compare_check_outputs.py diff OLD NEW
-        Reports which files are byte-identical.  For each row that differs it
-        lists the check, the trial, the field and the old and new values of
-        every field whose relative change exceeds 1e-12 (strings and other
-        non-numbers when they differ at all).  Exits 0 when every file is
-        byte-identical and 1 otherwise.
+        Reports which files are byte-identical and, on the same line,
+        whether every verdict is unchanged (the JSONL `verdict` field, the
+        CSV `equality_hits` and `violations` tallies).  For each row that
+        differs it lists the check, the trial, the field and the old and new
+        values of every field whose relative change exceeds 1e-12 (strings
+        and other non-numbers when they differ at all); numeric lists are
+        compared element by element, so `details.lhs[3]` names one entry.
+        Exits 0 when every file is byte-identical and 1 otherwise.
 
 Typical use, parent commit against a working tree:
 
@@ -34,6 +37,7 @@ from pathlib import Path
 STANDARD_RUNS = [(3, 1, seed) for seed in (7, 1, 2, 3, 11)] + \
                 [(2, 2, seed) for seed in (7, 1, 2)]
 REL_TOL = 1e-12
+VERDICT_FIELDS = ("verdict", "equality_hits", "violations")
 
 
 def run(outdir: Path) -> int:
@@ -53,6 +57,9 @@ def _flatten(value, prefix=""):
     if isinstance(value, dict):
         for key in sorted(value):
             yield from _flatten(value[key], f"{prefix}.{key}" if prefix else key)
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from _flatten(item, f"{prefix}[{k}]")
     else:
         yield prefix, value
 
@@ -97,21 +104,25 @@ def _rows(path: Path) -> list[dict]:
     return out
 
 
-def _diff_file(old: Path, new: Path) -> list[str]:
+def _diff_file(old: Path, new: Path) -> tuple[list[str], int]:
+    """(report lines, number of changed verdicts) for two differing files."""
     old_rows, new_rows = _rows(old), _rows(new)
     lines = []
+    verdicts = abs(len(old_rows) - len(new_rows))
     if len(old_rows) != len(new_rows):
         lines.append(f"  row count {len(old_rows)} -> {len(new_rows)}")
     for a, b in zip(old_rows, new_rows):
         where = f"{a['check']}#{a['trial']}"
         if (a["check"], a["trial"]) != (b["check"], b["trial"]):
             lines.append(f"  {where}: row is {b['check']}#{b['trial']} in the new run")
+            verdicts += 1
             continue
         for key in sorted(set(a["fields"]) | set(b["fields"])):
             va, vb = a["fields"].get(key, "<absent>"), b["fields"].get(key, "<absent>")
             if _moved(va, vb):
                 lines.append(f"  {where} {key}: {va!r} -> {vb!r}")
-    return lines
+                verdicts += key in VERDICT_FIELDS
+    return lines, verdicts
 
 
 def diff(old_dir: Path, new_dir: Path) -> int:
@@ -127,11 +138,13 @@ def diff(old_dir: Path, new_dir: Path) -> int:
             print(f"{name}: only in {old_dir if old.is_file() else new_dir}")
             same = False
         elif old.read_bytes() == new.read_bytes():
-            print(f"{name}: byte-identical")
+            print(f"{name}: byte-identical; every verdict unchanged")
         else:
             same = False
-            print(f"{name}: differs")
-            for line in _diff_file(old, new):
+            lines, verdicts = _diff_file(old, new)
+            print(f"{name}: differs; " + (f"{verdicts} verdict(s) changed" if verdicts
+                                          else "every verdict unchanged"))
+            for line in lines:
                 print(line)
     return 0 if same else 1
 

@@ -292,14 +292,10 @@ class ConvexBody:
             A = np.array([[1.0], [-1.0]])
             b = np.array([hi, -lo])
         elif n == 2:
-            ring = _ccw_order(verts)
-            edges = np.roll(ring, -1, axis=0) - ring
-            normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
-            norms = np.linalg.norm(normals, axis=1)
-            A = normals / norms[:, None]
+            ring, A, _ = _polygon_edges(verts)
             b = np.einsum("ij,ij->i", A, ring)
         else:
-            hull = ConvexHull(verts)
+            hull = convex_hull(self)
             A = hull.equations[:, :3]
             b = -hull.equations[:, 3]
         self.__dict__["_facets"] = (A, b)
@@ -320,6 +316,75 @@ class ConvexBody:
 
 class DegenerateFacets(ValueError):
     pass
+
+
+def _polygon_area(verts: np.ndarray) -> float:
+    """Shoelace area of the convex polygon with these (planar) vertices."""
+    ring = _ccw_order(verts)
+    x, y = ring[:, 0], ring[:, 1]
+    return float(0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+
+
+def _polygon_edges(verts: np.ndarray):
+    """(ccw ring, unit outer edge normals, edge lengths) of a convex polygon."""
+    ring = _ccw_order(verts)
+    edges = np.roll(ring, -1, axis=0) - ring
+    normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
+    norms = np.linalg.norm(normals, axis=1)
+    return ring, normals / norms[:, None], norms
+
+
+def convex_hull(body: ConvexBody) -> ConvexHull:
+    """Qhull hull of a full-dimensional 3-D polytope, built once per body."""
+    hull = body.__dict__.get("_hull")
+    if hull is None:
+        hull = ConvexHull(body.vertices)
+        body.__dict__["_hull"] = hull
+    return hull
+
+
+def facet_measure(body: ConvexBody):
+    """(U, w): unit outer normals and (n-1)-measures of the body's facets.
+
+    The pairs are the atoms of the surface area measure S(K, ..., K; .), so
+    V(K, ..., K, L) = (1/n) sum_F h_L(u_F) w_F.  A full-dimensional 3-D
+    polytope lists Qhull's triangles (coplanar pieces add up), a polygon its
+    ccw edges, a body one dimension short (a point on the line, a segment in
+    the plane, a flat polygon in space) the two facets +-u carrying its
+    (n-1)-volume, and anything lower an empty measure.  Cached on the body.
+    """
+    cached = body.__dict__.get("_facet_measure")
+    if cached is not None:
+        return cached
+    if body.is_ball and body.radius > 0:
+        raise ValueError("facet measures are defined for polytopes only")
+    n = body.dim
+    rank = body.affine_rank()
+    if rank < n - 1:
+        U, w = np.zeros((0, n)), np.zeros(0)
+    elif n == 1:
+        U, w = np.array([[1.0], [-1.0]]), np.ones(2)
+    elif rank == n - 1:
+        verts = body.vertices
+        origin, basis = _affine_frame(verts, VERTEX_TOL)
+        if n == 2:
+            coords = verts @ basis[:, 0]
+            d = verts[int(np.argmax(coords))] - verts[int(np.argmin(coords))]
+            size = float(np.linalg.norm(d))
+            u = np.array([d[1], -d[0]]) / size
+        else:
+            size = _polygon_area((verts - origin) @ basis)
+            u = np.cross(basis[:, 0], basis[:, 1])
+        U, w = np.stack([u, -u]), np.array([size, size])
+    elif n == 2:
+        _, U, w = _polygon_edges(body.vertices)
+    else:
+        hull = convex_hull(body)
+        tri = body.vertices[hull.simplices]
+        U = hull.equations[:, :3]
+        w = 0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
+    body.__dict__["_facet_measure"] = (U, w)
+    return U, w
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +494,20 @@ def scale(a: ConvexBody, lam: float) -> ConvexBody:
 
 
 def volume(a: ConvexBody) -> float:
-    """Lebesgue volume; exact fan evaluation for polytopes, omega_n r^n for balls."""
+    """Lebesgue volume; exact fan evaluation for polytopes (cached on the
+    body), omega_n r^n for balls."""
     if a.is_empty:
         return 0.0
     if a.is_ball:
         return UNIT_BALL_VOLUME[a.dim] * a.radius ** a.dim
+    cached = a.__dict__.get("_volume")
+    if cached is None:
+        cached = _polytope_volume(a)
+        a.__dict__["_volume"] = cached
+    return cached
+
+
+def _polytope_volume(a: ConvexBody) -> float:
     verts = a.vertices
     n = a.dim
     if len(verts) <= n:
@@ -443,10 +517,8 @@ def volume(a: ConvexBody) -> float:
     if n == 1:
         return float(verts.max() - verts.min())
     if n == 2:
-        ring = _ccw_order(verts)
-        x, y = ring[:, 0], ring[:, 1]
-        return float(0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-    hull = ConvexHull(verts)
+        return _polygon_area(verts)
+    hull = convex_hull(a)
     center = verts.mean(axis=0)
     tri = verts[hull.simplices] - center
     dets = np.einsum("fi,fi->f", tri[:, 0], np.cross(tri[:, 1], tri[:, 2]))

@@ -1,26 +1,30 @@
 """Mixed volumes V(K_1, ..., K_n), Minkowski polynomial fits, quermassintegrals.
 
-The polarization identity
+Mixed volumes come from facet measures (Schneider, *Convex Bodies: The
+Brunn-Minkowski Theory*, ch. 5): with (u_F, w_F) the unit normals and
+(n-1)-measures of the facets of K (``bodies.facet_measure``, cached on the
+body),
 
-    V(K_1, ..., K_n) = (1/n!) * sum_{S nonempty} (-1)^(n-|S|) Vol(sum_{i in S} K_i)
+    V(K, ..., K)   = Vol(K)                                  (cached volume)
+    V(K, L)        = 1/2 sum_{F of K} h_L(u_F) w_F           (plane)
+    V(K, K, L)     = 1/3 sum_{F of K} h_L(u_F) w_F           (space)
+    V(K, L, M)     = 1/6 [sum_{K+L} - sum_K - sum_L] h_M(u_F) w_F,
 
-is the primary algorithm; repeated bodies are collapsed into homothets so an
-n-tuple needs at most 2^d - 1 hull/volume calls for d distinct bodies.
+so a distinct triple costs one Minkowski sum and nothing costs more.  A ball
+goes to the h slot, where h = r, so every ball mixture is exact: the
+quermassintegral patterns V(K, ..., K, B, ..., B) use closed forms
+(perimeter, surface area, edge exterior angles) and V(K, L, B(r)) is
+r/6 [S(K+L) - S(K) - S(L)].
 
-Ball arguments: the quermassintegral patterns V(K, ..., K, B, ..., B) use
-exact closed forms (perimeter, surface area, edge dihedral angles), so the
-values that dominate the inequality checks carry no approximation at all.
-Any other ball mixture substitutes a fixed polytope stand-in for the unit
-ball (`unit_ball_polytope`): the Minkowski average of the inscribed and
+`minkowski_polynomial` recovers the same coefficients from a deterministic
+grid fit of Vol(sum eps_i K_i) and serves as an independent oracle.  It, and
+`qc.epsilon_extension`, substitute a fixed polytope for the unit ball
+(`unit_ball_polytope`): the Minkowski average of the inscribed and
 circumscribed regular 128-gon in the plane, the Minkowski average of a
 geodesic 320-facet sphere and its polar dual in 3-space, and the exact
 segment [-1, 1] on the line, each rescaled to the exact ball volume.
 Measured support-function error of the stand-ins: about 5e-5 (2-D) and 3e-3
-(3-D); because one fixed substitute is used everywhere, every mixed-volume
-identity and inequality still holds exactly for the computed values.
-
-`minkowski_polynomial` recovers the same coefficients from a deterministic
-grid fit of Vol(sum eps_i K_i) and serves as an independent oracle.
+(3-D).
 """
 
 from __future__ import annotations
@@ -29,13 +33,18 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
 from .bodies import (
     ConvexBody,
     UNIT_BALL_VOLUME,
+    VERTEX_TOL,
+    _affine_frame,
+    _polygon_edges,
+    convex_hull,
+    facet_measure,
     minkowski_sum,
     scale,
     volume,
@@ -50,7 +59,6 @@ from .errors import (
 
 BALL_NGON = 128          # 2-D: inscribed/circumscribed regular-gon average
 SPHERE_FREQUENCY = 4     # 3-D: icosahedron subdivision, 20 * f^2 = 320 facets
-NEGATIVE_ROUNDOFF = 1e-6  # largest negative polarization sum, relative, clamped to 0
 
 
 # ---------------------------------------------------------------------------
@@ -113,83 +121,57 @@ def _resolve(body: ConvexBody) -> ConvexBody:
 
 
 # ---------------------------------------------------------------------------
-# exact quermassintegrals of full-dimensional polytopes
+# exact quermassintegrals of polytopes
 # ---------------------------------------------------------------------------
 
-def _perimeter_2d(verts: np.ndarray) -> float:
-    from .bodies import _ccw_order
-
-    ring = _ccw_order(verts)
-    return float(np.linalg.norm(np.roll(ring, -1, axis=0) - ring, axis=1).sum())
-
-
-def _surface_area_3d(verts: np.ndarray) -> float:
-    from scipy.spatial import ConvexHull
-
-    hull = ConvexHull(verts)
-    tri = verts[hull.simplices]
-    cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    return float(0.5 * np.linalg.norm(cross, axis=1).sum())
-
-
-def _edge_angle_sum_3d(verts: np.ndarray) -> float:
-    """Sum over edges of length * exterior dihedral angle.
+def _edge_angle_sum_3d(body: ConvexBody) -> float:
+    """Sum over edges of length * exterior angle (the edge's normal-cone angle).
 
     Qhull triangulates coplanar facets; the seam edges have angle 0 and
-    contribute nothing, so the triangulated sum is already exact.
+    contribute nothing, so the triangulated sum is already exact.  A flat
+    polygon's edges have exterior angle pi, a segment's 2 pi.
     """
-    from scipy.spatial import ConvexHull
-
-    hull = ConvexHull(verts)
-    normals = hull.equations[:, :3]
-    total = 0.0
-    for f, simplex in enumerate(hull.simplices):
-        for k in range(3):
-            g = int(hull.neighbors[f, k])
-            if g < f:
-                continue
-            shared = np.delete(simplex, k)
-            length = float(np.linalg.norm(verts[shared[0]] - verts[shared[1]]))
-            cosang = float(np.clip(np.dot(normals[f], normals[g]), -1.0, 1.0))
-            total += length * math.acos(cosang)
-    return total
-
-
-def _quermass_exact(body: ConvexBody, i: int) -> float | None:
-    """W_i(K) in closed form, or None when no exact path applies.
-
-    From Vol(K + tD) = sum_k C(n,k) W_k(K) t^k: in the plane W_1 = Per/2;
-    in 3-space W_1 = Area/3 and W_2 = (1/6) sum_edges length * dihedral angle.
-    Values are memoized on the (immutable) body.
-    """
-    n = body.dim
-    if body.is_empty:
+    rank = body.affine_rank()
+    verts = body.vertices
+    if rank <= 0:
         return 0.0
-    if body.is_ball:
-        return UNIT_BALL_VOLUME[n] * body.radius ** (n - i)
-    if i == n:
-        return UNIT_BALL_VOLUME[n]
-    if i == 0:
-        return volume(body)
+    if rank < 3:
+        origin, basis = _affine_frame(verts, VERTEX_TOL)
+        coords = (verts - origin) @ basis
+        if rank == 1:
+            return 2.0 * math.pi * float(coords.max() - coords.min())
+        return math.pi * float(_polygon_edges(coords)[2].sum())
+    hull = convex_hull(body)
+    f, k = np.nonzero(hull.neighbors > np.arange(len(hull.neighbors))[:, None])
+    g = hull.neighbors[f, k]
+    shared = hull.simplices[f[:, None], (k[:, None] + [1, 2]) % 3]
+    length = np.linalg.norm(verts[shared[:, 0]] - verts[shared[:, 1]], axis=1)
+    nf, ng = hull.equations[f, :3], hull.equations[g, :3]
+    # atan2 keeps the near-zero seam angles exact, where acos(dot) would
+    # turn one ulp of the dot product into an angle of 1.5e-8
+    angle = np.arctan2(np.linalg.norm(np.cross(nf, ng), axis=1),
+                       np.einsum("ij,ij->i", nf, ng))
+    return float(np.sum(length * angle))
+
+
+def _quermass_exact(body: ConvexBody, i: int) -> float:
+    """W_i(K) of a polytope for 0 < i < n, in closed form.
+
+    From Vol(K + tD) = sum_k C(n,k) W_k(K) t^k: W_1 = S(K)/n, the facet
+    measure's total mass, and in 3-space W_2 = (1/6) sum_edges length *
+    exterior angle.  Values are memoized on the (immutable) body.
+    """
     cache = body.__dict__.setdefault("_quermass", {})
-    if i in cache:
-        return cache[i]
-    if body.affine_rank() < n:
-        return None
-    if n == 2:
-        val = 0.5 * _perimeter_2d(body.vertices)
-    elif n == 3 and i == 1:
-        val = _surface_area_3d(body.vertices) / 3.0
-    elif n == 3 and i == 2:
-        val = _edge_angle_sum_3d(body.vertices) / 6.0
-    else:
-        return None
-    cache[i] = val
-    return val
+    if i not in cache:
+        if i == 1:
+            cache[i] = float(facet_measure(body)[1].sum()) / body.dim
+        else:
+            cache[i] = _edge_angle_sum_3d(body) / 6.0
+    return cache[i]
 
 
 # ---------------------------------------------------------------------------
-# mixed volumes by polarization
+# mixed volumes from facet measures
 # ---------------------------------------------------------------------------
 
 def _weighted_sum(bodies, weights) -> ConvexBody:
@@ -202,8 +184,9 @@ def _weighted_sum(bodies, weights) -> ConvexBody:
     return acc
 
 
-# volumes of weighted Minkowski sums recur across height bands; keyed by the
-# operand identities (refs kept in the value so ids stay valid)
+# Nothing in qcvx calls these.  The benchmark tracer (bench/tracer.py) binds
+# both names at install and fails without them, so they stay until it drops
+# them.
 _SUM_VOLUME_CACHE: dict = {}
 
 
@@ -234,12 +217,22 @@ def _group_distinct(bodies):
     return groups
 
 
+def _facet_terms(measured: ConvexBody, h_body: ConvexBody, coef: float) -> np.ndarray:
+    """coef * h_{h_body}(u_F) * w_F over the facets F of ``measured``."""
+    U, w = facet_measure(measured)
+    if h_body.is_ball:
+        h = np.full(len(w), h_body.radius)
+    else:
+        h = np.max(U @ h_body.vertices.T, axis=1)
+    return coef * h * w
+
+
 def mixed_volume(bodies) -> float:
     """Mixed volume of exactly n bodies in dimension n (n = 1, 2, 3).
 
     Ball-quermassintegral patterns V(K, ..., K, B(r_1), ..., B(r_k)) take the
-    exact closed forms; remaining ball mixtures substitute the fixed unit-ball
-    polytope before polarization.
+    exact closed forms; every other tuple is a facet-measure sum (see the
+    module docstring).
     """
     bodies = list(bodies)
     if not bodies:
@@ -252,43 +245,36 @@ def mixed_volume(bodies) -> float:
     if any(b.is_empty for b in bodies):
         return 0.0
     if all(b.is_ball for b in bodies):
-        prod = 1.0
-        for b in bodies:
-            prod *= b.radius
-        return UNIT_BALL_VOLUME[n] * prod
+        return UNIT_BALL_VOLUME[n] * math.prod(b.radius for b in bodies)
 
     balls = [b for b in bodies if b.is_ball]
     others = _group_distinct(b for b in bodies if not b.is_ball)
     if len(others) == 1 and balls:
-        rep = others[0][0]
-        w = _quermass_exact(rep, len(balls))
-        if w is not None:
-            prod = 1.0
-            for b in balls:
-                prod *= b.radius
-            return prod * w
+        return math.prod(b.radius for b in balls) * _quermass_exact(others[0][0], len(balls))
 
-    groups = _group_distinct(_resolve(b) for b in bodies)
-    reps = [g[0] for g in groups]
-    mults = [g[1] for g in groups]
-    total = 0.0
-    magnitude = 0.0
-    for counts in itertools.product(*(range(m + 1) for m in mults)):
-        k = sum(counts)
-        if k == 0:
-            continue
-        ways = 1
-        for c, m in zip(counts, mults):
-            ways *= comb(m, c)
-        term = ways * _cached_sum_volume(reps, counts)
-        total += (-1) ** (n - k) * term
-        magnitude += term
+    # from here on at most one ball remains, in a distinct triple
+    groups = _group_distinct(bodies)
+    if len(groups) == 1:
+        return volume(groups[0][0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(groups) == 2:
+            (k, _), (l, _) = sorted(groups, key=lambda g: -g[1])
+            terms = [_facet_terms(k, l, 1.0 / n)]
+        else:
+            # the h slot takes the ball, else the body with most vertices, so
+            # the one Minkowski sum is the smallest
+            k, l, m = sorted((g[0] for g in groups),
+                             key=lambda b: math.inf if b.is_ball else len(b.vertices))
+            terms = [_facet_terms(minkowski_sum(k, l), m, 1.0 / 6.0),
+                     _facet_terms(k, m, -1.0 / 6.0), _facet_terms(l, m, -1.0 / 6.0)]
+        total = float(sum(t.sum() for t in terms))
+        magnitude = float(sum(np.abs(t).sum() for t in terms))
     # a mixed volume is nonnegative: only round-off may take the sum below 0
-    if not math.isfinite(total) or total < -NEGATIVE_ROUNDOFF * magnitude:
+    if not (math.isfinite(total) and math.isfinite(magnitude)) or total < -1e-12 * magnitude:
         raise NumericalFailure(
-            f"polarization sum {total} of volumes totalling {magnitude} is not a "
+            f"facet-measure sum {total} of terms totalling {magnitude} is not a "
             "mixed volume; the bodies span more scales than the vertex tolerance allows")
-    return max(0.0, total / factorial(n))
+    return max(0.0, total)
 
 
 def quermassintegral_body(k: ConvexBody, i: int) -> float:

@@ -481,7 +481,7 @@ def epsilon_extension(f: QCFunction, eps: float) -> QCFunction:
 
     Exact for radial and other banded functions, which gain a part eps * D
     in every band; stacks use the fixed polytope stand-in for the unit ball
-    (the Steiner approximation of ``mixed_volumes``).
+    (``mixed_volumes.unit_ball_polytope``).
     """
     if eps < 0:
         raise NonpositiveScale("extension radius must be nonnegative")

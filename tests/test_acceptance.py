@@ -140,7 +140,7 @@ def test_criterion_04_polarization_oracle():
         fit = minkowski_polynomial(bodies).coefficient(tuple(range(dim)))
         assert fit == pytest.approx(value, rel=1e-8), (trial, dim)
         count += 1
-    _report(4, f"inclusion-exclusion vs grid-fit polarization agree to 1e-8 "
+    _report(4, f"facet-measure mixed volumes and the grid-fit oracle agree to 1e-8 "
                f"on {count} random tuples in dimensions 2 and 3")
 
 
