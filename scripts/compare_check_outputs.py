@@ -4,17 +4,23 @@
     compare_check_outputs.py run OUTDIR
         Writes one JSONL and one CSV file per run into OUTDIR:
         `--dim 3 --trials 1` at seeds 7, 1, 2, 3 and 11 and
-        `--dim 2 --trials 2` at seeds 7, 1 and 2.  The qcvx package is the
-        one Python imports, so set PYTHONPATH to pick a checkout.
+        `--dim 2 --trials 2` at seeds 7, 1 and 2.  It also writes
+        `dilation.json`, the worked example of `scripts/dilation_example.py`
+        in full-precision floats: the vertices of the `ParabolicCapQC(64)`
+        level sets at that script's heights and the volume-law dilation's
+        values on the section y = 0.  The qcvx package is the one Python
+        imports, so set PYTHONPATH to pick a checkout.
 
     compare_check_outputs.py diff OLD NEW
         Reports which files are byte-identical and, on the same line,
         whether every verdict is unchanged (the JSONL `verdict` field, the
-        CSV `equality_hits` and `violations` tallies).  For each row that
-        differs it lists the check, the trial, the field and the old and new
-        values of every field whose relative change exceeds 1e-12 (strings
-        and other non-numbers when they differ at all); numeric lists are
-        compared element by element, so `details.lhs[3]` names one entry.
+        CSV `equality_hits` and `violations` tallies).  `dilation.json` is
+        compared like the JSONL, one row per level set and one for the
+        section.  For each row that differs it lists the check, the trial,
+        the field and the old and new values of every field whose relative
+        change exceeds 1e-12 (strings and other non-numbers when they differ
+        at all); numeric lists are compared element by element, so
+        `details.lhs[3]` names one entry.
         Exits 0 when every file is byte-identical and 1 otherwise.
 
 Typical use, parent commit against a working tree:
@@ -50,7 +56,30 @@ def run(outdir: Path) -> int:
         code = subprocess.run(cmd, stdout=subprocess.DEVNULL).returncode
         print(f"{prefix.name}: exit {code}")
         status = max(status, code)
+    (outdir / "dilation.json").write_text(json.dumps(_dilation_records()) + "\n",
+                                          encoding="utf-8")
+    print("dilation.json: written")
     return status
+
+
+def _dilation_records() -> list[dict]:
+    """The dilation worked example at the heights and section points of
+    `scripts/dilation_example.py`, one record per level set plus the section."""
+    # imported here so that `diff` runs without qcvx on the path
+    import numpy as np
+
+    from qcvx.rearrange import SizeFunctional
+    from qcvx.reshape import ParabolicCapQC, dilate_to_exponential
+
+    f = ParabolicCapQC(64)
+    records = [{"name": "level_set", "t": float(t),
+                "vertices": f.level_set(float(t)).vertices.tolist()}
+               for t in np.geomspace(0.9, 1e-3, 10)]
+    xs = np.geomspace(0.3, 6.0, 25)
+    values = dilate_to_exponential(SizeFunctional.vol(2), f).evaluate_many(
+        np.stack([xs, np.zeros_like(xs)], axis=1))
+    records.append({"name": "section", "x": xs.tolist(), "values": values.tolist()})
+    return records
 
 
 def _flatten(value, prefix=""):
@@ -91,6 +120,8 @@ def _rows(path: Path) -> list[dict]:
     if path.suffix == ".jsonl":
         records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()
                    if line.strip()]
+    elif path.suffix == ".json":
+        records = json.loads(path.read_text(encoding="utf-8"))
     else:
         with path.open(encoding="utf-8", newline="") as fh:
             records = list(csv.DictReader(fh))

@@ -3,10 +3,24 @@
 All bodies are immutable and safe to share between threads.  Polytope vertices
 are canonicalized at construction: duplicate and non-extreme points are dropped
 (tolerance 1e-10) and the survivors are sorted lexicographically, which makes
-structural equality testable.  Balls are kept as an exact separate variant
-because the unit ball enters every quermassintegral; Minkowski sums mixing a
-positive-radius ball with a polytope are rejected rather than approximated
-(mixed volumes handle that case analytically, see ``mixed_volumes``).
+structural equality testable.  Non-finite coordinates, radii and scale factors
+are rejected with a ValueError that names the value.
+
+In the plane one kernel does the work.  Points already in strictly convex
+position are recognized without a loop (sorted by angle, every turn above the
+monotone chain's threshold, no near duplicates); only inputs with interior,
+duplicate or collinear points run the monotone chain.  The sum of two
+full-dimensional polygons merges their edges by angle: each sum vertex is a
+vertex pair ``a[i] + b[j]``, the same floats the hull of all pairs would keep,
+and only rings the merge cannot settle fall back to that hull.  A polygon's
+ccw ring and a polytope's affine rank are cached on the body; the rank is
+decided at construction when the vertices are the input rows (and carried by
+``scale`` where it is scale-invariant), else by one SVD when first needed.
+
+Balls are kept as an exact separate variant because the unit ball enters every
+quermassintegral; Minkowski sums mixing a positive-radius ball with a polytope
+are rejected rather than approximated (mixed volumes handle that case
+analytically, see ``mixed_volumes``).
 """
 
 from __future__ import annotations
@@ -35,7 +49,11 @@ UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 # ---------------------------------------------------------------------------
 
 def _dedupe_rows(points: np.ndarray, tol: float) -> np.ndarray:
-    """Drop rows that are within tol (max norm) of an earlier kept row."""
+    """Drop rows that are within tol (max norm) of an earlier kept row.
+
+    Above 48 rows, rows are matched by their coordinates rounded to multiples
+    of tol instead, keeping the first row of each match.
+    """
     if len(points) <= 1:
         return points.copy()
     if len(points) <= 48:
@@ -47,19 +65,50 @@ def _dedupe_rows(points: np.ndarray, tol: float) -> np.ndarray:
             keep[i] = not np.any(close[i] & keep)
         return points[keep]
     keys = np.round(points / max(tol, 1e-300)).astype(np.int64)
-    _, idx = np.unique(keys, axis=0, return_index=True)
-    return points[np.sort(idx)]
+    order = np.lexsort(keys.T)  # stable: each run of equal keys starts at its first row
+    ranked = keys[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    return points[np.sort(order[first])]
 
 
-def _chain_2d(points: np.ndarray, tol: float) -> np.ndarray:
-    """Extreme points of a 2-D point set via the monotone chain.
+def _successors(ring: np.ndarray) -> np.ndarray:
+    """Each row of a closed ring followed by the next: the ring shifted by one."""
+    return np.concatenate((ring[1:], ring[:1]))
 
-    Points within ``tol`` of an edge are treated as non-extreme.
+
+def _turns(ring: np.ndarray) -> np.ndarray:
+    """(a - o) x (p - o) at every joint a of a closed ring, o and p its ring
+    neighbours: the monotone chain's own turn test, term for term."""
+    o = np.concatenate((ring[-1:], ring[:-1]))
+    p = _successors(ring)
+    return ((ring[:, 0] - o[:, 0]) * (p[:, 1] - o[:, 1])
+            - (ring[:, 1] - o[:, 1]) * (p[:, 0] - o[:, 0]))
+
+
+def _is_strict_ring(ring: np.ndarray, tol: float, scale: float) -> bool:
+    """True when the chain below would keep every point of this ccw ring: every
+    turn exceeds ``tol * scale**2`` and no two points are near duplicates."""
+    return (len(ring) >= 3 and bool(np.all(_turns(ring) > tol * scale * scale))
+            and len(_dedupe_rows(ring, tol * scale)) == len(ring))
+
+
+def _chain_2d(points: np.ndarray, tol: float):
+    """Extreme points of a 2-D point set in lexicographic order, and their ccw
+    ring when every point is extreme (None otherwise).
+
+    Points already in strictly convex position are recognized without a loop:
+    sorted by angle (``_ccw_order``), each turn clears the chain's threshold
+    and none is a near duplicate, so the chain would keep them all.  Anything
+    else (interior, duplicate or collinear points) goes through the monotone
+    chain, where points within ``tol`` of an edge are treated as non-extreme.
     """
     scale = max(1.0, float(np.max(np.abs(points))))
     cross_tol = tol * scale * scale
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    pts = points[order]
+    pts = _sort_lex(points)
+    ring = _ccw_order(pts)
+    if _is_strict_ring(ring, tol, scale):
+        return pts, ring
 
     def build(seq):
         out: list[np.ndarray] = []
@@ -76,7 +125,7 @@ def _chain_2d(points: np.ndarray, tol: float) -> np.ndarray:
     lower = build(pts)
     upper = build(pts[::-1])
     hull = np.array(lower[:-1] + upper[:-1]) if len(lower) > 1 else np.array(lower)
-    return _dedupe_rows(hull, tol * scale)
+    return _dedupe_rows(hull, tol * scale), None
 
 
 def _affine_frame(points: np.ndarray, tol: float):
@@ -89,26 +138,31 @@ def _affine_frame(points: np.ndarray, tol: float):
     return origin, vt[:rank].T
 
 
-def extreme_points(points: np.ndarray, tol: float = VERTEX_TOL) -> np.ndarray:
-    """Extreme points of conv(points), handling lower-dimensional sets."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+def _extreme_points(pts: np.ndarray, tol: float):
+    """(extreme points, rank, ring) of conv(pts), handling lower-dimensional sets.
+
+    ``rank`` is the affine rank ``_affine_frame`` gives ``pts``; it is None
+    where the extreme points are not rows of ``pts``.  ``ring`` is the ccw
+    ring of a planar set whose every point is extreme, else None; the
+    extreme points are then already in lexicographic order.
+    """
     dim = pts.shape[1]
     if len(pts) == 1:
-        return pts.copy()
+        return pts.copy(), 0, None
     origin, basis = _affine_frame(pts, tol)
     rank = basis.shape[1]
     if rank == 0:
-        return pts[:1].copy()
+        return pts[:1].copy(), 0, None
     if rank == 1:
         coords = (pts - origin) @ basis[:, 0]
         ends = pts[[int(np.argmin(coords)), int(np.argmax(coords))]]
-        return _dedupe_rows(ends, tol)
+        return _dedupe_rows(ends, tol), 1, None
     if rank == 2:
         if dim == 2:
-            return _chain_2d(pts, tol)
-        proj = (pts - origin) @ basis
-        hull2 = _chain_2d(proj, tol)
-        return np.array([origin + basis @ q for q in hull2])
+            verts, ring = _chain_2d(pts, tol)
+            return verts, 2, ring
+        hull2, _ = _chain_2d((pts - origin) @ basis, tol)
+        return np.array([origin + basis @ q for q in hull2]), None, None
     try:
         hull = ConvexHull(pts)
     except QhullError:
@@ -116,7 +170,7 @@ def extreme_points(points: np.ndarray, tol: float = VERTEX_TOL) -> np.ndarray:
         proj = (pts - origin) @ basis
         hull = ConvexHull(proj, qhull_options="QJ")
     verts = pts[hull.vertices]
-    return _dedupe_rows(verts, tol * max(1.0, float(np.max(np.abs(pts)))))
+    return _dedupe_rows(verts, tol * max(1.0, float(np.max(np.abs(pts))))), rank, None
 
 
 def _sort_lex(verts: np.ndarray) -> np.ndarray:
@@ -131,36 +185,48 @@ def _ccw_order(verts: np.ndarray) -> np.ndarray:
     return verts[np.argsort(ang)]
 
 
-def _prune_convex_ring(ring: np.ndarray, tol: float) -> np.ndarray:
-    """Drop zero-length and collinear joints from a ccw convex ring (vectorized)."""
-    scale_ = max(1.0, float(np.max(np.abs(ring))))
-    out = ring[np.linalg.norm(ring - np.roll(ring, 1, axis=0), axis=1) > tol * scale_]
-    if len(out) < 3:
-        return out
-    e_in = out - np.roll(out, 1, axis=0)
-    e_out = np.roll(out, -1, axis=0) - out
-    cross = e_in[:, 0] * e_out[:, 1] - e_in[:, 1] * e_out[:, 0]
-    keep = cross > tol * scale_ * scale_
-    return out[keep] if keep.any() else out[:1]
+def _merged_ring(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    """Boundary of ra + rb for two ccw convex rings, by angle-sorted edge merging.
 
+    Each ring starts at its lowest (then leftmost) vertex, so its edge angles
+    rise through [0, 2 pi) and the sum starts at the sum of those vertices.
+    The merge takes one edge per step, from ``ra`` on ties, and each point is
+    ``ra[i] + rb[j]`` for the edges (i, j) taken so far: the same floats as the
+    corresponding vertex pair.  Parallel edges leave their joint on the ring.
+    """
 
-def _merge_convex_rings(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
-    """Minkowski sum of two ccw convex rings by angle-sorted edge merging."""
-
-    def prep(r):
-        i = int(np.lexsort((r[:, 0], r[:, 1]))[0])
-        r = np.roll(r, -i, axis=0)
-        e = np.roll(r, -1, axis=0) - r
+    def edge_angles(r):
+        start = int(np.lexsort((r[:, 0], r[:, 1]))[0])
+        idx = (np.arange(len(r) + 1) + start) % len(r)
+        e = r[idx[1:]] - r[idx[:-1]]
         ang = np.arctan2(e[:, 1], e[:, 0])
-        ang = np.where(ang < ang[0] - 1e-12, ang + 2.0 * np.pi, ang)
-        return r[0], e, ang
+        return idx[:-1], np.where(ang < 0.0, ang + 2.0 * np.pi, ang)
 
-    sa, ea, aa = prep(ra)
-    sb, eb, ab = prep(rb)
-    edges = np.concatenate([ea, eb])
-    order = np.argsort(np.concatenate([aa, ab]), kind="stable")
-    pts = (sa + sb) + np.vstack([np.zeros(2), np.cumsum(edges[order], axis=0)[:-1]])
-    return pts
+    ia, aa = edge_angles(ra)
+    ib, ab = edge_angles(rb)
+    from_a = np.argsort(np.concatenate([aa, ab]), kind="stable") < len(ra)
+    i = np.concatenate(([0], np.cumsum(from_a)[:-1]))
+    j = np.arange(len(from_a)) - i
+    return ra[ia[i % len(ra)]] + rb[ib[j % len(rb)]]
+
+
+def _prune_convex_ring(ring: np.ndarray, tol: float) -> Optional[np.ndarray]:
+    """Lexicographically sorted vertices of a ccw ring from ``_merged_ring``,
+    or None where only the monotone chain can settle them.
+
+    A flat joint (turn at most the chain's threshold) whose neighbours both
+    turn is the point parallel edges leave mid-edge, and is dropped, unless it
+    is the lexicographic first or last point, which the chain never tests.
+    What remains must be a strict ring (``_is_strict_ring``).
+    """
+    scale_ = max(1.0, float(np.max(np.abs(ring))))
+    flat = _turns(ring) <= tol * scale_ * scale_
+    drop = flat & ~np.concatenate((flat[-1:], flat[:-1])) & ~_successors(flat)
+    order = np.lexsort((ring[:, 1], ring[:, 0]))
+    drop[order[[0, -1]]] = False
+    if not _is_strict_ring(ring[~drop], tol, scale_):
+        return None
+    return ring[order[~drop[order]]]
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +247,8 @@ class ConvexBody:
             raise DimensionMismatch(f"ambient dimension must be 1, 2 or 3, got {self.dim}")
         if self.kind not in ("empty", "ball", "polytope"):
             raise ValueError(f"unknown body kind {self.kind!r}")
-        if self.kind == "ball" and self.radius < 0:
-            raise ValueError("ball radius must be nonnegative")
+        if self.kind == "ball" and not 0.0 <= self.radius < math.inf:
+            raise ValueError(f"ball radius must be finite and nonnegative, got {self.radius}")
         if self.kind == "polytope":
             if self.vertices is None or len(self.vertices) == 0:
                 raise ValueError("polytope needs a nonempty vertex list")
@@ -195,14 +261,19 @@ class ConvexBody:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.ndim != 2:
             raise ValueError("expected an (m, n) array of points")
-        verts = _sort_lex(extreme_points(pts))
-        return cls(dim=pts.shape[1], kind="polytope", vertices=verts)
-
-    @classmethod
-    def _from_convex_ring(cls, ring: np.ndarray) -> "ConvexBody":
-        """Fast 2-D constructor for a ring already known convex and ccw."""
-        pruned = _prune_convex_ring(ring, VERTEX_TOL)
-        return cls(dim=2, kind="polytope", vertices=_sort_lex(pruned))
+        bad = pts[~np.isfinite(pts)]
+        if bad.size:
+            raise ValueError(f"polytope vertex coordinates must be finite, got {bad[0]}")
+        verts, rank, ring = _extreme_points(pts, VERTEX_TOL)
+        if ring is None:
+            verts = _sort_lex(verts)
+        body = cls(dim=pts.shape[1], kind="polytope", vertices=verts)
+        if rank is not None and len(verts) == len(pts):
+            # the vertices are the input rows, whose rank is decided already
+            body.__dict__["_affine_rank"] = rank
+        if ring is not None:
+            body.__dict__["_ring"] = ring
+        return body
 
     @classmethod
     def ball(cls, radius: float, dim: int) -> "ConvexBody":
@@ -292,7 +363,8 @@ class ConvexBody:
             A = np.array([[1.0], [-1.0]])
             b = np.array([hi, -lo])
         elif n == 2:
-            ring, A, _ = _polygon_edges(verts)
+            ring = polygon_ring(self)
+            A, _ = _polygon_edges(ring)
             b = np.einsum("ij,ij->i", A, ring)
         else:
             hull = convex_hull(self)
@@ -318,20 +390,28 @@ class DegenerateFacets(ValueError):
     pass
 
 
-def _polygon_area(verts: np.ndarray) -> float:
-    """Shoelace area of the convex polygon with these (planar) vertices."""
-    ring = _ccw_order(verts)
+def _polygon_area(ring: np.ndarray) -> float:
+    """Shoelace area of a convex polygon given as a ccw ring."""
     x, y = ring[:, 0], ring[:, 1]
-    return float(0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    return float(0.5 * abs(np.dot(x, _successors(y)) - np.dot(y, _successors(x))))
 
 
-def _polygon_edges(verts: np.ndarray):
-    """(ccw ring, unit outer edge normals, edge lengths) of a convex polygon."""
-    ring = _ccw_order(verts)
-    edges = np.roll(ring, -1, axis=0) - ring
+def _polygon_edges(ring: np.ndarray):
+    """(unit outer edge normals, edge lengths) of a convex polygon given as a
+    ccw ring; edge k runs from ring[k] to the next point."""
+    edges = _successors(ring) - ring
     normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
     norms = np.linalg.norm(normals, axis=1)
-    return ring, normals / norms[:, None], norms
+    return normals / norms[:, None], norms
+
+
+def polygon_ring(body: ConvexBody) -> np.ndarray:
+    """A polygon's vertices in ccw order (``_ccw_order``), built once per body."""
+    ring = body.__dict__.get("_ring")
+    if ring is None:
+        ring = _ccw_order(body.vertices)
+        body.__dict__["_ring"] = ring
+    return ring
 
 
 def convex_hull(body: ConvexBody) -> ConvexHull:
@@ -373,11 +453,11 @@ def facet_measure(body: ConvexBody):
             size = float(np.linalg.norm(d))
             u = np.array([d[1], -d[0]]) / size
         else:
-            size = _polygon_area((verts - origin) @ basis)
+            size = _polygon_area(_ccw_order((verts - origin) @ basis))
             u = np.cross(basis[:, 0], basis[:, 1])
         U, w = np.stack([u, -u]), np.array([size, size])
     elif n == 2:
-        _, U, w = _polygon_edges(body.vertices)
+        U, w = _polygon_edges(polygon_ring(body))
     else:
         hull = convex_hull(body)
         tri = body.vertices[hull.simplices]
@@ -409,7 +489,7 @@ def _point_in_hull(verts: np.ndarray, x: np.ndarray, tol: float) -> bool:
         return lo - tol <= px[0] <= hi + tol
     if rank == 2:
         ring = _ccw_order(np.column_stack([coords[:, 0], coords[:, 1]]))
-        edges = np.roll(ring, -1, axis=0) - ring
+        edges = _successors(ring) - ring
         normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
         lens = np.linalg.norm(normals, axis=1)
         good = lens > 0
@@ -473,24 +553,35 @@ def minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
             "ball + polytope has no exact vertex representation; "
             "mixed volumes handle the unit ball analytically instead"
         )
-    if (a.dim == 2 and len(a.vertices) >= 3 and len(b.vertices) >= 3
-            and len(a.vertices) * len(b.vertices) > 512
-            and a.affine_rank() == 2 and b.affine_rank() == 2):
-        ring = _merge_convex_rings(_ccw_order(a.vertices), _ccw_order(b.vertices))
-        return ConvexBody._from_convex_ring(ring)
+    if a.dim == 2 and a.affine_rank() == 2 and b.affine_rank() == 2:
+        ring = _merged_ring(polygon_ring(a), polygon_ring(b))
+        verts = _prune_convex_ring(ring, VERTEX_TOL)
+        if verts is not None:
+            return ConvexBody(dim=2, kind="polytope", vertices=verts)
     pts = (a.vertices[:, None, :] + b.vertices[None, :, :]).reshape(-1, a.dim)
     return ConvexBody.polytope(pts)
 
 
 def scale(a: ConvexBody, lam: float) -> ConvexBody:
     """Homothet lam * a, lam > 0."""
+    if not math.isfinite(lam):
+        raise ValueError(f"scale factor must be finite, got {lam}")
     if lam <= 0:
         raise NonpositiveScale(f"scale factor must be positive, got {lam}")
     if a.is_empty:
         return a
     if a.is_ball:
         return ConvexBody.ball(a.radius * lam, a.dim)
-    return ConvexBody(dim=a.dim, kind="polytope", vertices=_sort_lex(a.vertices * lam))
+    out = ConvexBody(dim=a.dim, kind="polytope", vertices=_sort_lex(a.vertices * lam))
+    rank = a.__dict__.get("_affine_rank")
+    if rank is not None:
+        # the threshold tol * max(1, extent) of ``_affine_frame`` scales with
+        # the body only where both extents clear the floor of 1; the
+        # homothet's extent is lam * ext up to rounding, hence the margin
+        ext = float(np.max(np.abs(a.vertices - a.vertices.mean(axis=0))))
+        if min(ext, lam * ext) > 1.0 + 1e-9:
+            out.__dict__["_affine_rank"] = rank
+    return out
 
 
 def volume(a: ConvexBody) -> float:
@@ -517,7 +608,7 @@ def _polytope_volume(a: ConvexBody) -> float:
     if n == 1:
         return float(verts.max() - verts.min())
     if n == 2:
-        return _polygon_area(verts)
+        return _polygon_area(polygon_ring(a))
     hull = convex_hull(a)
     center = verts.mean(axis=0)
     tri = verts[hull.simplices] - center

@@ -33,7 +33,7 @@ from .bodies import (
     scale,
 )
 from .errors import DimensionMismatch, GridTooCoarse
-from .grids import GridSpec, SampledField
+from .grids import GridSpec, SampledField, lattice_convolution
 from .report import CheckReport
 
 
@@ -146,28 +146,6 @@ def _subset_solutions(R: np.ndarray, r: np.ndarray) -> np.ndarray:
 # lattice convolutions
 # ---------------------------------------------------------------------------
 
-def _lattice_op(op, F: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """out[i] = min_j op(F[j], G[i - j]) on the doubled lattice."""
-    if F.ndim == 1:
-        n = len(F)
-        out = np.full(2 * n - 1, np.inf)
-        for j in range(n):
-            if not np.isfinite(F[j]):
-                continue
-            seg = out[j:j + n]
-            np.minimum(seg, op(F[j], G), out=seg)
-        return out
-    n0, n1 = F.shape
-    out = np.full((2 * n0 - 1, 2 * n1 - 1), np.inf)
-    for j0 in range(n0):
-        for j1 in range(n1):
-            if not np.isfinite(F[j0, j1]):
-                continue
-            block = out[j0:j0 + n0, j1:j1 + n1]
-            np.minimum(block, op(F[j0, j1], G), out=block)
-    return out
-
-
 def _sampled(phi: GeomConvexFn, grid: GridSpec) -> np.ndarray:
     return phi.evaluate_many(grid.points()).reshape((grid.npts,) * grid.dim)
 
@@ -178,7 +156,7 @@ def _iterated_lattice(op, phis: Sequence[GeomConvexFn], grid: GridSpec) -> Sampl
     acc = _sampled(phis[0], grid)
     cur = grid
     for phi in phis[1:]:
-        acc = _lattice_op(op, acc, _sampled(phi, cur))
+        acc = lattice_convolution(acc, _sampled(phi, cur), op, np.minimum, np.inf)
         cur = cur.doubled()
     return SampledField(cur, acc)
 

@@ -55,3 +55,20 @@ class SampledField:
         expected = (self.grid.npts,) * self.grid.dim
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
+
+
+def lattice_convolution(F: np.ndarray, G: np.ndarray, op, reduce, identity: float) -> np.ndarray:
+    """out[i] = reduce over j of op(F[j], G[i - j]), starting from identity, on
+    the lattice of pairwise sums (shape ``F.shape + G.shape - 1``).
+
+    The one kernel behind the min-plus and inf-max convolutions (reduce
+    ``np.minimum``, identity +inf) and the sup-min oracle (reduce
+    ``np.maximum``, op ``np.minimum``, identity 0).  Entries ``F[j] ==
+    identity`` are skipped: op(identity, g) is +inf or at most 0 there, which
+    never moves an accumulator that starts at identity.
+    """
+    out = np.full(tuple(a + b - 1 for a, b in zip(F.shape, G.shape)), identity)
+    for j in zip(*np.nonzero(F != identity)):
+        block = out[tuple(slice(k, k + n) for k, n in zip(j, G.shape))]
+        reduce(block, op(F[j], G), out=block)
+    return out

@@ -42,6 +42,7 @@ from .bodies import (
     UNIT_BALL_VOLUME,
     VERTEX_TOL,
     _affine_frame,
+    _ccw_order,
     _polygon_edges,
     convex_hull,
     facet_measure,
@@ -140,7 +141,7 @@ def _edge_angle_sum_3d(body: ConvexBody) -> float:
         coords = (verts - origin) @ basis
         if rank == 1:
             return 2.0 * math.pi * float(coords.max() - coords.min())
-        return math.pi * float(_polygon_edges(coords)[2].sum())
+        return math.pi * float(_polygon_edges(_ccw_order(coords))[1].sum())
     hull = convex_hull(body)
     f, k = np.nonzero(hull.neighbors > np.arange(len(hull.neighbors))[:, None])
     g = hull.neighbors[f, k]

@@ -50,7 +50,7 @@ from .errors import (
     NonpositiveScale,
     NotRotationInvariant,
 )
-from .grids import GridSpec, SampledField
+from .grids import GridSpec, SampledField, lattice_convolution
 from .mixed_volumes import mixed_volume, quermassintegral_body, unit_ball_polytope
 from .profiles import (
     Profile,
@@ -563,22 +563,9 @@ def supmin_arrays(F: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Discrete sup-min convolution; output lives on the doubled lattice."""
     if F.shape != G.shape:
         raise GridTooCoarse("oracle requires matching lattices")
-    if F.ndim == 1:
-        n = len(F)
-        out = np.zeros(2 * n - 1)
-        for j in range(n):
-            seg = out[j:j + n]
-            np.maximum(seg, np.minimum(F[j], G), out=seg)
-        return out
-    if F.ndim == 2:
-        n0, n1 = F.shape
-        out = np.zeros((2 * n0 - 1, 2 * n1 - 1))
-        for j0 in range(n0):
-            for j1 in range(n1):
-                block = out[j0:j0 + n0, j1:j1 + n1]
-                np.maximum(block, np.minimum(F[j0, j1], G), out=block)
-        return out
-    raise GridTooCoarse("sup-min oracle supports 1-D and 2-D lattices only")
+    if F.ndim not in (1, 2):
+        raise GridTooCoarse("sup-min oracle supports 1-D and 2-D lattices only")
+    return lattice_convolution(F, G, np.minimum, np.maximum, 0.0)
 
 
 def grid_sup_min(f: QCFunction, g: QCFunction, grid: GridSpec) -> SampledField:

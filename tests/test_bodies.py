@@ -7,9 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcvx.bodies import (
+    VERTEX_TOL,
     ConvexBody,
+    _affine_frame,
+    _ccw_order,
+    _chain_2d,
     _dedupe_rows,
+    _merged_ring,
     _point_in_hull,
+    _prune_convex_ring,
+    _sort_lex,
     approx_equal,
     body_from_json,
     body_to_json,
@@ -18,6 +25,7 @@ from qcvx.bodies import (
     direction_net,
     minkowski_sum,
     polar,
+    polygon_ring,
     scale,
     support,
     volume,
@@ -65,6 +73,17 @@ def test_ball_and_empty_variants():
     assert ConvexBody.empty(3).is_empty
     with pytest.raises(ValueError):
         ConvexBody.ball(-1.0, 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_rejected_at_the_constructors(bad):
+    name = str(bad)
+    with pytest.raises(ValueError, match=name):
+        ConvexBody.polytope([[0, 0], [1, 0], [0, bad]])
+    with pytest.raises(ValueError, match=name):
+        ConvexBody.ball(bad, 2)
+    with pytest.raises(ValueError, match=name):
+        scale(UNIT_SQUARE, bad)
 
 
 # -- minkowski sum -----------------------------------------------------------
@@ -338,6 +357,132 @@ def test_dedupe_rows_matches_loop(seed):
         rng.uniform(-0.7, 0.7, (40, 3)) * tol, axis=0) * (rng.random((40, 1)) < 0.8)
     for pts in (walks, walks[::-1], base):
         np.testing.assert_array_equal(_dedupe_rows(pts, tol), _dedupe_rows_loop(pts, tol))
+
+
+def test_dedupe_rows_above_48_rows_keeps_first_of_each_rounded_key():
+    rng = np.random.default_rng(3)
+    tol = 1e-10
+    base = rng.uniform(-1, 1, (40, 2))
+    pts = np.vstack([base, base[rng.integers(0, 40, 30)] + rng.uniform(-0.2, 0.2, (30, 2)) * tol])
+    keys = np.round(pts / tol).astype(np.int64)
+    _, first = np.unique(keys, axis=0, return_index=True)
+    np.testing.assert_array_equal(_dedupe_rows(pts, tol), pts[np.sort(first)])
+
+
+# -- the 2-D kernel: fast path, chain, merge, rank ------------------------------
+
+def _chain_2d_loop(points, tol):
+    """Reference: the monotone chain alone, on every input."""
+    scale_ = max(1.0, float(np.max(np.abs(points))))
+    cross_tol = tol * scale_ * scale_
+    pts = points[np.lexsort((points[:, 1], points[:, 0]))]
+
+    def build(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2:
+                o, a = out[-2], out[-1]
+                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= cross_tol:
+                    out.pop()
+                else:
+                    break
+            out.append(p)
+        return out
+
+    lower, upper = build(pts), build(pts[::-1])
+    hull = np.array(lower[:-1] + upper[:-1]) if len(lower) > 1 else np.array(lower)
+    return _dedupe_rows(hull, tol * scale_)
+
+
+def sector_polygon(rng, m, spread=1.0):
+    """m points on a random ellipse, one per angular sector: all extreme."""
+    ang = 2.0 * np.pi * (np.arange(m) + rng.uniform(0.1, 0.9, m)) / m
+    theta = rng.uniform(0.0, np.pi)
+    rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    return spread * (np.stack([np.cos(ang), np.sin(ang)], axis=1) * rng.uniform(0.3, 1.5, 2)) @ rot.T
+
+
+def _assert_bitwise(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["permuted", "duplicates", "on-edges", "near-flat"]))
+@settings(max_examples=60, deadline=None)
+def test_fast_path_matches_monotone_chain(seed, case):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(3, 70))
+    pts = sector_polygon(rng, m, 10.0 ** rng.uniform(-3, 4))
+    scale_ = max(1.0, float(np.max(np.abs(pts))))
+    k = rng.integers(0, m, 3)
+    if case == "duplicates":
+        jitter = rng.uniform(-1, 1, (3, 2)) * VERTEX_TOL * scale_ * rng.choice([0.0, 0.5, 2.0])
+        pts = np.vstack([pts, pts[k] + jitter])
+    elif case == "on-edges":
+        t = rng.uniform(0, 1, (3, 1))
+        pts = np.vstack([pts, t * pts[k] + (1 - t) * pts[(k + 1) % m]])
+    elif case == "near-flat":
+        # push an edge midpoint out until its turn is within a factor 4 of the threshold
+        a, b = pts[k[0]], pts[(k[0] + 1) % m]
+        normal = np.array([b[1] - a[1], a[0] - b[0]])
+        normal /= np.linalg.norm(normal)
+        height = rng.uniform(0.25, 4.0) * VERTEX_TOL * scale_ * scale_ / np.linalg.norm(b - a)
+        pts = np.vstack([pts, 0.5 * (a + b) + height * normal])
+    pts = pts[rng.permutation(len(pts))]
+    fast, _ = _chain_2d(pts, VERTEX_TOL)
+    _assert_bitwise(_sort_lex(fast), _sort_lex(_chain_2d_loop(pts, VERTEX_TOL)))
+    if case == "permuted":
+        # convex input takes the fast path and caches the ring facets use
+        body = ConvexBody.polytope(pts)
+        assert "_ring" in body.__dict__
+        _assert_bitwise(polygon_ring(body), _ccw_order(body.vertices))
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["random", "homothet", "K+K", "boxes", "near-1e4"]))
+@settings(max_examples=60, deadline=None)
+def test_merge_matches_all_pairs_hull_bitwise(seed, case):
+    rng = np.random.default_rng(seed)
+    a = ConvexBody.polytope(sector_polygon(rng, int(rng.integers(3, 40))))
+    if case == "random":
+        b = ConvexBody.polytope(sector_polygon(rng, int(rng.integers(3, 40)), rng.uniform(0.2, 5)))
+    elif case == "homothet":
+        b = scale(a, float(rng.uniform(0.1, 10.0)))
+    elif case == "K+K":
+        b = a
+    elif case == "boxes":
+        a = ConvexBody.box(*np.sort(rng.uniform(-2, 2, (2, 2)), axis=0))
+        b = ConvexBody.box(*np.sort(rng.uniform(-2, 2, (2, 2)), axis=0))
+    else:
+        a = ConvexBody.polytope(a.vertices * 1e4)
+        b = ConvexBody.polytope(sector_polygon(rng, int(rng.integers(3, 40)), 1e4))
+    # parallel edges leave a joint mid-edge, which the merge drops without the chain
+    assert _prune_convex_ring(_merged_ring(polygon_ring(a), polygon_ring(b)), VERTEX_TOL) is not None
+    pairs = (a.vertices[:, None, :] + b.vertices[None, :, :]).reshape(-1, 2)
+    _assert_bitwise(minkowski_sum(a, b).vertices, ConvexBody.polytope(pairs).vertices)
+
+
+def test_merge_leaves_a_flat_lexicographic_end_to_the_all_pairs_hull():
+    # the chain never tests its first and last points, so it keeps the flat
+    # corner at the origin; the merge cannot drop it and falls back
+    a = ConvexBody.polytope([[0, 0], [1e-11, 1], [2e-11, -1], [2, 0]])
+    assert len(a.vertices) == 4
+    assert _prune_convex_ring(_merged_ring(polygon_ring(a), polygon_ring(a)), VERTEX_TOL) is None
+    pairs = (a.vertices[:, None, :] + a.vertices[None, :, :]).reshape(-1, 2)
+    _assert_bitwise(minkowski_sum(a, a).vertices, ConvexBody.polytope(pairs).vertices)
+
+
+@given(st.integers(0, 10_000), st.floats(-12, 6), st.floats(-10, -6), st.floats(-6, 6))
+@settings(max_examples=80, deadline=None)
+def test_cached_rank_matches_a_fresh_frame(seed, log_size, log_width, log_lam):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(3, 30))
+    ang = 2.0 * np.pi * (np.arange(m) + rng.uniform(0.1, 0.9, m)) / m
+    # thin ellipses straddle the rank threshold 1e-9 * max(1, extent)
+    pts = 10.0 ** log_size * np.stack([np.cos(ang), 10.0 ** log_width * np.sin(ang)], axis=1)
+    pts = pts[rng.permutation(m)]
+    for body in (ConvexBody.polytope(pts), ConvexBody.polytope(pts[:2])):
+        for b in (body, scale(body, 10.0 ** log_lam)):
+            fresh = _affine_frame(b.vertices, VERTEX_TOL)[1].shape[1] if len(b.vertices) > 1 else 0
+            assert b.affine_rank() == fresh
 
 
 # -- json --------------------------------------------------------------------

@@ -161,6 +161,13 @@ def test_bad_input_exits_two(workdir, capsys):
     assert main(["mixed-volume", wrong_arity]) == 2
 
 
+def test_non_finite_body_exits_two_naming_the_value(workdir, capsys):
+    bodies = _write(workdir / "nan.json", [SQUARE, {"type": "polytope",
+                                                    "vertices": [[0, 0], [1, 0], [0, math.nan]]}])
+    assert main(["mixed-volume", bodies]) == 2
+    assert "must be finite, got nan" in capsys.readouterr().err
+
+
 def test_zero_panels_exits_two(workdir, capsys):
     fn = _write(workdir / "f.json", EXP_DISC)
     assert main(["integral", fn, "--panels", "0"]) == 2

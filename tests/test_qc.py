@@ -16,7 +16,7 @@ from qcvx.errors import (
     IndexOutOfRange,
     NonpositiveScale,
 )
-from qcvx.grids import GridSpec
+from qcvx.grids import GridSpec, lattice_convolution
 from qcvx.mixed_volumes import mixed_volume
 from qcvx.profiles import GaussianProfile, PowerLawProfile, exponential_profile
 from qcvx.qc import (
@@ -362,6 +362,25 @@ def test_supmin_matches_oplus_within_grid_bound(seed):
     reach = 1.1 * max(f.support_radius(), g.support_radius())
     result = supmin_bracket(f, g, GridSpec.cube(reach, 2, 41))
     assert result["ok"], (result["max_abs_error"], result["fat_height"])
+
+
+@pytest.mark.parametrize("shape", [(7,), (5, 4)])
+def test_lattice_convolution_matches_every_pair(shape):
+    """Reference: reduce op(F[j], G[k]) into out[j + k] over all index pairs,
+    skipping none, for the sup-min oracle and both inf-convolutions."""
+    rng = np.random.default_rng(len(shape))
+    F, G = rng.uniform(0, 1, shape), rng.uniform(0, 1, shape)
+    F[rng.random(shape) < 0.4] = 0.0
+    P, Q = np.where(F == 0.0, np.inf, 3 * F), np.where(rng.random(shape) < 0.3, np.inf, 3 * G)
+    for op, reduce, identity, a, b in ((np.minimum, np.maximum, 0.0, F, G),
+                                       (np.add, np.minimum, np.inf, P, Q),
+                                       (np.maximum, np.minimum, np.inf, P, Q)):
+        out = np.full(tuple(2 * n - 1 for n in shape), identity)
+        for j in np.ndindex(shape):
+            for k in np.ndindex(shape):
+                i = tuple(x + y for x, y in zip(j, k))
+                out[i] = reduce(out[i], op(a[j], b[k]))
+        np.testing.assert_array_equal(lattice_convolution(a, b, op, reduce, identity), out)
 
 
 def test_supmin_grid_too_coarse():
