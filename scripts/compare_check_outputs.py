@@ -8,19 +8,23 @@
         `dilation.json`, the worked example of `scripts/dilation_example.py`
         in full-precision floats: the vertices of the `ParabolicCapQC(64)`
         level sets at that script's heights and the volume-law dilation's
-        values on the section y = 0.  The qcvx package is the one Python
-        imports, so set PYTHONPATH to pick a checkout.
+        values on the section y = 0.  And it writes `oracle.json`: the
+        lattice sup-min bracket (`qc.supmin_bracket`) on one seeded pair of
+        polygon stacks and one seeded pair of polygon indicators, with its
+        `max_abs_error`, `fat_height` and `ok` and the full-precision
+        lattice (`field`) and exact (`exact`) values.  The qcvx package is
+        the one Python imports, so set PYTHONPATH to pick a checkout.
 
     compare_check_outputs.py diff OLD NEW
         Reports which files are byte-identical and, on the same line,
         whether every verdict is unchanged (the JSONL `verdict` field, the
-        CSV `equality_hits` and `violations` tallies).  `dilation.json` is
-        compared like the JSONL, one row per level set and one for the
-        section.  For each row that differs it lists the check, the trial,
-        the field and the old and new values of every field whose relative
-        change exceeds 1e-12 (strings and other non-numbers when they differ
-        at all); numeric lists are compared element by element, so
-        `details.lhs[3]` names one entry.
+        CSV `equality_hits` and `violations` tallies, a bracket's `ok`).
+        `dilation.json` and `oracle.json` are compared like the JSONL, one
+        row per level set, section or bracket.  For each row that differs
+        it lists the check, the trial, the field and the old and new values
+        of every field whose relative change exceeds 1e-12 (strings and
+        other non-numbers when they differ at all); numeric lists are
+        compared element by element, so `details.lhs[3]` names one entry.
         Exits 0 when every file is byte-identical and 1 otherwise.
 
 Typical use, parent commit against a working tree:
@@ -43,7 +47,7 @@ from pathlib import Path
 STANDARD_RUNS = [(3, 1, seed) for seed in (7, 1, 2, 3, 11)] + \
                 [(2, 2, seed) for seed in (7, 1, 2)]
 REL_TOL = 1e-12
-VERDICT_FIELDS = ("verdict", "equality_hits", "violations")
+VERDICT_FIELDS = ("verdict", "equality_hits", "violations", "ok")
 
 
 def run(outdir: Path) -> int:
@@ -59,6 +63,9 @@ def run(outdir: Path) -> int:
     (outdir / "dilation.json").write_text(json.dumps(_dilation_records()) + "\n",
                                           encoding="utf-8")
     print("dilation.json: written")
+    (outdir / "oracle.json").write_text(json.dumps(_oracle_records()) + "\n",
+                                        encoding="utf-8")
+    print("oracle.json: written")
     return status
 
 
@@ -79,6 +86,31 @@ def _dilation_records() -> list[dict]:
     values = dilate_to_exponential(SizeFunctional.vol(2), f).evaluate_many(
         np.stack([xs, np.zeros_like(xs)], axis=1))
     records.append({"name": "section", "x": xs.tolist(), "values": values.tolist()})
+    return records
+
+
+def _oracle_records() -> list[dict]:
+    """`supmin_bracket` on a seeded pair of polygon stacks and a seeded pair
+    of polygon indicators, on 41-point lattices covering both supports."""
+    import numpy as np
+
+    from qcvx.generators import random_polytope, random_stack
+    from qcvx.grids import GridSpec
+    from qcvx.qc import indicator, supmin_bracket
+
+    rng = np.random.default_rng(2012)
+    pairs = [("stacks", random_stack(rng, 2, 3), random_stack(rng, 2, 3)),
+             ("indicators",
+              indicator(random_polytope(rng, 2, 7, origin_interior=True)),
+              indicator(random_polytope(rng, 2, 7, origin_interior=True)))]
+    records = []
+    for name, f, g in pairs:
+        reach = max(f.support_radius(), g.support_radius())
+        out = supmin_bracket(f, g, GridSpec.cube(1.1 * reach, 2, 41))
+        records.append({"name": name, "max_abs_error": out["max_abs_error"],
+                        "fat_height": out["fat_height"], "ok": out["ok"],
+                        "field": out["field"].values.tolist(),
+                        "exact": out["exact"].tolist()})
     return records
 
 

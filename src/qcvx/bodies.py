@@ -25,6 +25,7 @@ analytically, see ``mixed_volumes``).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -36,6 +37,7 @@ from .errors import (
     DimensionMismatch,
     EmptyBody,
     NonpositiveScale,
+    NumericalFailure,
     OriginNotInterior,
     UnsupportedMix,
 )
@@ -656,8 +658,57 @@ def polar(a: ConvexBody) -> ConvexBody:
     return ConvexBody.polytope(A / b[:, None])
 
 
+def _polygon_inradius(A: np.ndarray, b: np.ndarray) -> float:
+    """Inradius of the polygon {x : A x <= b}, its unit edge normals in ccw
+    order, by pushing every edge inward at unit speed.
+
+    At time t the polygon is {A x <= b - t}.  An edge shrinks to a point when
+    the offset lines of the edge and its two current neighbours meet; the
+    edge that does so first drops out, and its neighbours, now adjacent,
+    get new meeting times.  When three edges are left, their meeting point is
+    the Chebyshev centre (the optimum of max r subject to A x + r <= b), and
+    the radius returned is the largest ball that centre admits, min(b - A x),
+    so a rounding error can only make it smaller.  O(m log m) for an m-gon.
+    """
+    normals, offsets = A.tolist(), b.tolist()
+    m = len(normals)
+    prv, nxt = [m - 1, *range(m - 1)], [*range(1, m), 0]
+    version = [0] * m
+
+    def meeting(i):
+        """(t, x, y): where the offset lines of i and its neighbours meet."""
+        (ax, ay), ai = normals[i], offsets[i]
+        (px, py), (qx, qy) = normals[prv[i]], normals[nxt[i]]
+        u1, v1, c1 = px - ax, py - ay, offsets[prv[i]] - ai
+        u2, v2, c2 = qx - ax, qy - ay, offsets[nxt[i]] - ai
+        det = u1 * v2 - u2 * v1
+        x, y = (c1 * v2 - c2 * v1) / det, (u1 * c2 - u2 * c1) / det
+        return ai - ax * x - ay * y, x, y
+
+    heap = [(meeting(i)[0], i, 0) for i in range(m)]
+    heapq.heapify(heap)
+    for _ in range(m - 3):
+        _, i, ver = heapq.heappop(heap)
+        while ver != version[i]:  # stale: a neighbour has dropped out since
+            _, i, ver = heapq.heappop(heap)
+        version[i] = -1
+        p, q = prv[i], nxt[i]
+        nxt[p], prv[q] = q, p
+        for j in (p, q):
+            version[j] += 1
+            heapq.heappush(heap, (meeting(j)[0], j, version[j]))
+    last = next(i for i in range(m) if version[i] >= 0)
+    _, x, y = meeting(last)
+    return float(np.min(b - A @ np.array([x, y])))
+
+
 def inradius(a: ConvexBody) -> float:
-    """Radius of the largest centered-anywhere ball inside the body."""
+    """Radius of the largest centered-anywhere ball inside the body.
+
+    A polygon's is exact and needs no LP (``_polygon_inradius``).  In
+    3-space the Chebyshev-centre LP is solved with HiGHS; a failed solve
+    raises ``NumericalFailure``.
+    """
     if a.is_empty:
         return 0.0
     if a.is_ball:
@@ -666,14 +717,21 @@ def inradius(a: ConvexBody) -> float:
         return 0.0
     if a.dim == 1:
         return 0.5 * float(a.vertices.max() - a.vertices.min())
+    A, b = a.facets()
+    if a.dim == 2:
+        # offsets measured from a vertex: b itself can be far larger than the
+        # polygon and would cost its inradius that many digits
+        ring = polygon_ring(a)
+        return _polygon_inradius(A, np.einsum("ij,ij->i", A, ring - ring[0]))
     from scipy.optimize import linprog
 
-    A, b = a.facets()
     n = a.dim
     res = linprog(c=[0.0] * n + [-1.0],
                   A_ub=np.hstack([A, np.ones((len(A), 1))]), b_ub=b,
                   bounds=[(None, None)] * n + [(0, None)], method="highs")
-    return float(res.x[-1]) if res.success else 0.0
+    if not res.success:
+        raise NumericalFailure(f"Chebyshev-centre LP failed: {res.message}")
+    return float(res.x[-1])
 
 
 def direction_net(dim: int, count: int = 64) -> np.ndarray:

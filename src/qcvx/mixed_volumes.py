@@ -175,13 +175,24 @@ def _quermass_exact(body: ConvexBody, i: int) -> float:
 # mixed volumes from facet measures
 # ---------------------------------------------------------------------------
 
-def _weighted_sum(bodies, weights) -> ConvexBody:
+def _weighted_sum(bodies, weights, partial: dict | None = None) -> ConvexBody:
+    """sum w_i K_i over the nonzero weights, added left to right.
+
+    ``partial``, when given, maps proper weight prefixes to the partial sums
+    they give; it is read and filled, so calls that share it build each
+    prefix's sum once.
+    """
     acc = None
-    for body, w in zip(bodies, weights):
-        if w == 0:
+    for k, (body, w) in enumerate(zip(bodies, weights), 1):
+        prefix = tuple(map(float, weights[:k]))
+        if partial is not None and prefix in partial:
+            acc = partial[prefix]
             continue
-        term = scale(body, float(w))
-        acc = term if acc is None else minkowski_sum(acc, term)
+        if w != 0:
+            term = scale(body, float(w))
+            acc = term if acc is None else minkowski_sum(acc, term)
+        if partial is not None and k < len(bodies):
+            partial[prefix] = acc
     return acc
 
 
@@ -372,8 +383,10 @@ def minkowski_polynomial(bodies, dim: int | None = None) -> MinkowskiPolynomial:
     if any(b.dim != n for b in bodies):
         raise DimensionMismatch("all bodies must live in the polynomial's dimension")
 
+    partial: dict = {}  # the grid repeats every weight prefix n + 1 times
+
     def values(eps):
-        return volume(_weighted_sum(bodies, eps))
+        return volume(_weighted_sum(bodies, eps, partial))
 
     try:
         coeffs = _fit_polynomial(values, len(bodies), n)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import gamma
 
 from .errors import DivergentIntegral, NonpositiveScale
@@ -150,6 +149,10 @@ class TableProfile(Profile):
     """Monotone interpolation through knots; zero beyond the last knot."""
 
     def __init__(self, knots: Sequence[float], values: Sequence[float]):
+        # imported here: scipy.interpolate (and the scipy.optimize it loads)
+        # costs every process about 0.25 s, and only table profiles use it
+        from scipy.interpolate import PchipInterpolator
+
         knots = np.asarray(knots, dtype=float)
         values = np.asarray(values, dtype=float)
         if knots[0] != 0.0 or abs(values[0] - 1.0) > 1e-12:

@@ -36,6 +36,7 @@ from .bodies import (
     body_to_json,
     contains,
     contains_point,
+    inradius,
     membership_mask,
     minkowski_sum,
     scale,
@@ -593,6 +594,16 @@ def grid_sup_min(f: QCFunction, g: QCFunction, grid: GridSpec) -> SampledField:
     return SampledField(grid.doubled(), supmin_arrays(F, G))
 
 
+def _eroded(values: np.ndarray, cells: int) -> np.ndarray:
+    """Minimum over the window of 2 * cells + 1 points per axis around each
+    point, the edge values repeated past the boundary (the grey erosion
+    ``scipy.ndimage.minimum_filter(values, 2 * cells + 1, mode="nearest")``)."""
+    width = 2 * cells + 1
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(values, cells, mode="edge"), (width,) * values.ndim)
+    return windows.min(axis=tuple(range(values.ndim, 2 * values.ndim)))
+
+
 def supmin_bracket(f: QCFunction, g: QCFunction, grid: GridSpec) -> dict:
     """Compare the lattice oracle against the level-set route.
 
@@ -602,13 +613,9 @@ def supmin_bracket(f: QCFunction, g: QCFunction, grid: GridSpec) -> dict:
     A lattice too coarse for any such height (``fat_height`` 0) certifies
     nothing and is not ``ok``.
     """
-    from scipy.ndimage import minimum_filter
-
-    from .bodies import inradius
-
     field = grid_sup_min(f, g, grid)
     exact = oplus(f, g).evaluate_many(field.grid.points()).reshape(field.values.shape)
-    eroded = minimum_filter(exact, size=5, mode="nearest")
+    eroded = _eroded(exact, cells=2)
     thick = math.sqrt(2.0) * float(np.max(grid.step))
     fat_height = 0.0
     for t in merged_heights(f, g)[::-1]:  # ascending: level sets shrink

@@ -23,6 +23,7 @@ from qcvx.bodies import (
     contains,
     contains_point,
     direction_net,
+    inradius,
     minkowski_sum,
     polar,
     polygon_ring,
@@ -34,6 +35,7 @@ from qcvx.errors import (
     DimensionMismatch,
     EmptyBody,
     NonpositiveScale,
+    NumericalFailure,
     OriginNotInterior,
     UnsupportedMix,
 )
@@ -494,3 +496,81 @@ def test_json_round_trip():
     encoded = body_to_json(UNIT_SQUARE)
     assert encoded["type"] == "polytope"
     assert body_to_json(ConvexBody.ball(1.5, 3)) == {"type": "ball", "radius": 1.5, "dim": 3}
+
+
+# -- inradius ----------------------------------------------------------------
+
+def linprog_inradius(body):
+    """Reference: the Chebyshev-centre LP, max r subject to A x + r <= b on
+    the facets, solved with HiGHS."""
+    from scipy.optimize import linprog
+
+    A, b = body.facets()
+    n = body.dim
+    res = linprog(c=[0.0] * n + [-1.0], A_ub=np.hstack([A, np.ones((len(A), 1))]), b_ub=b,
+                  bounds=[(None, None)] * n + [(0, None)], method="highs")
+    assert res.success, res.message
+    return float(res.x[-1])
+
+
+def regular_polygon(m, radius=1.0):
+    ang = 2.0 * math.pi * np.arange(m) / m
+    return radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+
+
+@pytest.mark.parametrize("verts, closed_form", [
+    ([[0, 0], [1, 0], [0, 1]], 1.0 / (2.0 + math.sqrt(2.0))),
+    ([[0, 0], [1, 0], [1, 1], [0, 1]], 0.5),
+    ([[0, 0], [1, 0], [1, 10], [0, 10]], 0.5),          # the centre is not unique
+    ([[0, 0], [100, 0], [100, 1e-3], [0, 1e-3]], 5e-4),  # a thin strip
+    ([[0, 0], [1, 0], [1, 1 - 5e-10], [0, 1 - 5e-10]], (1 - 5e-10) / 2),
+    (regular_polygon(128), math.cos(math.pi / 128)),
+    (regular_polygon(512), math.cos(math.pi / 512)),
+])
+def test_polygon_inradius_examples(verts, closed_form):
+    body = ConvexBody.polytope(verts)
+    r = inradius(body)
+    assert r == pytest.approx(linprog_inradius(body), rel=1e-12)
+    assert r == pytest.approx(closed_form, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_polygon_inradius_matches_the_lp(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        pts = rng.uniform(-1.0, 1.0, (int(rng.integers(3, 24)), 2))
+        pts = pts * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-5, 5, 2)
+        body = ConvexBody.polytope(pts)
+        if body.affine_rank() < 2:
+            continue
+        assert inradius(body) == pytest.approx(linprog_inradius(body), rel=1e-12)
+
+
+def test_polygon_inradius_keeps_its_digits_far_from_the_origin():
+    # a dyadic triangle moves exactly; its facet offsets b are ~1e4 times its
+    # size, which costs an LP on (A, b) about 1e-12 of the radius
+    a = 2.0 ** -10
+    tri = np.array([[0.0, 0.0], [a, 0.0], [0.0, a]])
+    r = inradius(ConvexBody.polytope(tri + [5.0, -3.0]))
+    assert r == pytest.approx(a / (2.0 + math.sqrt(2.0)), rel=1e-15)
+    assert r == inradius(ConvexBody.polytope(tri))
+
+
+def test_inradius_closed_forms_and_degenerate_bodies():
+    assert inradius(ConvexBody.polytope([[-1.0], [3.0]])) == 2.0
+    assert inradius(ConvexBody.ball(1.5, 3)) == 1.5
+    assert inradius(ConvexBody.empty(2)) == 0.0
+    assert inradius(ConvexBody.polytope([[0, 0], [1, 1]])) == 0.0
+    assert inradius(ConvexBody.box([0, 0, 0], [1, 2, 3])) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_inradius_raises_when_the_lp_fails(monkeypatch):
+    import scipy.optimize
+
+    class Failed:
+        success = False
+        message = "iteration limit reached"
+
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: Failed())
+    with pytest.raises(NumericalFailure, match="iteration limit"):
+        inradius(ConvexBody.box([0, 0, 0], [1, 1, 1]))

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcvx
 from qcvx import quadrature
 from qcvx.cli import main
 
@@ -69,6 +74,22 @@ def test_oracle_compare(workdir, capsys):
     assert main(["oracle-compare", f, g, "--grid-size", "21"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["ok"]
+
+
+def test_oracle_compare_on_polygons_with_hundreds_of_vertices(workdir, capsys):
+    ang = 2.0 * math.pi * np.arange(300) / 300
+    ring = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+
+    def stack(*levels):
+        return {"type": "stack", "levels": [
+            {"t": t, "body": {"type": "polytope", "vertices": (ring * s).tolist()}}
+            for t, s in levels]}
+
+    f = _write(workdir / "f.json", stack((1.0, [1.0, 1.0])))
+    g = _write(workdir / "g.json", stack((1.0, [2.0, 0.5]), (0.5, [3.0, 1.0])))
+    assert main(["oracle-compare", f, g, "--grid-size", "21"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] and out["fat_height"] == 0.5
 
 
 def test_oracle_compare_without_certified_height_fails(workdir, capsys):
@@ -241,3 +262,33 @@ def test_grid_size_below_two_exits_two(workdir, capsys):
     assert exc.value.code == 2
     with pytest.raises(ValueError):
         GridSpec.cube(1.0, 2, 1)
+
+
+def test_workloads_leave_the_heavy_scipy_subpackages_unloaded(tmp_path):
+    """A fresh interpreter runs the harness in the plane and one sup-min
+    bracket without importing scipy.interpolate, scipy.optimize or
+    scipy.ndimage (each costs start-up time and memory in every process)."""
+    script = f"""
+import sys
+import qcvx, qcvx.cli
+from qcvx.generators import random_stack
+from qcvx.grids import GridSpec
+from qcvx.qc import supmin_bracket
+import numpy as np
+
+code = qcvx.cli.main(["check", "all", "--dim", "2", "--trials", "1",
+                      "--out", {str(tmp_path / "run")!r}])
+rng = np.random.default_rng(3)
+f, g = random_stack(rng, 2), random_stack(rng, 2)
+reach = 1.1 * max(f.support_radius(), g.support_radius())
+assert supmin_bracket(f, g, GridSpec.cube(reach, 2, 41))["fat_height"] > 0.0
+heavy = ("scipy.interpolate", "scipy.optimize", "scipy.ndimage")
+print(code, [m for m in heavy if m in sys.modules])
+"""
+    src = str(Path(qcvx.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 []"

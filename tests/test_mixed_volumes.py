@@ -255,6 +255,34 @@ def test_evaluation_at_unit_vectors_recovers_volume():
     assert poly.evaluate([1.0, 1e-9]) == pytest.approx(volume(a), rel=1e-6)
 
 
+def test_polynomial_builds_each_weight_prefix_once(monkeypatch):
+    """The grid {1..4}^3 has 16 two-body prefixes and 64 full sums: 80
+    Minkowski sums, not 128, and the coefficients of a fit that sums every
+    grid point from scratch."""
+    from qcvx import mixed_volumes
+    from qcvx.mixed_volumes import _fit_polynomial
+
+    rng = np.random.default_rng(11)
+    bodies = [random_polytope(rng, 3) for _ in range(3)]
+
+    def from_scratch(eps):
+        acc = scale(bodies[0], float(eps[0]))
+        for body, w in zip(bodies[1:], eps[1:]):
+            acc = minkowski_sum(acc, scale(body, float(w)))
+        return volume(acc)
+
+    reference = _fit_polynomial(from_scratch, 3, 3)
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return minkowski_sum(a, b)
+
+    monkeypatch.setattr(mixed_volumes, "minkowski_sum", counted)
+    assert minkowski_polynomial(bodies).coefficients == reference
+    assert len(calls) == 80
+
+
 # -- quermassintegrals -------------------------------------------------------
 
 def test_quermass_square():

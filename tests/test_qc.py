@@ -23,6 +23,7 @@ from qcvx.qc import (
     LevelStack,
     RadialQC,
     SumQC,
+    _eroded,
     as_stack,
     certify_log_concave,
     epsilon_extension,
@@ -381,6 +382,19 @@ def test_lattice_convolution_matches_every_pair(shape):
                 i = tuple(x + y for x, y in zip(j, k))
                 out[i] = reduce(out[i], op(a[j], b[k]))
         np.testing.assert_array_equal(lattice_convolution(a, b, op, reduce, identity), out)
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (40,), (1, 6), (2, 2), (9, 13), (41, 41)])
+def test_erosion_matches_minimum_filter_bitwise(shape):
+    """Reference: scipy's grey erosion over a 5-point window per axis with
+    the edge values repeated, on fields with plateaus and both infinities."""
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(5):
+        values = rng.choice([0.0, 0.25, 1.0, np.inf, -np.inf], size=shape)
+        values = np.where(rng.random(shape) < 0.5, rng.normal(size=shape), values)
+        ref = minimum_filter(values, size=5, mode="nearest")
+        out = _eroded(values, cells=2)
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
 
 
 def test_supmin_grid_too_coarse():
