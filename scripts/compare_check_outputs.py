@@ -3,8 +3,9 @@
 
     compare_check_outputs.py run OUTDIR
         Writes one JSONL and one CSV file per run into OUTDIR:
-        `--dim 3 --trials 1` at seeds 7, 1, 2, 3 and 11 and
-        `--dim 2 --trials 2` at seeds 7, 1 and 2.  It also writes
+        `--dim 3 --trials 1` at seeds 7, 1, 2, 3 and 11,
+        `--dim 2 --trials 2` at seeds 7, 1 and 2, and once more at seed 7
+        with `--tol-exact 1e-7 --tol-quad 1e-4`.  It also writes
         `dilation.json`, the worked example of `scripts/dilation_example.py`
         in full-precision floats: the vertices of the `ParabolicCapQC(64)`
         level sets at that script's heights and the volume-law dilation's
@@ -12,15 +13,19 @@
         lattice sup-min bracket (`qc.supmin_bracket`) on one seeded pair of
         polygon stacks and one seeded pair of polygon indicators, with its
         `max_abs_error`, `fat_height` and `ok` and the full-precision
-        lattice (`field`) and exact (`exact`) values.  The qcvx package is
-        the one Python imports, so set PYTHONPATH to pick a checkout.
+        lattice (`field`) and exact (`exact`) values.  And `reports.json`:
+        the full `to_json` record of the verdict sites `check all` does not
+        reach, on fixed seeded inputs (`rescaled_bm`, `rescaled_af`,
+        `dilated_checks`, `dilated_af`, `dilation_nesting_report` and
+        `polarity_sandwich_check`).  The qcvx package is the one Python
+        imports, so set PYTHONPATH to pick a checkout.
 
     compare_check_outputs.py diff OLD NEW
         Reports which files are byte-identical and, on the same line,
         whether every verdict is unchanged (the JSONL `verdict` field, the
         CSV `equality_hits` and `violations` tallies, a bracket's `ok`).
-        `dilation.json` and `oracle.json` are compared like the JSONL, one
-        row per level set, section or bracket.  For each row that differs
+        `dilation.json`, `oracle.json` and `reports.json` are compared like
+        the JSONL, one row per level set, section, bracket or report.  For each row that differs
         it lists the check, the trial, the field and the old and new values
         of every field whose relative change exceeds 1e-12 (strings and
         other non-numbers when they differ at all); numeric lists are
@@ -44,8 +49,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-STANDARD_RUNS = [(3, 1, seed) for seed in (7, 1, 2, 3, 11)] + \
-                [(2, 2, seed) for seed in (7, 1, 2)]
+STANDARD_RUNS = [(3, 1, seed, "") for seed in (7, 1, 2, 3, 11)] + \
+                [(2, 2, seed, "") for seed in (7, 1, 2)] + \
+                [(2, 2, 7, "-tol")]
+TOL_FLAGS = ["--tol-exact", "1e-7", "--tol-quad", "1e-4"]
 REL_TOL = 1e-12
 VERDICT_FIELDS = ("verdict", "equality_hits", "violations", "ok")
 
@@ -53,10 +60,11 @@ VERDICT_FIELDS = ("verdict", "equality_hits", "violations", "ok")
 def run(outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     status = 0
-    for dim, trials, seed in STANDARD_RUNS:
-        prefix = outdir / f"check-d{dim}-t{trials}-s{seed}"
+    for dim, trials, seed, flagged in STANDARD_RUNS:
+        prefix = outdir / f"check-d{dim}-t{trials}-s{seed}{flagged}"
         cmd = [sys.executable, "-m", "qcvx.cli", "check", "all", "--dim", str(dim),
                "--trials", str(trials), "--seed", str(seed), "--out", str(prefix)]
+        cmd += TOL_FLAGS if flagged else []
         code = subprocess.run(cmd, stdout=subprocess.DEVNULL).returncode
         print(f"{prefix.name}: exit {code}")
         status = max(status, code)
@@ -66,6 +74,9 @@ def run(outdir: Path) -> int:
     (outdir / "oracle.json").write_text(json.dumps(_oracle_records()) + "\n",
                                         encoding="utf-8")
     print("oracle.json: written")
+    (outdir / "reports.json").write_text(json.dumps(_report_records()) + "\n",
+                                         encoding="utf-8")
+    print("reports.json: written")
     return status
 
 
@@ -112,6 +123,46 @@ def _oracle_records() -> list[dict]:
                         "field": out["field"].values.tolist(),
                         "exact": out["exact"].tolist()})
     return records
+
+
+def _report_records() -> list[dict]:
+    """The reshape and polarity reports on fixed seeded inputs, as the
+    records their `to_json` writes."""
+    from qcvx.bodies import ConvexBody
+    from qcvx.duality import GeomConvexFn, polarity_sandwich_check
+    from qcvx.generators import conditioned_geom_convex_fn, random_radial, rng_for
+    from qcvx.profiles import GaussianProfile, exponential_profile
+    from qcvx.qc import RadialQC, indicator
+    from qcvx.rearrange import SizeFunctional
+    from qcvx.reshape import (ParabolicCapQC, dilate_to_exponential, dilated_af,
+                              dilated_checks, dilation_nesting_report,
+                              rescaled_af, rescaled_bm)
+
+    vol2 = SizeFunctional.vol(2)
+    exp2 = RadialQC(ConvexBody.ball(1.0, 2), exponential_profile(1.0))
+    gauss2 = RadialQC(ConvexBody.ball(1.0, 2), GaussianProfile(1.0))
+    diamond = ConvexBody.polytope([[1, 0], [-1, 0], [0, 1], [0, -1]])
+    reports = []
+    for seed in range(2):
+        rng = rng_for(100, seed)
+        f, g = (random_radial(rng, 2, log_concave=False) for _ in range(2))
+        reports.append(rescaled_bm(vol2, f, g)[1])
+    rng = rng_for(101, 0)
+    reports.append(rescaled_af([], [random_radial(rng, 2, log_concave=True)
+                                    for _ in range(2)]))
+    reports.append(dilated_checks(vol2, exp2, exp2))
+    reports.append(dilated_checks(vol2, gauss2, RadialQC(diamond, exponential_profile(1.0))))
+    reports.append(dilated_af([ConvexBody.box([-0.5] * 3, [0.5] * 3)],
+                              [RadialQC(ConvexBody.ball(1.0, 3), GaussianProfile(1.0)),
+                               RadialQC(ConvexBody.box([-1] * 3, [1] * 3),
+                                        exponential_profile(1.0))]))
+    reports.append(dilation_nesting_report(
+        dilate_to_exponential(vol2, indicator(ConvexBody.box([-1, -1], [1, 1])))))
+    reports.append(dilation_nesting_report(dilate_to_exponential(vol2, ParabolicCapQC(64))))
+    phis = [GeomConvexFn.abs_value()] + \
+        [conditioned_geom_convex_fn(rng_for(910, trial), 2) for trial in range(2)]
+    reports += [polarity_sandwich_check(phi, t) for phi in phis for t in (0.5, 1.0, 2.0)]
+    return [json.loads(rep.to_json()) for rep in reports]
 
 
 def _flatten(value, prefix=""):

@@ -1,14 +1,18 @@
 """Inequality harness: every rearrangement / isoperimetric / Alexandrov
-statement becomes a parameterized check returning a CheckReport.
+statement becomes a parameterized check whose CheckReport ``report.judge``
+builds.
 
-Tolerance policy: 1e-9 relative on exact (stack) paths, 1e-6 on quadrature
-paths.  A "violated" verdict carries the serialized inputs as a witness and
-is treated as a build failure by the test suite.
+Tolerances travel with the call as a ``Tolerances`` value (default 1e-9
+relative on exact stack paths, 1e-6 where quadrature enters), passed to
+``run_all``/``run_check``, on to every trial and into every check.  A
+"violated" verdict carries the serialized inputs as a witness and is
+treated as a build failure by the test suite.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,23 +43,26 @@ from .qc import (
     surface_area_fn,
 )
 from .rearrange import SizeFunctional, ball_rearrange, phi_rearrange, sdr
-from .report import CheckReport
-
-TOL_EXACT = 1e-9
-TOL_QUAD = 1e-6
+from .report import CheckReport, judge, pair_scale
 
 
-def set_tolerances(tol_exact: float, tol_quad: float) -> None:
-    """Override the verdict tolerances (CLI --tol-exact / --tol-quad wiring)."""
-    global TOL_EXACT, TOL_QUAD
-    if tol_exact <= 0 or tol_quad <= 0:
-        raise ValueError("tolerances must be positive")
-    TOL_EXACT = float(tol_exact)
-    TOL_QUAD = float(tol_quad)
+@dataclass(frozen=True)
+class Tolerances:
+    """Relative verdict tolerances of one run: ``exact`` where every operand
+    is a stack (no quadrature), ``quad`` where quadrature enters."""
+
+    exact: float = 1e-9
+    quad: float = 1e-6
+
+    def __post_init__(self):
+        if not (self.exact > 0 and self.quad > 0):
+            raise ValueError("tolerances must be positive")
+
+    def for_fns(self, *fs: QCFunction) -> float:
+        return self.exact if all(isinstance(f, LevelStack) for f in fs) else self.quad
 
 
-def _tol_for(*fs: QCFunction) -> float:
-    return TOL_EXACT if all(isinstance(f, LevelStack) for f in fs) else TOL_QUAD
+DEFAULT_TOLS = Tolerances()
 
 
 def _sample_heights(*fs: QCFunction) -> np.ndarray:
@@ -64,44 +71,18 @@ def _sample_heights(*fs: QCFunction) -> np.ndarray:
     return merged_heights(*fs, extra=extra)
 
 
-def _radius_report(name: str, statement: str, heights, lhs, rhs, tol: float,
-                   witness: Optional[dict], details: Optional[dict] = None) -> CheckReport:
-    """Report for per-height radius comparisons lhs(t) >= rhs(t)."""
+def _levelwise(heights, lhs, rhs, tol: float, details: dict) -> dict:
+    """Judge arguments for per-height radius comparisons lhs(t) >= rhs(t):
+    the margin is the worst relative gap, equality every gap within tol."""
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    scales = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
-    rel = (lhs - rhs) / scales
-    margin = float(np.min(rel))
-    if margin < -tol:
-        verdict = "violated"
-    elif float(np.max(np.abs(rel))) <= tol:
-        verdict = "holds-with-equality"
-    else:
-        verdict = "holds"
-    info = {"heights": [float(t) for t in heights],
-            "lhs": lhs.tolist(), "rhs": rhs.tolist()}
-    info.update(details or {})
-    return CheckReport(name=name, statement=statement,
-                       left=float(lhs[int(np.argmin(rel))]),
-                       right=float(rhs[int(np.argmin(rel))]),
-                       margin=margin, verdict=verdict, tol=tol, details=info,
-                       witness=witness if verdict == "violated" else None)
-
-
-def _scalar_report(name: str, statement: str, left: float, right: float,
-                   tol: float, witness: Optional[dict],
-                   details: Optional[dict] = None) -> CheckReport:
-    scale = max(abs(left), abs(right), 1.0)
-    rel = (left - right) / scale
-    if rel < -tol:
-        verdict = "violated"
-    elif abs(rel) <= tol:
-        verdict = "holds-with-equality"
-    else:
-        verdict = "holds"
-    return CheckReport(name=name, statement=statement, left=left, right=right,
-                       margin=rel, verdict=verdict, tol=tol, details=details or {},
-                       witness=witness if verdict == "violated" else None)
+    rel = (lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+    worst = int(np.argmin(rel))
+    return {"left": float(lhs[worst]), "right": float(rhs[worst]),
+            "margin": float(np.min(rel)),
+            "equality": float(np.max(np.abs(rel))) <= tol,
+            "details": {"heights": [float(t) for t in heights],
+                        "lhs": lhs.tolist(), "rhs": rhs.tolist(), **details}}
 
 
 def _witness(**objs) -> dict:
@@ -128,19 +109,19 @@ def _ball_radius(phi: SizeFunctional, body: ConvexBody) -> float:
 # rearrangement inequalities
 # ---------------------------------------------------------------------------
 
-def check_isoperimetric_qc(f: QCFunction) -> CheckReport:
+def check_isoperimetric_qc(f: QCFunction, tols: Tolerances = DEFAULT_TOLS) -> CheckReport:
     """Surface area never increases under symmetric decreasing rearrangement."""
     left = surface_area_fn(f)
     right = surface_area_fn(sdr(f))
-    rep = _scalar_report(
+    return judge(
         "isoperimetric-qc",
         "S(f) >= S(f*) with equality iff f is rotation invariant",
-        left, right, _tol_for(f), _witness(f=f),
-        details={"rotation_invariant": f.is_rotation_invariant()})
-    return rep
+        left, right, (left - right) / pair_scale(left, right), tols.for_fns(f),
+        witness=_witness(f=f), details={"rotation_invariant": f.is_rotation_invariant()})
 
 
-def check_bm_rearrangement(f: QCFunction, g: QCFunction) -> CheckReport:
+def check_bm_rearrangement(f: QCFunction, g: QCFunction,
+                           tols: Tolerances = DEFAULT_TOLS) -> CheckReport:
     """(f oplus g)* dominates f* oplus g*, levelwise in the ball radii."""
     n = f.dim
     wn = UNIT_BALL_VOLUME[n]
@@ -157,13 +138,15 @@ def check_bm_rearrangement(f: QCFunction, g: QCFunction) -> CheckReport:
         "integral_lhs": integral(s),
         "integral_rhs": integral(oplus(sdr(f), sdr(g))),
     }
-    return _radius_report(
+    tol = tols.for_fns(f, g)
+    return judge(
         "bm-rearrangement",
         "(f oplus g)* >= f* oplus g* (levelwise Brunn-Minkowski)",
-        heights, lhs, rhs, _tol_for(f, g), _witness(f=f, g=g), details)
+        tol=tol, witness=_witness(f=f, g=g), **_levelwise(heights, lhs, rhs, tol, details))
 
 
-def check_gen_bm(phi: SizeFunctional, f: QCFunction, g: QCFunction) -> CheckReport:
+def check_gen_bm(phi: SizeFunctional, f: QCFunction, g: QCFunction,
+                 tols: Tolerances = DEFAULT_TOLS) -> CheckReport:
     """(f oplus g)^Phi dominates f^Phi oplus g^Phi for any size functional."""
     heights = _sample_heights(f, g)
     lhs, rhs = [], []
@@ -176,26 +159,27 @@ def check_gen_bm(phi: SizeFunctional, f: QCFunction, g: QCFunction) -> CheckRepo
         "functional": phi.name or f"degree-{phi.degree}",
         "rotation_invariant": f.is_rotation_invariant() and g.is_rotation_invariant(),
     }
-    return _radius_report(
+    tol = tols.for_fns(f, g)
+    return judge(
         "gen-bm",
         "(f oplus g)^Phi >= f^Phi oplus g^Phi (generalized Brunn-Minkowski)",
-        heights, lhs, rhs, _tol_for(f, g), _witness(f=f, g=g), details)
+        tol=tol, witness=_witness(f=f, g=g), **_levelwise(heights, lhs, rhs, tol, details))
 
 
 def check_gen_bm_bodies(phi: SizeFunctional, a: ConvexBody, b: ConvexBody,
-                        tol: float | None = None) -> CheckReport:
+                        tols: Tolerances = DEFAULT_TOLS) -> CheckReport:
     """Body form: Phi(A+B)^(1/m) >= Phi(A)^(1/m) + Phi(B)^(1/m)."""
-    tol = TOL_EXACT if tol is None else tol
     left = _ball_radius(phi, minkowski_sum(a, b))
     right = _ball_radius(phi, a) + _ball_radius(phi, b)
-    return _scalar_report(
+    return judge(
         "gen-bm-bodies",
         "(A + B)^Phi contains A^Phi + B^Phi (generalized Brunn-Minkowski)",
-        left, right, tol, _witness(a=a, b=b),
-        details={"functional": phi.name or f"degree-{phi.degree}"})
+        left, right, (left - right) / pair_scale(left, right), tols.exact,
+        witness=_witness(a=a, b=b), details={"functional": phi.name or f"degree-{phi.degree}"})
 
 
-def check_alexandrov_rearrangement(f: QCFunction, i: int, j: int) -> CheckReport:
+def check_alexandrov_rearrangement(f: QCFunction, i: int, j: int,
+                                   tols: Tolerances = DEFAULT_TOLS) -> CheckReport:
     """f^{W_j} dominates f^{W_i} for i < j (levelwise radii)."""
     n = f.dim
     if not 0 <= i < j < n:
@@ -207,14 +191,17 @@ def check_alexandrov_rearrangement(f: QCFunction, i: int, j: int) -> CheckReport
         body = f.level_set(float(t))
         lhs.append((quermassintegral_body(body, j) / wn) ** (1.0 / (n - j)))
         rhs.append((quermassintegral_body(body, i) / wn) ** (1.0 / (n - i)))
-    return _radius_report(
+    tol = tols.for_fns(f)
+    return judge(
         "alexandrov-rearrangement",
         "f^{W_j} >= f^{W_i} for i < j; equality iff f is rotation invariant",
-        heights, lhs, rhs, _tol_for(f), _witness(f=f, i=i, j=j),
-        details={"i": i, "j": j, "rotation_invariant": f.is_rotation_invariant()})
+        tol=tol, witness=_witness(f=f, i=i, j=j),
+        **_levelwise(heights, lhs, rhs, tol, {
+            "i": i, "j": j, "rotation_invariant": f.is_rotation_invariant()}))
 
 
-def check_af(phi: SizeFunctional, fs: Sequence[QCFunction]) -> CheckReport:
+def check_af(phi: SizeFunctional, fs: Sequence[QCFunction],
+             tols: Tolerances = DEFAULT_TOLS) -> CheckReport:
     """Mixed integrals dominate those of the Phi-rearranged functions."""
     fs = list(fs)
     if len(fs) != phi.degree:
@@ -222,30 +209,31 @@ def check_af(phi: SizeFunctional, fs: Sequence[QCFunction]) -> CheckReport:
     refs = [indicator(ref) for ref in phi.references]
     left = mixed_integral(fs + refs)
     right = mixed_integral([phi_rearrange(phi, f) for f in fs] + refs)
-    return _scalar_report(
+    return judge(
         "af",
         "V(f_1, ..., f_m, refs) >= V(f_1^Phi, ..., f_m^Phi, refs) "
         "(Alexandrov-Fenchel, rearranged form)",
-        left, right, _tol_for(*fs), _witness(**{f"f{k}": f for k, f in enumerate(fs)}),
+        left, right, (left - right) / pair_scale(left, right), tols.for_fns(*fs),
+        witness=_witness(**{f"f{k}": f for k, f in enumerate(fs)}),
         details={"functional": phi.name or f"degree-{phi.degree}",
                  "rotation_invariant": all(f.is_rotation_invariant() for f in fs)})
 
 
 def check_af_bodies(phi: SizeFunctional, bodies: Sequence[ConvexBody],
-                    tol: float | None = None) -> CheckReport:
+                    tols: Tolerances = DEFAULT_TOLS) -> CheckReport:
     """Body form: V(A_1, ..., A_m, refs) >= prod Phi(A_i)^(1/m)."""
     from .mixed_volumes import mixed_volume
 
-    tol = TOL_EXACT if tol is None else tol
     bodies = list(bodies)
     left = mixed_volume(bodies + list(phi.references))
     right = 1.0
     for b in bodies:
         right *= phi.eval_body(b) ** (1.0 / phi.degree)
-    return _scalar_report(
+    return judge(
         "af-bodies",
         "V(A_1, ..., A_m, refs)^m >= prod_i Phi(A_i) (Alexandrov-Fenchel)",
-        left, right, tol, _witness(**{f"a{k}": b for k, b in enumerate(bodies)}),
+        left, right, (left - right) / pair_scale(left, right), tols.exact,
+        witness=_witness(**{f"a{k}": b for k, b in enumerate(bodies)}),
         details={"functional": phi.name or f"degree-{phi.degree}"})
 
 
@@ -258,7 +246,8 @@ def exponential_reference_quermass(n: int, i: int) -> float:
     return UNIT_BALL_VOLUME[n] * float(gamma(n - i + 1))
 
 
-def check_moment_logconcavity(profile: Profile, p_grid: Sequence[float]) -> CheckReport:
+def check_moment_logconcavity(profile: Profile, p_grid: Sequence[float],
+                              tols: Tolerances = DEFAULT_TOLS) -> CheckReport:
     """phi(p) = moment(p) / Gamma(p+1) is log-concave for log-concave profiles;
     also checks the derived moment comparison for (k, m) = (1, 2)."""
     if not profile.is_log_concave():
@@ -274,28 +263,23 @@ def check_moment_logconcavity(profile: Profile, p_grid: Sequence[float]) -> Chec
         margins.append(logs[k] - (theta * logs[k - 1] + (1 - theta) * logs[k + 1]))
     moment_lhs = (profile.moment(2.0) / float(gamma(3))) ** (1.0 / 3.0)
     moment_rhs = (profile.moment(1.0) / float(gamma(2))) ** (1.0 / 2.0)
-    margin = min(min(margins), float(moment_rhs - moment_lhs))
+    # np.min, unlike min, lets a NaN through to the judge
+    margin = float(np.min(margins + [moment_rhs - moment_lhs]))
     is_exp = isinstance(profile, StretchedExponentialProfile) and profile.p == 1.0
-    tol = TOL_QUAD if not is_exp else TOL_EXACT
-    if margin < -tol:
-        verdict = "violated"
-    elif max(abs(m) for m in margins) <= tol:
-        verdict = "holds-with-equality"
-    else:
-        verdict = "holds"
-    return CheckReport(
-        name="moment-logconcavity",
-        statement="p -> moment(p) / Gamma(p+1) is log-concave; "
-                  "normalized moments decrease in the order, equality only "
-                  "for exponential profiles",
-        left=float(moment_rhs), right=float(moment_lhs), margin=float(margin),
-        verdict=verdict, tol=tol,
+    tol = tols.quad if not is_exp else tols.exact
+    return judge(
+        "moment-logconcavity",
+        "p -> moment(p) / Gamma(p+1) is log-concave; "
+        "normalized moments decrease in the order, equality only "
+        "for exponential profiles",
+        float(moment_rhs), float(moment_lhs), margin, tol,
+        equality=max(abs(m) for m in margins) <= tol,
         details={"p_grid": ps.tolist(), "normalized_moments": vals.tolist(),
-                 "exponential": is_exp},
-        witness=None)
+                 "exponential": is_exp})
 
 
-def check_lc_alexandrov(f: QCFunction, k: int, m: int) -> CheckReport:
+def check_lc_alexandrov(f: QCFunction, k: int, m: int,
+                        tols: Tolerances = DEFAULT_TOLS) -> CheckReport:
     """Normalized quermassintegral chain against the exponential reference."""
     n = f.dim
     if not 0 <= k < m < n:
@@ -308,15 +292,16 @@ def check_lc_alexandrov(f: QCFunction, k: int, m: int) -> CheckReport:
         ** (1.0 / (n - k))
     exp_profile = isinstance(f, RadialQC) and f.base.is_ball and \
         isinstance(f.profile, StretchedExponentialProfile) and f.profile.p == 1.0
-    return _scalar_report(
+    return judge(
         "lc-alexandrov",
         "(W_k(f)/W_k(g))^(1/(n-k)) <= (W_m(f)/W_m(g))^(1/(n-m)) for g = exp(-|x|), "
         "equality iff f = exp(-c|x|)",
-        left, right, TOL_QUAD, _witness(f=f, k=k, m=m),
+        left, right, (left - right) / pair_scale(left, right), tols.quad,
+        witness=_witness(f=f, k=k, m=m),
         details={"k": k, "m": m, "exponential_profile": exp_profile})
 
 
-def check_lc_isoperimetric(f: QCFunction) -> CheckReport:
+def check_lc_isoperimetric(f: QCFunction, tols: Tolerances = DEFAULT_TOLS) -> CheckReport:
     """Sharp isoperimetric bound S(f) >= (int f)^((n-1)/n) S(g)/(int g)^((n-1)/n)."""
     n = f.dim
     if not f.is_log_concave():
@@ -327,11 +312,12 @@ def check_lc_isoperimetric(f: QCFunction) -> CheckReport:
     right = integral(f) ** ((n - 1) / n) * s_g / int_g ** ((n - 1) / n)
     exp_profile = isinstance(f, RadialQC) and f.base.is_ball and \
         isinstance(f.profile, StretchedExponentialProfile) and f.profile.p == 1.0
-    return _scalar_report(
+    return judge(
         "lc-isoperimetric",
         "S(f) >= (int f)^((n-1)/n) * S(g) / (int g)^((n-1)/n) for g = exp(-|x|), "
         "equality iff f = exp(-c|x|)",
-        left, right, TOL_QUAD, _witness(f=f),
+        left, right, (left - right) / pair_scale(left, right), tols.quad,
+        witness=_witness(f=f),
         details={"exponential_profile": exp_profile})
 
 
@@ -374,71 +360,72 @@ def counterexample_values(family: str, a: float) -> dict:
 # harness
 # ---------------------------------------------------------------------------
 
-def _trial_isoperimetric(rng, dim):
-    return check_isoperimetric_qc(random_stack(rng, dim))
+def _trial_isoperimetric(rng, dim, tols):
+    return check_isoperimetric_qc(random_stack(rng, dim), tols)
 
 
-def _trial_bm(rng, dim):
-    return check_bm_rearrangement(random_stack(rng, dim), random_stack(rng, dim))
+def _trial_bm(rng, dim, tols):
+    return check_bm_rearrangement(random_stack(rng, dim), random_stack(rng, dim), tols)
 
 
-def _trial_gen_bm(rng, dim):
+def _trial_gen_bm(rng, dim, tols):
     phi = random_size_functional(rng, dim)
-    return check_gen_bm(phi, random_stack(rng, dim), random_stack(rng, dim))
+    return check_gen_bm(phi, random_stack(rng, dim), random_stack(rng, dim), tols)
 
 
-def _trial_gen_bm_bodies(rng, dim):
+def _trial_gen_bm_bodies(rng, dim, tols):
     phi = random_size_functional(rng, dim)
-    return check_gen_bm_bodies(phi, random_polytope(rng, dim), random_polytope(rng, dim))
+    return check_gen_bm_bodies(phi, random_polytope(rng, dim), random_polytope(rng, dim),
+                               tols)
 
 
-def _trial_alexandrov(rng, dim):
+def _trial_alexandrov(rng, dim, tols):
     if dim < 2:
         raise ValueError("needs n >= 2")
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     i, j = pairs[int(rng.integers(len(pairs)))]
-    return check_alexandrov_rearrangement(random_stack(rng, dim), i, j)
+    return check_alexandrov_rearrangement(random_stack(rng, dim), i, j, tols)
 
 
-def _trial_af(rng, dim):
+def _trial_af(rng, dim, tols):
     # degree 1 functionals make the inequality an identity; draw m >= 2
     m = int(rng.integers(2, dim + 1)) if dim > 1 else 1
     refs = tuple(random_polytope(rng, dim, origin_interior=True)
                  for _ in range(dim - m))
     phi = SizeFunctional(dim=dim, degree=m, references=refs)
-    return check_af(phi, [random_stack(rng, dim) for _ in range(m)])
+    return check_af(phi, [random_stack(rng, dim) for _ in range(m)], tols)
 
 
-def _trial_af_bodies(rng, dim):
+def _trial_af_bodies(rng, dim, tols):
     m = int(rng.integers(2, dim + 1)) if dim > 1 else 1
     refs = tuple(random_polytope(rng, dim, origin_interior=True)
                  for _ in range(dim - m))
     phi = SizeFunctional(dim=dim, degree=m, references=refs)
-    return check_af_bodies(phi, [random_polytope(rng, dim) for _ in range(m)])
+    return check_af_bodies(phi, [random_polytope(rng, dim) for _ in range(m)], tols)
 
 
-def _trial_moments(rng, dim):
+def _trial_moments(rng, dim, tols):
     profile = random_radial(rng, dim, log_concave=True).profile
     grid = np.sort(rng.uniform(0.0, 5.0, 7))
     grid = np.unique(np.round(grid, 6))
     while len(grid) < 3:
         grid = np.append(grid, grid[-1] + 1.0)
-    return check_moment_logconcavity(profile, grid.tolist())
+    return check_moment_logconcavity(profile, grid.tolist(), tols)
 
 
-def _trial_lc_alexandrov(rng, dim):
+def _trial_lc_alexandrov(rng, dim, tols):
     if dim < 2:
         raise ValueError("needs n >= 2")
     pairs = [(k, m) for k in range(dim) for m in range(k + 1, dim)]
     k, m = pairs[int(rng.integers(len(pairs)))]
-    return check_lc_alexandrov(random_radial(rng, dim, log_concave=True), k, m)
+    return check_lc_alexandrov(random_radial(rng, dim, log_concave=True), k, m, tols)
 
 
-def _trial_lc_isoperimetric(rng, dim):
-    return check_lc_isoperimetric(random_radial(rng, dim, log_concave=True))
+def _trial_lc_isoperimetric(rng, dim, tols):
+    return check_lc_isoperimetric(random_radial(rng, dim, log_concave=True), tols)
 
 
-def _trial_sandwich(rng, dim):
+def _trial_sandwich(rng, dim, tols):
     from .duality import sandwich_check
     from .generators import random_geom_convex_fn
     from .grids import GridSpec
@@ -451,7 +438,7 @@ def _trial_sandwich(rng, dim):
     return sandwich_check(fns, lams, GridSpec.cube(4.0, dim, npts))
 
 
-def _trial_polarity(rng, dim):
+def _trial_polarity(rng, dim, tols):
     from .duality import polarity_sandwich_check
     from .generators import conditioned_geom_convex_fn
 
@@ -479,8 +466,12 @@ CHECKS = {
 MIN_DIM = {"alexandrov-rearrangement": 2, "lc-alexandrov": 2}
 
 
-def run_check(name: str, seed: int = 0, trials: int = 100, dim: int = 2) -> list[CheckReport]:
-    """Run seeded trials of one named check; deterministic in (seed, trials, dim)."""
+def run_check(name: str, seed: int = 0, trials: int = 100, dim: int = 2,
+              tols: Tolerances = DEFAULT_TOLS) -> list[CheckReport]:
+    """Run seeded trials of one named check; deterministic in (seed, trials, dim).
+
+    Every trial is called as ``CHECKS[name](rng, dim, tols)``; the sandwich
+    and polarity checks keep their own lattice and 1e-9 tolerances."""
     if name not in CHECKS:
         raise KeyError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
     if dim < MIN_DIM.get(name, 1):
@@ -489,19 +480,20 @@ def run_check(name: str, seed: int = 0, trials: int = 100, dim: int = 2) -> list
     out = []
     for trial in range(trials):
         rng = rng_for(seed, trial)
-        out.append(fn(rng, dim))
+        out.append(fn(rng, dim, tols))
     return out
 
 
 def run_all(seed: int = 0, trials: int = 100, dim: int = 2,
-            names: Optional[Sequence[str]] = None) -> dict[str, list[CheckReport]]:
+            names: Optional[Sequence[str]] = None,
+            tols: Tolerances = DEFAULT_TOLS) -> dict[str, list[CheckReport]]:
     """Run every named check in sorted order; results keyed by name.
 
     Checks whose minimum dimension exceeds ``dim`` are skipped.
     """
     names = sorted(names or CHECKS)
     names = [n for n in names if dim >= MIN_DIM.get(n, 1)]
-    return {name: run_check(name, seed, trials, dim) for name in names}
+    return {name: run_check(name, seed, trials, dim, tols) for name in names}
 
 
 def summarize(results: dict[str, list[CheckReport]]) -> list[dict]:

@@ -3,7 +3,9 @@
 Exit codes: 0 on success with every verdict in {holds, holds-with-equality},
 1 when any check is violated, 2 on malformed input.  Identical seed and
 configuration produce byte-identical output files (keys sorted, no
-timestamps).
+timestamps).  Every flag applies to its own call only: handlers read the
+validated ``RunConfig``, the tolerances travel into the checks as arguments
+and ``--panels`` caps quadrature inside a ``quadrature.node_cap`` block.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ import numpy as np
 
 from . import quadrature
 from .bodies import body_from_json
-from . import checks
-from .checks import CHECKS, run_all, summarize
+from .checks import CHECKS, Tolerances, run_all, summarize
 from .duality import GeomConvexFn, polarity_sandwich_check
 from .errors import ArityMismatch, DimensionMismatch, InputParse, QcvxError
 from .grids import GridSpec
@@ -69,6 +70,10 @@ class RunConfig:
             raise InputParse("dimension must be 1, 2 or 3")
         if self.node_cap is not None and self.node_cap < 1:
             raise InputParse("--panels must be at least 1")
+
+    @property
+    def tolerances(self) -> Tolerances:
+        return Tolerances(self.tol_exact, self.tol_quad)
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
@@ -124,7 +129,7 @@ def _grid_size(args) -> int:
 
 # -- subcommand handlers -----------------------------------------------------
 
-def cmd_mixed_volume(args) -> int:
+def cmd_mixed_volume(args, config: RunConfig) -> int:
     bodies = [body_from_json(obj) for obj in _load_json(args.bodies)]
     value = mixed_volume(bodies)
     poly = minkowski_polynomial(bodies)
@@ -134,25 +139,25 @@ def cmd_mixed_volume(args) -> int:
     return 0
 
 
-def cmd_integral(args) -> int:
+def cmd_integral(args, config: RunConfig) -> int:
     f = fn_from_json(_load_json(args.fn))
     _emit({"value": integral(f)}, args)
     return 0
 
 
-def cmd_mixed_integral(args) -> int:
+def cmd_mixed_integral(args, config: RunConfig) -> int:
     fs = [fn_from_json(obj) for obj in _load_json(args.fns)]
     _emit({"value": mixed_integral(fs)}, args)
     return 0
 
 
-def cmd_quermass(args) -> int:
+def cmd_quermass(args, config: RunConfig) -> int:
     f = fn_from_json(_load_json(args.fn))
     _emit({"value": quermassintegral_fn(f, args.k), "k": args.k}, args)
     return 0
 
 
-def cmd_oplus(args) -> int:
+def cmd_oplus(args, config: RunConfig) -> int:
     f = fn_from_json(_load_json(args.f))
     g = fn_from_json(_load_json(args.g))
     s = oplus(f, g)
@@ -165,7 +170,7 @@ def cmd_oplus(args) -> int:
     return 0
 
 
-def cmd_oracle_compare(args) -> int:
+def cmd_oracle_compare(args, config: RunConfig) -> int:
     from .qc import supmin_bracket
 
     f = fn_from_json(_load_json(args.f))
@@ -181,7 +186,7 @@ def cmd_oracle_compare(args) -> int:
     return 0 if result["ok"] else 1
 
 
-def cmd_rearrange(args) -> int:
+def cmd_rearrange(args, config: RunConfig) -> int:
     f = fn_from_json(_load_json(args.fn))
     phi = _functional_from_flag(args.functional, f.dim)
     out = phi_rearrange(phi, f)
@@ -189,7 +194,7 @@ def cmd_rearrange(args) -> int:
     return 0
 
 
-def cmd_duality_check(args) -> int:
+def cmd_duality_check(args, config: RunConfig) -> int:
     spec = _load_json(args.phi)
     domain = body_from_json(spec["domain"]) if spec.get("domain") else None
     phi = GeomConvexFn.from_pieces(spec["slopes"], spec.get("offsets"), domain)
@@ -199,22 +204,28 @@ def cmd_duality_check(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-def cmd_check(args) -> int:
-    names = sorted(CHECKS) if args.name == "all" else [args.name]
-    results = run_all(seed=args.seed, trials=args.trials, dim=args.dim, names=names)
-    rows = summarize(results)
-    out_prefix = args.out or "qcvx-check"
-    jsonl = Path(f"{out_prefix}.jsonl")
+def _write_results(results, jsonl: Path, csv_path: Path) -> list[dict]:
+    """Write every report as one JSONL row and the per-check summary as CSV;
+    return the summary rows."""
     with jsonl.open("w", encoding="utf-8") as fh:
         for name in sorted(results):
             for rep in results[name]:
                 fh.write(rep.to_json() + "\n")
-    csv_path = Path(f"{out_prefix}.csv")
+    rows = summarize(results)
     with csv_path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["name", "trials", "min_margin",
                                                 "equality_hits", "violations"])
         writer.writeheader()
         writer.writerows(rows)
+    return rows
+
+
+def cmd_check(args, config: RunConfig) -> int:
+    names = sorted(CHECKS) if args.name == "all" else [args.name]
+    results = run_all(config.seed, config.trials, config.dimension, names, config.tolerances)
+    out_prefix = args.out or "qcvx-check"
+    jsonl, csv_path = Path(f"{out_prefix}.jsonl"), Path(f"{out_prefix}.csv")
+    rows = _write_results(results, jsonl, csv_path)
     violations = sum(row["violations"] for row in rows)
     for row in rows:
         sys.stdout.write(
@@ -225,7 +236,7 @@ def cmd_check(args) -> int:
     return 1 if violations else 0
 
 
-def cmd_rescale(args) -> int:
+def cmd_rescale(args, config: RunConfig) -> int:
     f = fn_from_json(_load_json(args.fn))
     g = fn_from_json(_load_json(args.match))
     phi = _functional_from_flag(args.phi, f.dim)
@@ -234,7 +245,7 @@ def cmd_rescale(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_dilate(args) -> int:
+def cmd_dilate(args, config: RunConfig) -> int:
     f = fn_from_json(_load_json(args.fn))
     phi = _functional_from_flag(args.phi, f.dim)
     ft = dilate_to_exponential(phi, f)
@@ -245,7 +256,7 @@ def cmd_dilate(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, config: RunConfig) -> int:
     from .profiles import exponential_profile
     from .bodies import ConvexBody
     from .qc import epsilon_extension
@@ -254,17 +265,9 @@ def cmd_report(args) -> int:
     outdir = Path(args.out or "qcvx-report")
     outdir.mkdir(parents=True, exist_ok=True)
 
-    results = run_all(seed=args.seed, trials=args.trials, dim=args.dim)
-    with (outdir / "checks.jsonl").open("w", encoding="utf-8") as fh:
-        for name in sorted(results):
-            for rep in results[name]:
-                fh.write(rep.to_json() + "\n")
-    rows = summarize(results)
-    with (outdir / "summary.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["name", "trials", "min_margin",
-                                                "equality_hits", "violations"])
-        writer.writeheader()
-        writer.writerows(rows)
+    results = run_all(config.seed, config.trials, config.dimension,
+                      tols=config.tolerances)
+    rows = _write_results(results, outdir / "checks.jsonl", outdir / "summary.csv")
 
     # profile table: t vs Phi(level set) for exp(-|x|) under Vol and W1
     f = RadialQC(ConvexBody.ball(1.0, 2), exponential_profile(1.0))
@@ -397,14 +400,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = RunConfig.from_args(args)
-        # set on every call, so no flag outlives the call that gave it
-        quadrature.set_node_cap(config.node_cap or quadrature.DEFAULT_MAX_NODES)
-        checks.set_tolerances(config.tol_exact, config.tol_quad)
-        return args.handler(args)
-    except (InputParse, ArityMismatch, DimensionMismatch) as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 2
-    except (KeyError, ValueError, TypeError) as exc:
+        with quadrature.node_cap(config.node_cap or quadrature.DEFAULT_MAX_NODES):
+            return args.handler(args, config)
+    except (InputParse, ArityMismatch, DimensionMismatch,
+            KeyError, ValueError, TypeError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     except QcvxError as exc:

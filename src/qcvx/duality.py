@@ -34,7 +34,7 @@ from .bodies import (
 )
 from .errors import DimensionMismatch, GridTooCoarse
 from .grids import GridSpec, SampledField, lattice_convolution
-from .report import CheckReport
+from .report import CheckReport, judge
 
 
 @dataclass(frozen=True)
@@ -198,22 +198,14 @@ def sandwich_check(phis: Sequence[GeomConvexFn], lambdas: Sequence[float],
     # equality means one of the two bounds is tight at every lattice point
     tightness = float(np.max(np.minimum(lo_slack, hi_slack)[finite]))
     scale_val = max(1.0, float(np.max(np.abs(g2.values[finite]))) if finite.any() else 1.0)
-    rel_tol = tol / scale_val
-    if margin / scale_val < -rel_tol:
-        verdict = "violated"
-    elif tightness / scale_val <= 1e-9:
-        verdict = "holds-with-equality"
-    else:
-        verdict = "holds"
-    return CheckReport(
-        name="sandwich",
-        statement="inf-convolution and inf-max sum agree within the weight "
-                  "bounds: (sum lam)^-1 * box <= oplus <= (min lam)^-1 * box",
-        left=lower_margin, right=0.0, margin=margin / scale_val,
-        verdict=verdict, tol=rel_tol,
+    return judge(
+        "sandwich",
+        "inf-convolution and inf-max sum agree within the weight "
+        "bounds: (sum lam)^-1 * box <= oplus <= (min lam)^-1 * box",
+        lower_margin, 0.0, margin / scale_val, tol / scale_val,
+        equality=tightness / scale_val <= 1e-9,
         details={"lower_margin": lower_margin, "upper_margin": upper_margin,
-                 "lattice_tol": tol, "finite_points": int(finite.sum())},
-        witness=None)
+                 "lattice_tol": tol, "finite_points": int(finite.sum())})
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +340,10 @@ def polarity_sandwich_check(phi: GeomConvexFn, t: float) -> CheckReport:
     right_margin = float(np.min(h_2p - h_q))    # transform's set inside 2 * polar
     scale_val = max(1.0, float(np.max(h_2p)))
     margin = min(left_margin, right_margin)
-    rel_tol = 1e-9
-    verdict = "holds" if margin / scale_val >= -rel_tol else "violated"
-    return CheckReport(
-        name="polarity-sandwich",
-        statement="polars of the sublevel sets sandwich the sublevel sets of "
-                  "the ratio transform within a factor of 2",
-        left=left_margin, right=0.0, margin=margin / scale_val,
-        verdict=verdict, tol=rel_tol,
-        details={"t": t, "left_margin": left_margin, "right_margin": right_margin},
-        witness=None)
+    # a factor-2 sandwich has no equality case to report
+    return judge(
+        "polarity-sandwich",
+        "polars of the sublevel sets sandwich the sublevel sets of "
+        "the ratio transform within a factor of 2",
+        left_margin, 0.0, margin / scale_val, 1e-9, equality=False,
+        details={"t": t, "left_margin": left_margin, "right_margin": right_margin})

@@ -4,13 +4,17 @@ Integrals over heights t in (0, 1] use the substitution t = e^(-s), which
 turns every supported profile into a smooth integrand on [0, inf).  Panels
 are doubled until two successive composite estimates agree to 1e-10 relative,
 with a hard cap of 2^14 nodes; integrands that keep growing at the cap raise
-``DivergentIntegral``.
+``DivergentIntegral``.  ``node_cap`` lowers or raises the cap for the calls
+made inside one ``with`` block (the CLI's ``--panels``); outside any block the
+cap is 2^14.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -18,16 +22,22 @@ from .errors import DivergentIntegral
 
 NODES_PER_PANEL = 64
 DEFAULT_MAX_NODES = 2 ** 14
-MAX_NODES = DEFAULT_MAX_NODES
 REL_TOL = 1e-10
 
+_NODE_CAP: ContextVar[int] = ContextVar("qcvx_node_cap", default=DEFAULT_MAX_NODES)
 
-def set_node_cap(max_nodes: int) -> None:
-    """Override the global node cap (CLI --panels wiring); must be at least 1."""
-    global MAX_NODES
+
+@contextmanager
+def node_cap(max_nodes: int) -> Iterator[None]:
+    """Cap the quadrature nodes of every call made inside the block; the
+    previous cap comes back when the block exits.  Must be at least 1."""
     if max_nodes < 1:
         raise ValueError(f"node cap must be at least 1, got {max_nodes}")
-    MAX_NODES = int(max_nodes)
+    token = _NODE_CAP.set(int(max_nodes))
+    try:
+        yield
+    finally:
+        _NODE_CAP.reset(token)
 
 
 @lru_cache(maxsize=8)
@@ -55,8 +65,7 @@ def integrate_interval(fn, a: float, b: float, rel_tol: float = REL_TOL,
     """Adaptive composite GL on a finite interval, panels doubled until stable."""
     if b <= a:
         return 0.0
-    if max_nodes is None:
-        max_nodes = MAX_NODES
+    max_nodes = _NODE_CAP.get() if max_nodes is None else max_nodes
     panels = 1
     prev = integrate_fixed(fn, a, b, panels)
     while panels * 2 * NODES_PER_PANEL <= max_nodes:
@@ -78,8 +87,7 @@ def integrate_height(fn, lo: float = 0.0, hi: float = 1.0,
     """
     if hi <= lo:
         return 0.0
-    if max_nodes is None:
-        max_nodes = MAX_NODES
+    max_nodes = _NODE_CAP.get() if max_nodes is None else max_nodes
     if lo > 0.0:
         return integrate_interval(fn, lo, hi, rel_tol, max_nodes)
 
@@ -111,8 +119,7 @@ def integrate_height(fn, lo: float = 0.0, hi: float = 1.0,
 
 def integrate_radial(fn, rel_tol: float = REL_TOL, max_nodes: int | None = None) -> float:
     """Integral of fn(r) dr over [0, inf) on geometrically growing panels."""
-    if max_nodes is None:
-        max_nodes = MAX_NODES
+    max_nodes = _NODE_CAP.get() if max_nodes is None else max_nodes
     total = 0.0
     edge, width = 0.0, 1.0
     used = 0

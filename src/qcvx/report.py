@@ -1,22 +1,27 @@
-"""Check reports: one record per verified inequality instance."""
+"""Check reports, one record per verified inequality instance, and
+``judge``, the one rule that decides their verdicts."""
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
+
+from .errors import NumericalFailure
 
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one inequality check.
+    """Outcome of one inequality check, built only by ``judge``.
 
-    ``margin`` is left - right (or the minimum containment slack); the verdict
-    is measured relative to scale = max(|left|, |right|, 1):
-
-        holds                margin / scale >  tol
-        holds-with-equality  |margin| / scale <= tol
-        violated             margin / scale < -tol  (witness attached)
+    ``margin`` is each check's own slack: left - right over ``pair_scale``
+    for the scalar harness checks, the worst relative gap for the levelwise,
+    lattice and support-function checks, and the absolute left - right
+    (judged at ``pair_scale``) for the reshape reports.  ``verdict`` follows
+    ``judge``: ``violated`` exactly when the relative margin is below -tol
+    (witness attached), ``holds-with-equality`` when the check's own
+    equality test passed, and ``holds`` otherwise.
     """
 
     name: str
@@ -49,23 +54,28 @@ class CheckReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def verdict_for(margin: float, scale: float, tol: float) -> str:
-    rel = margin / max(abs(scale), 1.0)
-    if rel < -tol:
-        return "violated"
-    if abs(rel) <= tol:
-        return "holds-with-equality"
-    return "holds"
+def pair_scale(left: float, right: float) -> float:
+    """The scale a left/right comparison is judged at: max(|left|, |right|, 1)."""
+    return max(abs(left), abs(right), 1.0)
 
 
-def make_report(name: str, statement: str, left: float, right: float, tol: float,
-                details: Optional[dict] = None, witness: Optional[dict] = None,
-                margin: Optional[float] = None) -> CheckReport:
-    """Build a report from left/right values (margin defaults to left - right)."""
-    margin = (left - right) if margin is None else margin
-    scale = max(abs(left), abs(right), 1.0)
-    verdict = verdict_for(margin, scale, tol)
+def judge(name: str, statement: str, left: float, right: float, margin: float,
+          tol: float, *, scale: float = 1.0, equality: Optional[bool] = None,
+          details: Optional[dict] = None, witness: Optional[dict] = None) -> CheckReport:
+    """Decide a verdict and build its report; every check comes through here.
+
+    The relative margin is ``margin / scale``.  The verdict is ``violated``
+    iff it is below ``-tol``, ``holds-with-equality`` iff the caller's
+    ``equality`` test passed (by default: the relative margin is within
+    ``tol`` of 0), and ``holds`` otherwise.  The witness is kept only on a
+    violation.  A margin that is not finite raises ``NumericalFailure``.
+    """
+    rel = margin / scale
+    if not math.isfinite(rel):
+        raise NumericalFailure(f"{name}: margin {margin!r} at scale {scale!r} is not finite")
+    if equality is None:
+        equality = abs(rel) <= tol
+    verdict = "violated" if rel < -tol else "holds-with-equality" if equality else "holds"
     return CheckReport(name=name, statement=statement, left=left, right=right,
-                       margin=margin, verdict=verdict, tol=tol,
-                       details=details or {},
+                       margin=margin, verdict=verdict, tol=tol, details=details or {},
                        witness=witness if verdict == "violated" else None)

@@ -48,7 +48,7 @@ from .qc import (
 )
 from .quadrature import integrate_height
 from .rearrange import SizeFunctional
-from .report import CheckReport, make_report
+from .report import CheckReport, judge, pair_scale
 
 PROFILE_GRID = 128
 MATCH_TOL = 1e-8
@@ -276,11 +276,11 @@ def rescaled_bm(phi: SizeFunctional, f: QCFunction, g: QCFunction,
     m = phi.degree
     left = phi.eval_fn(oplus(ft, g)) ** (1.0 / m)
     right = phi.eval_fn(ft) ** (1.0 / m) + phi.eval_fn(g) ** (1.0 / m)
-    report = make_report(
+    report = judge(
         "rescaled-bm",
         "after matching the size profiles, Phi(f oplus g)^(1/m) >= "
         "Phi(f)^(1/m) + Phi(g)^(1/m)",
-        left, right, MATCH_TOL,
+        left, right, left - right, MATCH_TOL, scale=pair_scale(left, right),
         details={"match_residual": match_residual(phi, ft, g),
                  "normalize": normalize})
     return ft, report
@@ -324,11 +324,12 @@ def rescaled_af(reference_bodies: Sequence[ConvexBody],
             prod *= integral(ft)
         details["corollary_left"] = corollary_left
         details["corollary_right"] = prod ** (1.0 / n)
-    return make_report(
+    return judge(
         "rescaled-af",
         "after rescaling every operand to the universal anchor, "
         "V(f_1, ..., f_m, refs)^m >= prod_i V(f_i, ..., f_i, refs)",
-        left, right, MATCH_TOL, details=details)
+        left, right, left - right, MATCH_TOL, scale=pair_scale(left, right),
+        details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +418,12 @@ def dilation_nesting_report(f_tilde: QCFunction,
         if not contains(lower, upper, 1e-9):
             failures += 1
     margin = 0.0 if failures == 0 else -1.0
-    return CheckReport(
-        name="dilation-nesting",
-        statement="dilated level sets stay nested as the height drops",
-        left=margin, right=0.0, margin=margin,
-        verdict="holds" if failures == 0 else "violated", tol=1e-9,
-        details={"heights": heights.tolist(), "failures": failures}, witness=None)
+    # nesting is pass/fail, so it has no equality case to report
+    return judge(
+        "dilation-nesting",
+        "dilated level sets stay nested as the height drops",
+        margin, 0.0, margin, 1e-9, equality=False,
+        details={"heights": heights.tolist(), "failures": failures})
 
 
 def dilated_checks(phi: SizeFunctional, f: QCFunction, g: QCFunction) -> CheckReport:
@@ -433,11 +434,11 @@ def dilated_checks(phi: SizeFunctional, f: QCFunction, g: QCFunction) -> CheckRe
     m = phi.degree
     left = phi.eval_fn(oplus(ft, gt)) ** (1.0 / m)
     right = phi.eval_fn(ft) ** (1.0 / m) + phi.eval_fn(gt) ** (1.0 / m)
-    return make_report(
+    return judge(
         "dilated-bm",
         "after dilating both operands to the exponential law, "
         "Phi(f oplus g)^(1/m) >= Phi(f)^(1/m) + Phi(g)^(1/m)",
-        left, right, MATCH_TOL,
+        left, right, left - right, MATCH_TOL, scale=pair_scale(left, right),
         details={"nesting_f": dilation_nesting_report(ft).ok,
                  "nesting_g": dilation_nesting_report(gt).ok})
 
@@ -459,11 +460,12 @@ def dilated_af(reference_bodies: Sequence[ConvexBody],
     right = 1.0
     for ft in tilde:
         right *= mixed_integral([ft] * m + ref_inds)
-    return make_report(
+    return judge(
         "dilated-af",
         "after dilating every operand to the exponential law, "
         "V(f_1, ..., f_m, refs)^m >= prod_i V(f_i, ..., f_i, refs)",
-        left, right, MATCH_TOL, details={"m": m, "n": n})
+        left, right, left - right, MATCH_TOL, scale=pair_scale(left, right),
+        details={"m": m, "n": n})
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,12 @@ from qcvx.checks import (
     run_check,
     summarize,
 )
-from qcvx.errors import IndexOutOfRange, NotLogConcave
+from qcvx.errors import IndexOutOfRange, NotLogConcave, NumericalFailure
 from qcvx.generators import random_stack, rng_for
 from qcvx.profiles import GaussianProfile, PowerLawProfile, exponential_profile
 from qcvx.qc import RadialQC, indicator, odot
 from qcvx.rearrange import SizeFunctional
+from qcvx.report import judge, pair_scale
 
 EXP_DISC = RadialQC(ConvexBody.ball(1.0, 2), exponential_profile(1.0))
 
@@ -241,8 +242,39 @@ def test_run_all_summary_shape():
 
 def test_violated_verdict_carries_witness():
     # force a violation by lying about which inequality should hold
-    from qcvx.checks import _radius_report, _witness
-    rep = _radius_report("fake", "left >= right", [1.0], [0.5], [2.0],
-                         1e-9, _witness(f=EXP_DISC))
+    from qcvx.checks import _levelwise, _witness
+    tol = 1e-9
+    rep = judge("fake", "left >= right", tol=tol, witness=_witness(f=EXP_DISC),
+                **_levelwise([1.0], [0.5], [2.0], tol, {}))
     assert rep.verdict == "violated"
+    assert rep.margin == -0.75 and (rep.left, rep.right) == (0.5, 2.0)
     assert rep.witness is not None and "f" in rep.witness
+    held = judge("fake", "left >= right", 2.0, 0.5, 0.75, tol, witness=_witness(f=EXP_DISC))
+    assert held.verdict == "holds" and held.witness is None
+
+
+def test_judge_equality_is_the_callers_test():
+    assert judge("x", "s", 1.0, 1.0, 0.0, 1e-9).verdict == "holds-with-equality"
+    assert judge("x", "s", 1.0, 1.0, 0.0, 1e-9, equality=False).verdict == "holds"
+    # the absolute margin 2e-9 is 1e-9 relative at scale 2
+    assert judge("x", "s", 2.0, 2.0 + 2e-9, -2e-9, 1e-9,
+                 scale=2.0).verdict == "holds-with-equality"
+    assert judge("x", "s", 2.0, 2.0 + 4e-9, -4e-9, 1e-9, scale=2.0).verdict == "violated"
+
+
+@pytest.mark.parametrize("left, right", [(math.nan, 1.0), (1.0, math.nan),
+                                         (math.inf, math.inf), (-math.inf, 1.0)])
+def test_non_finite_margin_raises_naming_the_check(left, right):
+    with pytest.raises(NumericalFailure, match="lc-isoperimetric"):
+        judge("lc-isoperimetric", "s", left, right,
+              (left - right) / pair_scale(left, right), 1e-6)
+    with pytest.raises(NumericalFailure, match="rescaled-bm"):
+        judge("rescaled-bm", "s", left, right, left - right, 1e-9,
+              scale=pair_scale(left, right))
+
+
+def test_one_nan_height_raises():
+    from qcvx.checks import _levelwise
+    with pytest.raises(NumericalFailure, match="bm-rearrangement"):
+        judge("bm-rearrangement", "s", tol=1e-9,
+              **_levelwise([1.0, 0.5], [1.0, math.nan], [0.5, 0.5], 1e-9, {}))

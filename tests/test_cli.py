@@ -194,7 +194,8 @@ def test_zero_panels_exits_two(workdir, capsys):
     assert main(["integral", fn, "--panels", "0"]) == 2
     assert "panels" in capsys.readouterr().err
     with pytest.raises(ValueError):
-        quadrature.set_node_cap(0)
+        with quadrature.node_cap(0):
+            pass
 
 
 def test_overflowing_mixed_volume_exits_one(workdir, capsys):
@@ -218,34 +219,57 @@ def test_csv_format(workdir, capsys):
     assert float(value) == pytest.approx(2 * math.pi, rel=1e-10)
 
 
+def _tols(path):
+    return {json.loads(line)["tol"] for line in path.read_text(encoding="utf-8").splitlines()}
+
+
 def test_tolerance_flags_are_wired(workdir, capsys):
-    import qcvx.checks as checks
-    before = (checks.TOL_EXACT, checks.TOL_QUAD)
-    try:
-        assert main(["check", "af-bodies", "--trials", "2",
-                     "--tol-exact", "1e-7", "--tol-quad", "1e-4"]) == 0
-        assert (checks.TOL_EXACT, checks.TOL_QUAD) == (1e-7, 1e-4)
-    finally:
-        checks.set_tolerances(*before)
+    flags = ["--trials", "2", "--tol-exact", "1e-7", "--tol-quad", "1e-4"]
+    # af-bodies is judged at the exact tolerance, lc-isoperimetric at the quadrature one
+    assert main(["check", "af-bodies", "--out", "exact"] + flags) == 0
+    assert main(["check", "lc-isoperimetric", "--out", "quad"] + flags) == 0
+    assert _tols(workdir / "exact.jsonl") == {1e-7}
+    assert _tols(workdir / "quad.jsonl") == {1e-4}
+
+
+# a mixed integral of two radial functions on different bases needs a height
+# integral from t = 0: four panels of nodes, so a cap of 128 cannot settle it
+NEEDS_QUADRATURE = [
+    {"type": "radial", "base": {"type": "ball", "radius": 1.0, "dim": 2},
+     "profile": {"kind": "stretched", "c": 1.0, "p": 1.5}},
+    {"type": "radial", "base": {"type": "polytope",
+                                "vertices": [[-1, -1], [1, -1], [-1, 1], [1, 1]]},
+     "profile": {"kind": "exp", "c": 1.0}}]
 
 
 def test_flags_do_not_leak_into_later_calls(workdir, capsys):
-    import qcvx.checks as checks
+    from qcvx.checks import run_all
     run = ["check", "af-bodies", "--trials", "2", "--seed", "3"]
-    fn = _write(workdir / "f.json", EXP_DISC)
-    try:
-        assert main(run + ["--out", "fresh"]) == 0
-        assert main(run + ["--out", "flagged", "--tol-exact", "1e-7",
-                           "--tol-quad", "1e-4"]) == 0
-        assert main(run + ["--out", "after"]) == 0
-        assert (workdir / "after.jsonl").read_bytes() == (workdir / "fresh.jsonl").read_bytes()
-        assert (workdir / "flagged.jsonl").read_bytes() != (workdir / "fresh.jsonl").read_bytes()
-        assert main(["integral", fn, "--panels", "128"]) == 0
-        assert main(["integral", fn]) == 0
-        assert quadrature.MAX_NODES == quadrature.DEFAULT_MAX_NODES
-    finally:
-        checks.set_tolerances(1e-9, 1e-6)
-        quadrature.set_node_cap(quadrature.DEFAULT_MAX_NODES)
+    assert main(run + ["--out", "fresh"]) == 0
+    assert main(run + ["--out", "flagged", "--tol-exact", "1e-7",
+                       "--tol-quad", "1e-4"]) == 0
+    assert main(run + ["--out", "after"]) == 0
+    assert (workdir / "after.jsonl").read_bytes() == (workdir / "fresh.jsonl").read_bytes()
+    assert _tols(workdir / "flagged.jsonl") == {1e-7}
+    assert _tols(workdir / "after.jsonl") == {1e-9}
+    library = run_all(seed=3, trials=1, names=["af-bodies", "lc-isoperimetric"])
+    assert [rep.tol for reps in library.values() for rep in reps] == [1e-9, 1e-6]
+
+    fns = _write(workdir / "fns.json", NEEDS_QUADRATURE)
+    assert main(["mixed-integral", fns, "--panels", "128"]) == 1
+    assert "node cap" in capsys.readouterr().err
+    assert main(["mixed-integral", fns]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] > 0.0
+
+
+def test_node_cap_is_scoped_to_the_block():
+    from qcvx.profiles import TableProfile
+    prof = TableProfile([0.0, 1.0, 2.0, 4.0], [1.0, 0.5, 0.1, 0.0])
+    full = prof.moment(1.0)
+    with quadrature.node_cap(64):
+        capped = prof.moment(1.0)
+    assert capped != full
+    assert prof.moment(1.0) == full
 
 
 def test_grid_size_below_two_exits_two(workdir, capsys):

@@ -355,6 +355,8 @@ def test_polarity_sandwich_abs_is_exact():
         assert rep.details["left_margin"] == 0.0
         assert rep.details["right_margin"] == pytest.approx(t, rel=1e-15)
         assert rep.margin == 0.0 and rep.tol == 1e-9
+        # a zero margin holds: the factor-2 sandwich never reports equality
+        assert rep.verdict == "holds"
 
 
 def test_polarity_margins_on_criterion_9_instances():
