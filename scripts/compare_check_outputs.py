@@ -17,15 +17,20 @@
         the full `to_json` record of the verdict sites `check all` does not
         reach, on fixed seeded inputs (`rescaled_bm`, `rescaled_af`,
         `dilated_checks`, `dilated_af`, `dilation_nesting_report` and
-        `polarity_sandwich_check`).  The qcvx package is the one Python
-        imports, so set PYTHONPATH to pick a checkout.
+        `polarity_sandwich_check`).  And `kernel.json`: the 3-D body kernel
+        on seeded polytopes, their pairwise Minkowski sums and homothets,
+        one record per body with its full-precision `volume`, facet-measure
+        total (`surface`), W1 and W2, and one record with V(K, L, M) of the
+        first three polytopes.  The qcvx package is the one Python imports,
+        so set PYTHONPATH to pick a checkout.
 
     compare_check_outputs.py diff OLD NEW
         Reports which files are byte-identical and, on the same line,
         whether every verdict is unchanged (the JSONL `verdict` field, the
         CSV `equality_hits` and `violations` tallies, a bracket's `ok`).
-        `dilation.json`, `oracle.json` and `reports.json` are compared like
-        the JSONL, one row per level set, section, bracket or report.  For each row that differs
+        `dilation.json`, `oracle.json`, `reports.json` and `kernel.json` are
+        compared like the JSONL, one row per level set, section, bracket,
+        report or body.  For each row that differs
         it lists the check, the trial, the field and the old and new values
         of every field whose relative change exceeds 1e-12 (strings and
         other non-numbers when they differ at all); numeric lists are
@@ -77,6 +82,9 @@ def run(outdir: Path) -> int:
     (outdir / "reports.json").write_text(json.dumps(_report_records()) + "\n",
                                          encoding="utf-8")
     print("reports.json: written")
+    (outdir / "kernel.json").write_text(json.dumps(_kernel_records()) + "\n",
+                                        encoding="utf-8")
+    print("kernel.json: written")
     return status
 
 
@@ -163,6 +171,30 @@ def _report_records() -> list[dict]:
         [conditioned_geom_convex_fn(rng_for(910, trial), 2) for trial in range(2)]
     reports += [polarity_sandwich_check(phi, t) for phi in phis for t in (0.5, 1.0, 2.0)]
     return [json.loads(rep.to_json()) for rep in reports]
+
+
+def _kernel_records() -> list[dict]:
+    """Volume, facet-measure total, W1 and W2 of seeded 3-D polytopes, their
+    pairwise sums and homothets, and V(K, L, M) of the first three."""
+    import numpy as np
+
+    from qcvx.bodies import facet_measure, minkowski_sum, scale, volume
+    from qcvx.generators import random_polytope
+    from qcvx.mixed_volumes import mixed_volume, quermassintegral_body
+
+    rng = np.random.default_rng(1210)
+    polys = [random_polytope(rng, 3, npts) for npts in (5, 8, 13, 21)]
+    named = [(f"polytope {i}", k) for i, k in enumerate(polys)]
+    named += [(f"sum {i}+{j}", minkowski_sum(polys[i], polys[j]))
+              for i in range(len(polys)) for j in range(i, len(polys))]
+    named += [(f"homothet {lam}*{i}", scale(k, lam))
+              for i, k in enumerate(polys) for lam in (0.25, 3.0)]
+    records = [{"name": name, "volume": volume(k),
+                "surface": float(facet_measure(k)[1].sum()),
+                "W1": quermassintegral_body(k, 1), "W2": quermassintegral_body(k, 2)}
+               for name, k in named]
+    records.append({"name": "V(K,L,M)", "value": mixed_volume(polys[:3])})
+    return records
 
 
 def _flatten(value, prefix=""):

@@ -17,6 +17,14 @@ ccw ring and a polytope's affine rank are cached on the body; the rank is
 decided at construction when the vertices are the input rows (and carried by
 ``scale`` where it is scale-invariant), else by one SVD when first needed.
 
+In space a body takes one Qhull build.  ``polytope`` canonicalizes through
+Qhull and keeps that hull's facet planes, neighbours and triangles, indexed
+onto the sorted vertices, for ``facets``, ``volume`` and ``facet_measure``.
+``convex_hull`` builds a second hull on the vertices only where none was
+kept: ``_dedupe_rows`` dropped a near-duplicate vertex, Qhull needed the
+``QJ`` retry (whose planes live in the affine frame), or the body was not
+made by ``polytope`` (a ``scale`` image).
+
 Balls are kept as an exact separate variant because the unit ball enters every
 quermassintegral; Minkowski sums mixing a positive-radius ball with a polytope
 are rejected rather than approximated (mixed volumes handle that case
@@ -28,7 +36,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -140,44 +148,71 @@ def _affine_frame(points: np.ndarray, tol: float):
     return origin, vt[:rank].T
 
 
+class Hull(NamedTuple):
+    """What the 3-D kernel reads of a Qhull hull, indexed onto a body's
+    vertices: the facet planes (unit outer normal, offset), the three
+    facets across each triangle's edges (the one opposite vertex k at k),
+    and the triangles."""
+
+    equations: np.ndarray
+    neighbors: np.ndarray
+    simplices: np.ndarray
+
+
 def _extreme_points(pts: np.ndarray, tol: float):
-    """(extreme points, rank, ring) of conv(pts), handling lower-dimensional sets.
+    """(extreme points, rank, cache) of conv(pts), handling lower-dimensional sets.
 
     ``rank`` is the affine rank ``_affine_frame`` gives ``pts``; it is None
-    where the extreme points are not rows of ``pts``.  ``ring`` is the ccw
-    ring of a planar set whose every point is extreme, else None; the
-    extreme points are then already in lexicographic order.
+    where the extreme points are not rows of ``pts``.  ``cache`` holds what
+    the construction settled for the body: the ccw ``_ring`` of a planar set
+    whose every point is extreme, or the ``_hull`` of a 3-D set whose Qhull
+    vertices all survive ``_dedupe_rows``.  When it is not empty, the
+    extreme points are already in lexicographic order.
     """
     dim = pts.shape[1]
     if len(pts) == 1:
-        return pts.copy(), 0, None
+        return pts.copy(), 0, {}
     origin, basis = _affine_frame(pts, tol)
     rank = basis.shape[1]
     if rank == 0:
-        return pts[:1].copy(), 0, None
+        return pts[:1].copy(), 0, {}
     if rank == 1:
         coords = (pts - origin) @ basis[:, 0]
         ends = pts[[int(np.argmin(coords)), int(np.argmax(coords))]]
-        return _dedupe_rows(ends, tol), 1, None
+        return _dedupe_rows(ends, tol), 1, {}
     if rank == 2:
         if dim == 2:
             verts, ring = _chain_2d(pts, tol)
-            return verts, 2, ring
+            return verts, 2, ({} if ring is None else {"_ring": ring})
         hull2, _ = _chain_2d((pts - origin) @ basis, tol)
-        return np.array([origin + basis @ q for q in hull2]), None, None
+        return np.array([origin + basis @ q for q in hull2]), None, {}
+    vertex_tol = tol * max(1.0, float(np.max(np.abs(pts))))
     try:
         hull = ConvexHull(pts)
     except QhullError:
-        # nearly degenerate: flatten onto the affine frame and retry
+        # nearly degenerate: flatten onto the affine frame and retry; that
+        # hull's planes live in frame coordinates, so it is not kept
         proj = (pts - origin) @ basis
-        hull = ConvexHull(proj, qhull_options="QJ")
+        verts = pts[ConvexHull(proj, qhull_options="QJ").vertices]
+        return _dedupe_rows(verts, vertex_tol), rank, {}
     verts = pts[hull.vertices]
-    return _dedupe_rows(verts, tol * max(1.0, float(np.max(np.abs(pts))))), rank, None
+    kept = _dedupe_rows(verts, vertex_tol)
+    if len(kept) < len(verts):
+        # a dropped near duplicate still spans triangles of this hull
+        return kept, rank, {}
+    order = _lex_order(verts)
+    slot = np.empty(len(pts), dtype=np.intp)
+    slot[hull.vertices[order]] = np.arange(len(order))
+    return verts[order], rank, {"_hull": Hull(hull.equations, hull.neighbors,
+                                              slot[hull.simplices])}
+
+
+def _lex_order(verts: np.ndarray) -> np.ndarray:
+    return np.lexsort(tuple(verts[:, k] for k in reversed(range(verts.shape[1]))))
 
 
 def _sort_lex(verts: np.ndarray) -> np.ndarray:
-    keys = tuple(verts[:, k] for k in reversed(range(verts.shape[1])))
-    return verts[np.lexsort(keys)]
+    return verts[_lex_order(verts)]
 
 
 def _ccw_order(verts: np.ndarray) -> np.ndarray:
@@ -266,15 +301,14 @@ class ConvexBody:
         bad = pts[~np.isfinite(pts)]
         if bad.size:
             raise ValueError(f"polytope vertex coordinates must be finite, got {bad[0]}")
-        verts, rank, ring = _extreme_points(pts, VERTEX_TOL)
-        if ring is None:
+        verts, rank, cache = _extreme_points(pts, VERTEX_TOL)
+        if not cache:
             verts = _sort_lex(verts)
         body = cls(dim=pts.shape[1], kind="polytope", vertices=verts)
         if rank is not None and len(verts) == len(pts):
             # the vertices are the input rows, whose rank is decided already
             body.__dict__["_affine_rank"] = rank
-        if ring is not None:
-            body.__dict__["_ring"] = ring
+        body.__dict__.update(cache)
         return body
 
     @classmethod
@@ -416,11 +450,13 @@ def polygon_ring(body: ConvexBody) -> np.ndarray:
     return ring
 
 
-def convex_hull(body: ConvexBody) -> ConvexHull:
-    """Qhull hull of a full-dimensional 3-D polytope, built once per body."""
+def convex_hull(body: ConvexBody) -> Hull:
+    """The hull of a full-dimensional 3-D polytope: the one ``polytope`` kept
+    from canonicalizing, else one Qhull build on the vertices, cached."""
     hull = body.__dict__.get("_hull")
     if hull is None:
-        hull = ConvexHull(body.vertices)
+        built = ConvexHull(body.vertices)
+        hull = Hull(built.equations, built.neighbors, built.simplices)
         body.__dict__["_hull"] = hull
     return hull
 
@@ -474,7 +510,8 @@ def facet_measure(body: ConvexBody):
 # ---------------------------------------------------------------------------
 
 def _point_in_hull(verts: np.ndarray, x: np.ndarray, tol: float) -> bool:
-    """Membership of x in conv(verts), robust to lower-dimensional hulls."""
+    """Membership of x in conv(verts) for a hull of affine rank at most 2,
+    by projecting onto its affine hull."""
     if len(verts) == 1:
         return bool(np.max(np.abs(verts[0] - x)) <= tol)
     origin, basis = _affine_frame(verts, VERTEX_TOL)
@@ -489,17 +526,14 @@ def _point_in_hull(verts: np.ndarray, x: np.ndarray, tol: float) -> bool:
     if rank == 1:
         lo, hi = float(coords.min()), float(coords.max())
         return lo - tol <= px[0] <= hi + tol
-    if rank == 2:
-        ring = _ccw_order(np.column_stack([coords[:, 0], coords[:, 1]]))
-        edges = _successors(ring) - ring
-        normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
-        lens = np.linalg.norm(normals, axis=1)
-        good = lens > 0
-        A = normals[good] / lens[good, None]
-        b = np.einsum("ij,ij->i", A, ring[good])
-        return bool(np.all(A @ px[:2] <= b + tol))
-    A = ConvexHull(verts).equations
-    return bool(np.all(A[:, :-1] @ x + A[:, -1] <= tol))
+    ring = _ccw_order(np.column_stack([coords[:, 0], coords[:, 1]]))
+    edges = _successors(ring) - ring
+    normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
+    lens = np.linalg.norm(normals, axis=1)
+    good = lens > 0
+    A = normals[good] / lens[good, None]
+    b = np.einsum("ij,ij->i", A, ring[good])
+    return bool(np.all(A @ px[:2] <= b + tol))
 
 
 def contains_point(body: ConvexBody, x, tol: float = 1e-9) -> bool:

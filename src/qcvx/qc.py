@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bodies import (
+    VERTEX_TOL,
     ConvexBody,
     body_from_json,
     body_to_json,
@@ -48,6 +49,7 @@ from .errors import (
     GridTooCoarse,
     HeightOutOfRange,
     IndexOutOfRange,
+    InputParse,
     NonpositiveScale,
     NotRotationInvariant,
 )
@@ -206,10 +208,14 @@ class RadialQC(QCFunction):
     """Homothetic level sets r(t) * base for a decreasing profile."""
 
     def __init__(self, base: ConvexBody, profile: Profile):
-        if base.is_empty or base.is_ball and base.radius <= 0:
-            raise ValueError("base must be a compact body with 0 in its interior")
-        if base.is_polytope:
-            base.gauge(np.zeros(base.dim))  # raises OriginNotInterior if degenerate
+        if base.is_polytope and base.affine_rank() == base.dim:
+            # ``gauge`` and ``evaluate_many`` divide by these facet offsets
+            inside = float(np.min(base.facets()[1])) > VERTEX_TOL
+        else:
+            inside = base.is_ball and base.radius > 0
+        if not inside:
+            raise InputParse(f"a radial base must be a compact body with 0 in its "
+                             f"interior, got {base!r}")
         self.base = base
         self.profile = profile
         self.dim = base.dim

@@ -1,11 +1,14 @@
 """Body arithmetic: Minkowski sums, volume, support, polarity, containment."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
+from qcvx import bodies
 from qcvx.bodies import (
     VERTEX_TOL,
     ConvexBody,
@@ -23,6 +26,7 @@ from qcvx.bodies import (
     contains,
     contains_point,
     direction_net,
+    facet_measure,
     inradius,
     minkowski_sum,
     polar,
@@ -39,6 +43,7 @@ from qcvx.errors import (
     OriginNotInterior,
     UnsupportedMix,
 )
+from qcvx.mixed_volumes import mixed_volume, quermassintegral_body
 
 UNIT_SQUARE = ConvexBody.box([0, 0], [1, 1])
 SYM_SQUARE = ConvexBody.box([-1, -1], [1, 1])
@@ -281,10 +286,20 @@ def test_contains_point_degenerate():
     assert not contains_point(seg, [0.5, 0.6])
 
 
+def _point_in_reference_hull(verts, x, tol):
+    """x in conv(verts): a fresh Qhull build's planes when the hull is solid
+    in 3-space, else the projection onto the affine hull."""
+    if verts.shape[1] == 3 and _affine_frame(verts, VERTEX_TOL)[1].shape[1] == 3:
+        A = ConvexHull(verts).equations
+        return bool(np.all(A[:, :-1] @ x + A[:, -1] <= tol))
+    return _point_in_hull(verts, x, tol)
+
+
 def _contains_per_vertex(a, b, tol=1e-9):
     """Reference: one affine-hull membership test per vertex of b."""
-    return all(_point_in_hull(a.vertices, v, tol * max(1.0, a.bounding_radius(),
-                                                       float(np.max(np.abs(v)))))
+    return all(_point_in_reference_hull(a.vertices, v,
+                                        tol * max(1.0, a.bounding_radius(),
+                                                  float(np.max(np.abs(v)))))
                for v in b.vertices)
 
 
@@ -485,6 +500,131 @@ def test_cached_rank_matches_a_fresh_frame(seed, log_size, log_width, log_lam):
         for b in (body, scale(body, 10.0 ** log_lam)):
             fresh = _affine_frame(b.vertices, VERTEX_TOL)[1].shape[1] if len(b.vertices) > 1 else 0
             assert b.affine_rank() == fresh
+
+
+# -- the 3-D hull kept from canonicalization ----------------------------------
+
+def _kept_hull_bodies():
+    """Random 3-D polytopes, boxes, their pairwise sums and homothets (built
+    by ``polytope``, so each carries its canonicalizing hull)."""
+    rng = np.random.default_rng(2024)
+    base = [random_polytope(rng, 3, npts) for npts in (5, 8, 14, 30)]
+    base += [ConvexBody.box([-1, -2, 0], [1, 0, 3]), ConvexBody.box([0, 0, 0], [1, 1, 1])]
+    sums = [minkowski_sum(a, b) for k, a in enumerate(base) for b in base[k:]]
+    homothets = [ConvexBody.polytope(lam * a.vertices) for a in base for lam in (0.3, 7.0)]
+    return base + sums + homothets
+
+
+def _fresh(body):
+    """The same vertices with nothing cached, so the hull is built on them."""
+    return ConvexBody(dim=body.dim, kind="polytope", vertices=body.vertices.copy())
+
+
+def _count_hull_builds(monkeypatch):
+    """Route ``bodies.ConvexHull`` through a counter of the calling function."""
+    builds = []
+    real = bodies.ConvexHull
+
+    def counted(points, *args, **kwargs):
+        builds.append(sys._getframe(1).f_code.co_name)
+        return real(points, *args, **kwargs)
+
+    monkeypatch.setattr(bodies, "ConvexHull", counted)
+    return builds
+
+
+def test_kept_hull_planes_pass_through_vertices_and_bound_them():
+    for body in _kept_hull_bodies():
+        hull = body.__dict__["_hull"]
+        verts = body.vertices
+        slack = 1e-12 * max(1.0, body.bounding_radius())
+        dist = verts @ hull.equations[:, :3].T + hull.equations[:, 3]
+        assert np.all(dist <= slack)
+        assert np.all(np.sum(np.abs(dist) <= slack, axis=0) >= 3)
+        assert np.allclose(np.linalg.norm(hull.equations[:, :3], axis=1), 1.0, atol=1e-14)
+        # each triangle lies on its own plane, and its neighbour across the
+        # edge opposite vertex k shares that edge
+        facet = np.arange(len(hull.simplices))[:, None]
+        assert np.all(np.abs(dist[hull.simplices, facet]) <= slack)
+        for f, tri in enumerate(hull.simplices):
+            for k in range(3):
+                edge = set(tri) - {tri[k]}
+                assert edge <= set(hull.simplices[hull.neighbors[f, k]])
+
+
+def test_kept_hull_gives_the_values_of_a_fresh_build():
+    for body in _kept_hull_bodies():
+        fresh = _fresh(body)
+        assert volume(body) == pytest.approx(volume(fresh), rel=1e-13, abs=0)
+        assert facet_measure(body)[1].sum() == pytest.approx(
+            facet_measure(fresh)[1].sum(), rel=1e-13, abs=0)
+        assert quermassintegral_body(body, 2) == pytest.approx(
+            quermassintegral_body(fresh, 2), rel=1e-13, abs=0)
+        assert mixed_volume([body, body, body]) == volume(body)
+
+
+def test_kept_hull_needs_no_second_build(monkeypatch):
+    bodies_ = _kept_hull_bodies()
+    builds = _count_hull_builds(monkeypatch)
+    for body in bodies_:
+        volume(body)
+        quermassintegral_body(body, 1)  # the facet measure
+        quermassintegral_body(body, 2)  # the edge angles
+        body.facets()
+    assert builds == []
+
+
+def test_a_dropped_near_duplicate_vertex_rebuilds_the_hull(monkeypatch):
+    cube = ConvexBody.box([0, 0, 0], [1, 1, 1]).vertices
+    body = ConvexBody.polytope(np.vstack([cube, cube[-1] + [5e-11, 3e-11, -2e-11]]))
+    assert len(body.vertices) == 8 and "_hull" not in body.__dict__
+    builds = _count_hull_builds(monkeypatch)
+    assert volume(body) == pytest.approx(1.0, rel=1e-14)
+    assert quermassintegral_body(body, 2) == pytest.approx(math.pi, rel=1e-14)
+    assert builds == ["convex_hull"]
+
+
+def test_a_qj_retry_is_not_kept(monkeypatch):
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1, 1, (12, 3))
+    real = bodies.ConvexHull
+
+    def refuse_plain(points, *args, **kwargs):
+        if "QJ" not in str(kwargs.get("qhull_options") or ""):
+            raise QhullError("refused for the test")
+        return real(points, *args, **kwargs)
+
+    monkeypatch.setattr(bodies, "ConvexHull", refuse_plain)
+    body = ConvexBody.polytope(pts)
+    monkeypatch.undo()
+    assert "_hull" not in body.__dict__
+    builds = _count_hull_builds(monkeypatch)
+    expected = ConvexHull(pts)
+    assert volume(body) == pytest.approx(expected.volume, rel=1e-13)
+    assert builds == ["convex_hull"]
+
+
+def test_flat_and_scaled_bodies_carry_no_hull(monkeypatch):
+    flat = ConvexBody.polytope([[0, 0, 1], [2, 0, 1], [0, 2, 1], [2, 2, 1], [1, 1, 1]])
+    solid = ConvexBody.box([0, 0, 0], [1, 2, 3])
+    image = scale(solid, 2.0)
+    assert "_hull" not in flat.__dict__ and "_hull" not in image.__dict__
+    builds = _count_hull_builds(monkeypatch)
+    assert volume(flat) == 0.0
+    assert facet_measure(flat)[1].tolist() == [4.0, 4.0]
+    assert builds == []
+    assert volume(image) == pytest.approx(8.0 * volume(solid), rel=1e-14)
+    assert builds == ["convex_hull"]
+
+
+def test_check_all_in_space_builds_each_hull_once(monkeypatch, tmp_path, capsys):
+    from qcvx.cli import main
+
+    builds = _count_hull_builds(monkeypatch)
+    assert main(["check", "all", "--dim", "3", "--trials", "1", "--seed", "7",
+                 "--out", str(tmp_path / "run")]) == 0
+    # every body this round measures kept the hull that canonicalized it
+    assert builds and set(builds) == {"_extreme_points"}
 
 
 # -- json --------------------------------------------------------------------

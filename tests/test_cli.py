@@ -182,6 +182,14 @@ def test_bad_input_exits_two(workdir, capsys):
     assert main(["mixed-volume", wrong_arity]) == 2
 
 
+def test_radial_base_without_the_origin_inside_exits_two(workdir, capsys):
+    fn = _write(workdir / "f.json", {"type": "radial", "base": SQUARE,
+                                     "profile": {"kind": "exp", "c": 1.0}})
+    assert main(["integral", fn]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "0 in its interior" in err
+
+
 def test_non_finite_body_exits_two_naming_the_value(workdir, capsys):
     bodies = _write(workdir / "nan.json", [SQUARE, {"type": "polytope",
                                                     "vertices": [[0, 0], [1, 0], [0, math.nan]]}])

@@ -14,6 +14,7 @@ from qcvx.errors import (
     GridTooCoarse,
     HeightOutOfRange,
     IndexOutOfRange,
+    InputParse,
     NonpositiveScale,
 )
 from qcvx.grids import GridSpec, lattice_convolution
@@ -69,9 +70,13 @@ def test_stack_requires_geometric_normalization():
 
 
 def test_radial_needs_origin_interior():
-    shifted = ConvexBody.box([1, 1], [2, 2])
-    with pytest.raises(Exception):
-        RadialQC(shifted, exponential_profile())
+    bases = [ConvexBody.box([1, 1], [2, 2]),            # origin outside
+             ConvexBody.box([0, 0], [1, 1]),            # origin on the boundary
+             ConvexBody.polytope([[-1, 0], [1, 0]]),    # flat: no interior
+             ConvexBody.ball(0.0, 2), ConvexBody.empty(2)]
+    for base in bases:
+        with pytest.raises(InputParse, match="0 in its interior"):
+            RadialQC(base, exponential_profile())
 
 
 # -- level sets and evaluation -----------------------------------------------
