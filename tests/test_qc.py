@@ -389,6 +389,126 @@ def test_lattice_convolution_matches_every_pair(shape):
         np.testing.assert_array_equal(lattice_convolution(a, b, op, reduce, identity), out)
 
 
+def _per_entry_convolution(F, G, op, reduce, identity):
+    """Reference: one fold of op(F[j], G) into the block of out at j for each
+    j with F[j] != identity, in C order of j."""
+    out = np.full(tuple(a + b - 1 for a, b in zip(F.shape, G.shape)), identity)
+    for j in zip(*np.nonzero(F != identity)):
+        block = out[tuple(slice(k, k + n) for k, n in zip(j, G.shape))]
+        reduce(block, op(F[j], G), out=block)
+    return out
+
+
+_CONVOLUTIONS = {"sup-min": (np.minimum, np.maximum, 0.0),
+                 "min-plus": (np.add, np.minimum, np.inf),
+                 "inf-max": (np.maximum, np.minimum, np.inf)}
+
+
+def _tie_field(rng, shape, identity):
+    """Values that tie often: signed zeros, both infinities, identity and a
+    few repeated finite values; -inf stays out of the min-plus operands,
+    where -inf + inf has no value."""
+    pool = [0.0, -0.0, 0.5, -0.5, 1.0, np.inf, identity] + ([] if identity == np.inf else [-np.inf])
+    values = rng.choice(pool, size=shape)
+    return np.where(rng.random(shape) < 0.3, rng.normal(size=shape).round(1), values)
+
+
+def _assert_bitwise(F, G, use):
+    op, reduce, identity = _CONVOLUTIONS[use]
+    ref = _per_entry_convolution(F, G, op, reduce, identity)
+    assert lattice_convolution(F, G, op, reduce, identity).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("use", sorted(_CONVOLUTIONS))
+def test_lattice_convolution_is_bitwise_the_per_entry_fold(use):
+    """Ragged 1-D and 2-D shapes with size-1 axes, where signed-zero ties,
+    infinities and identity entries in F (skipped) and G (kept) decide the
+    sign of zero results: a fold in another order moves them."""
+    rng = np.random.default_rng(sorted(_CONVOLUTIONS).index(use))
+    identity = _CONVOLUTIONS[use][2]
+    for _ in range(600):
+        ndim = int(rng.integers(1, 3))
+        F = _tie_field(rng, tuple(rng.integers(1, 8, ndim)), identity)
+        G = _tie_field(rng, tuple(rng.integers(1, 8, ndim)), identity)
+        _assert_bitwise(F, G, use)
+
+
+@pytest.mark.parametrize("use", sorted(_CONVOLUTIONS))
+def test_lattice_convolution_blocks_are_bitwise_the_per_entry_fold(use, monkeypatch):
+    """A scratch bound of 12 cells splits the convolutions into blocks of F
+    columns and, for the longer G rows, of G rows; the fold order must
+    survive the blocking."""
+    from qcvx import grids
+
+    monkeypatch.setattr(grids, "_SCRATCH_BYTES", 96)
+    rng = np.random.default_rng(10 + sorted(_CONVOLUTIONS).index(use))
+    identity = _CONVOLUTIONS[use][2]
+    for _ in range(100):
+        ndim = int(rng.integers(1, 3))
+        F = _tie_field(rng, tuple(rng.integers(1, 9, ndim)), identity)
+        G = _tie_field(rng, tuple(rng.integers(1, 9, ndim)), identity)
+        _assert_bitwise(F, G, use)
+
+
+@pytest.mark.parametrize("shape", [(2, 400), (3, 700)])
+def test_lattice_convolution_thin_lattice_spans_scratch_blocks(shape):
+    """A long axis whose unblocked scratch exceeds the bound, for each use."""
+    rng = np.random.default_rng(shape[1])
+    for use, (_, _, identity) in _CONVOLUTIONS.items():
+        _assert_bitwise(_tie_field(rng, shape, identity), _tie_field(rng, shape, identity), use)
+
+
+def test_lattice_convolution_sparse_indicator_field():
+    """A disk indicator on 41² (most F entries skipped, and each row cropped
+    to its live span) against a field with signed zeros, for the sup-min
+    oracle."""
+    x = np.linspace(-1.0, 1.0, 41)
+    F = (np.add.outer(x ** 2, (x - 0.3) ** 2) <= 0.08).astype(float)
+    assert 50 < np.count_nonzero(F) < 200
+    G = _tie_field(np.random.default_rng(3), (41, 41), 0.0)
+    _assert_bitwise(F, G, "sup-min")
+    _assert_bitwise(F, np.abs(G) + 1.0, "sup-min")
+
+
+def test_lattice_convolution_scratch_is_bounded():
+    """At 121² an unblocked scratch buffer would take 28 MB; the kernel's own
+    allocations stay within the output plus about 2 MiB."""
+    import tracemalloc
+
+    rng = np.random.default_rng(7)
+    F, G = rng.uniform(0, 1, (121, 121)), rng.uniform(0, 1, (121, 121))
+    tracemalloc.start()
+    try:
+        out = lattice_convolution(F, G, np.minimum, np.maximum, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + G.nbytes + (2 << 20) + (1 << 18)
+
+
+def test_lattice_convolution_restores_the_ufunc_buffer_size():
+    """The kernel shrinks numpy's ufunc buffer while it runs; the caller's
+    size comes back after a normal return and after a raising op."""
+    def failing_op(*args, **kwargs):
+        raise ZeroDivisionError
+
+    F = np.ones((3, 3))
+    with np.errstate():  # scopes the size set here to this test
+        np.setbufsize(4096)
+        lattice_convolution(F, F, np.minimum, np.maximum, 0.0)
+        assert np.getbufsize() == 4096
+        with pytest.raises(ZeroDivisionError):
+            lattice_convolution(F, F, failing_op, np.maximum, 0.0)
+        assert np.getbufsize() == 4096
+
+
+@pytest.mark.parametrize("shapes", [((3, 3, 3), (3, 3, 3)), ((4,), (4, 4)), ((), ())])
+def test_lattice_convolution_rejects_other_dimensions(shapes):
+    F, G = np.ones(shapes[0]), np.ones(shapes[1])
+    with pytest.raises(GridTooCoarse):
+        lattice_convolution(F, G, np.minimum, np.maximum, 0.0)
+
+
 @pytest.mark.parametrize("shape", [(1,), (3,), (40,), (1, 6), (2, 2), (9, 13), (41, 41)])
 def test_erosion_matches_minimum_filter_bitwise(shape):
     """Reference: scipy's grey erosion over a 5-point window per axis with
