@@ -35,6 +35,10 @@
         of every field whose relative change exceeds 1e-12 (strings and
         other non-numbers when they differ at all); numeric lists are
         compared element by element, so `details.lhs[3]` names one entry.
+        A listed move whose old and new values are both below 1e-12 in
+        magnitude is tagged `(round-off)`, and each differing file ends with
+        its count of such moves.  The tag only annotates: every move is
+        still listed and the exit code does not depend on it.
         Exits 0 when every file is byte-identical and 1 otherwise.
 
 Typical use, parent commit against a working tree:
@@ -59,6 +63,7 @@ STANDARD_RUNS = [(3, 1, seed, "") for seed in (7, 1, 2, 3, 11)] + \
                 [(2, 2, 7, "-tol")]
 TOL_FLAGS = ["--tol-exact", "1e-7", "--tol-quad", "1e-4"]
 REL_TOL = 1e-12
+ROUND_OFF = 1e-12
 VERDICT_FIELDS = ("verdict", "equality_hits", "violations", "ok")
 
 
@@ -250,10 +255,18 @@ def _rows(path: Path) -> list[dict]:
     return out
 
 
-def _diff_file(old: Path, new: Path) -> tuple[list[str], int]:
-    """(report lines, number of changed verdicts) for two differing files."""
+def _round_off(old, new) -> bool:
+    """Both values are numbers of magnitude below ROUND_OFF."""
+    a, b = _as_number(old), _as_number(new)
+    return a is not None and b is not None and abs(a) < ROUND_OFF and abs(b) < ROUND_OFF
+
+
+def _diff_file(old: Path, new: Path) -> tuple[list[str], int, int]:
+    """(report lines, number of changed verdicts, number of round-off
+    moves) for two differing files."""
     old_rows, new_rows = _rows(old), _rows(new)
     lines = []
+    round_off = 0
     verdicts = abs(len(old_rows) - len(new_rows))
     if len(old_rows) != len(new_rows):
         lines.append(f"  row count {len(old_rows)} -> {len(new_rows)}")
@@ -266,9 +279,12 @@ def _diff_file(old: Path, new: Path) -> tuple[list[str], int]:
         for key in sorted(set(a["fields"]) | set(b["fields"])):
             va, vb = a["fields"].get(key, "<absent>"), b["fields"].get(key, "<absent>")
             if _moved(va, vb):
-                lines.append(f"  {where} {key}: {va!r} -> {vb!r}")
+                tiny = _round_off(va, vb)
+                lines.append(f"  {where} {key}: {va!r} -> {vb!r}"
+                             + (" (round-off)" if tiny else ""))
                 verdicts += key in VERDICT_FIELDS
-    return lines, verdicts
+                round_off += tiny
+    return lines, verdicts, round_off
 
 
 def diff(old_dir: Path, new_dir: Path) -> int:
@@ -287,11 +303,13 @@ def diff(old_dir: Path, new_dir: Path) -> int:
             print(f"{name}: byte-identical; every verdict unchanged")
         else:
             same = False
-            lines, verdicts = _diff_file(old, new)
+            lines, verdicts, round_off = _diff_file(old, new)
             print(f"{name}: differs; " + (f"{verdicts} verdict(s) changed" if verdicts
                                           else "every verdict unchanged"))
             for line in lines:
                 print(line)
+            print(f"  {round_off} listed move(s) are round-off "
+                  f"(old and new magnitudes below {ROUND_OFF:g})")
     return 0 if same else 1
 
 

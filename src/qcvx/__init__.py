@@ -28,7 +28,6 @@ from .mixed_volumes import (
     mixed_volume,
     quermassintegral_body,
     surface_area_body,
-    unit_ball_polytope,
 )
 from .profiles import (
     GaussianProfile,

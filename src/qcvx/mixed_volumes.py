@@ -17,12 +17,13 @@ quermassintegral patterns V(K, ..., K, B, ..., B) use closed forms
 r/6 [S(K+L) - S(K) - S(L)].
 
 `minkowski_polynomial` recovers the same coefficients from a deterministic
-grid fit of Vol(sum eps_i K_i) and serves as an independent oracle.  It, and
-`qc.epsilon_extension`, substitute a fixed polytope for the unit ball
-(`unit_ball_polytope`): the Minkowski average of the inscribed and
-circumscribed regular 128-gon in the plane, the Minkowski average of a
-geodesic 320-facet sphere and its polar dual in 3-space, and the exact
-segment [-1, 1] on the line, each rescaled to the exact ball volume.
+grid fit of Vol(sum eps_i K_i) and serves as an independent oracle.  It is
+the only place that substitutes a fixed polytope for the unit ball
+(`unit_ball_polytope`), since a fit needs bodies it can add and measure:
+the Minkowski average of the inscribed and circumscribed regular 128-gon in
+the plane, the Minkowski average of a geodesic 320-facet sphere and its
+polar dual in 3-space, and the exact segment [-1, 1] on the line, each
+rescaled to the exact ball volume.
 Measured support-function error of the stand-ins: about 5e-5 (2-D) and 3e-3
 (3-D).
 """
@@ -349,12 +350,15 @@ def _multiset_multiplicity(ms, n) -> int:
     return ways
 
 
-def _fit_polynomial(values_fn, arity: int, n: int, jitter: float = 0.0) -> dict:
+def _fit_polynomial(values_fn, arity: int, n: int) -> dict:
+    """Least-squares coefficients of the degree-n form through values_fn on
+    the grid {1..n+1}^arity; raises SingularSystem if the system is rank
+    deficient."""
     multisets = list(itertools.combinations_with_replacement(range(arity), n))
     grid = list(itertools.product(range(1, n + 2), repeat=arity))
     rows, rhs = [], []
     for tup in grid:
-        eps = np.array(tup, dtype=float) * (1.0 + jitter) ** np.arange(1, arity + 1)
+        eps = np.array(tup, dtype=float)
         row = []
         for ms in multisets:
             term = float(_multiset_multiplicity(ms, n))
@@ -374,7 +378,10 @@ def _fit_polynomial(values_fn, arity: int, n: int, jitter: float = 0.0) -> dict:
 def minkowski_polynomial(bodies, dim: int | None = None) -> MinkowskiPolynomial:
     """Fit Vol(sum eps_i K_i) on the deterministic grid {1..n+1}^m.
 
-    Retried once with a jittered grid if the system is singular, then fatal.
+    Balls enter as the fixed polytope stand-in (``unit_ball_polytope``).
+    The design matrix depends on the grid alone and has full rank for every
+    n <= 3 and m <= 7 (condition number at most about 4e2), so there is no
+    refit; a singular system raises SingularSystem.
     """
     bodies = [_resolve(b) for b in bodies]
     if not bodies:
@@ -388,8 +395,5 @@ def minkowski_polynomial(bodies, dim: int | None = None) -> MinkowskiPolynomial:
     def values(eps):
         return volume(_weighted_sum(bodies, eps, partial))
 
-    try:
-        coeffs = _fit_polynomial(values, len(bodies), n)
-    except SingularSystem:
-        coeffs = _fit_polynomial(values, len(bodies), n, jitter=0.0123)
-    return MinkowskiPolynomial(dim=n, arity=len(bodies), coefficients=coeffs)
+    return MinkowskiPolynomial(dim=n, arity=len(bodies),
+                               coefficients=_fit_polynomial(values, len(bodies), n))

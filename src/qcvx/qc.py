@@ -23,6 +23,7 @@ with smooth scalar radius factors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,7 +55,7 @@ from .errors import (
     NotRotationInvariant,
 )
 from .grids import GridSpec, SampledField, lattice_convolution
-from .mixed_volumes import mixed_volume, quermassintegral_body, unit_ball_polytope
+from .mixed_volumes import mixed_volume, quermassintegral_body
 from .profiles import (
     Profile,
     ShiftedProfile,
@@ -405,6 +406,50 @@ def integral(f: QCFunction) -> float:
 # mixed integrals
 # ---------------------------------------------------------------------------
 
+def band_terms(slots: Sequence[Sequence[tuple]]) -> tuple[float, list]:
+    """Expand V(S_1, ..., S_n) over one band by multilinearity.
+
+    Slot i is the Minkowski sum of coef * base over its (coef, base) parts,
+    so V(S_1, ..., S_n)(t) = sum over one part per slot of
+    prod coef(t) * V(bases).  Returns (const, terms): the summed products
+    whose coefficients are all floats, and one (c, profiles) per product
+    with a ``Profile`` coefficient, worth c * prod p.inv(t) (``terms_at``).
+    Products whose bases have mixed volume 0 are dropped.
+    """
+    const_sum = 0.0
+    fn_terms: list[tuple[float, list]] = []
+    for choice in itertools.product(*slots):
+        V = mixed_volume([base for _, base in choice])
+        if V == 0.0:
+            continue
+        const = V
+        profiles = []
+        for coef, _ in choice:
+            if isinstance(coef, Profile):
+                profiles.append(coef)
+            else:
+                const *= coef
+        if profiles:
+            fn_terms.append((const, profiles))
+        else:
+            const_sum += const
+    return const_sum, fn_terms
+
+
+def terms_at(terms: Sequence[tuple], t):
+    """sum of c * prod p.inv(t) over the (c, profiles) terms, for a height
+    or an array of heights."""
+    # scalar seeds, not zeros_like/full_like: the same floats either way,
+    # and no array allocations when t is one height
+    total = 0.0
+    for const, profiles in terms:
+        prod = const
+        for p in profiles:
+            prod = prod * p.inv(t)
+        total = total + prod
+    return total
+
+
 def mixed_integral(fs: Sequence[QCFunction]) -> float:
     """V(f_1, ..., f_n) = integral over t of V(level sets at t)."""
     fs = list(fs)
@@ -424,33 +469,10 @@ def mixed_integral(fs: Sequence[QCFunction]) -> float:
 
     total = 0.0
     for lo, hi, slot_parts in _merge_bands(views):
-        const_sum = 0.0
-        fn_terms: list[tuple[float, list]] = []
-        for choice in itertools.product(*slot_parts):
-            V = mixed_volume([base for _, base in choice])
-            if V == 0.0:
-                continue
-            const = V
-            profiles = []
-            for coef, _ in choice:
-                if isinstance(coef, Profile):
-                    profiles.append(coef)
-                else:
-                    const *= coef
-            if profiles:
-                fn_terms.append((const, profiles))
-            else:
-                const_sum += const
+        const_sum, fn_terms = band_terms(slot_parts)
         total += const_sum * (hi - lo)
         if fn_terms:
-            def integrand(ts, terms=fn_terms):
-                acc = np.zeros_like(ts)
-                for const, profiles in terms:
-                    prod = np.full_like(ts, const)
-                    for p in profiles:
-                        prod = prod * p.inv(ts)
-                    acc += prod
-                return acc
+            integrand = functools.partial(terms_at, fn_terms)
             if lo == 0.0:
                 total += integrate_height(integrand, 0.0, hi)
             else:
@@ -486,25 +508,21 @@ def generalized_surface_area(f: QCFunction, g: QCFunction) -> float:
 def epsilon_extension(f: QCFunction, eps: float) -> QCFunction:
     """f_eps = f oplus (eps . 1_D): every level set grows by eps * D.
 
-    Exact for radial and other banded functions, which gain a part eps * D
-    in every band; stacks use the fixed polytope stand-in for the unit ball
-    (``mixed_volumes.unit_ball_polytope``).
+    Exact for every banded function: a radial function over a ball shifts
+    its profile by eps / radius, and every other one, stacks included,
+    gains a part eps * D in every band, whose mixed volumes take the exact
+    ball closed forms.
     """
     if eps < 0:
         raise NonpositiveScale("extension radius must be nonnegative")
     if eps == 0:
         return f
-    n = f.dim
     if isinstance(f, RadialQC) and f.base.is_ball:
         return RadialQC(f.base, ShiftedProfile(f.profile, eps / f.base.radius))
-    if isinstance(f, LevelStack):
-        bump = scale(unit_ball_polytope(n), eps)
-        return LevelStack([(float(t), minkowski_sum(b, bump))
-                           for t, b in zip(f.heights, f.bodies)], validate=False)
     bands = f.bands()
     if bands is None:
         raise TypeError(f"cannot extend {type(f).__name__}")
-    ball = ConvexBody.ball(1.0, n)
+    ball = ConvexBody.ball(1.0, f.dim)
     return SumQC([Band(b.lo, b.hi, b.parts + ((eps, ball),)) for b in bands])
 
 
@@ -515,7 +533,6 @@ def epsilon_extension(f: QCFunction, eps: float) -> QCFunction:
 def minkowski_polynomial_fn(fs: Sequence[QCFunction]):
     """Fit F(eps) = integral of (eps_1 . f_1) oplus ... on the deterministic grid."""
     from .mixed_volumes import MinkowskiPolynomial, _fit_polynomial
-    from .errors import SingularSystem
 
     fs = list(fs)
     n = fs[0].dim
@@ -527,11 +544,8 @@ def minkowski_polynomial_fn(fs: Sequence[QCFunction]):
             acc = term if acc is None else oplus(acc, term)
         return integral(acc)
 
-    try:
-        coeffs = _fit_polynomial(values, len(fs), n)
-    except SingularSystem:
-        coeffs = _fit_polynomial(values, len(fs), n, jitter=0.0123)
-    return MinkowskiPolynomial(dim=n, arity=len(fs), coefficients=coeffs)
+    return MinkowskiPolynomial(dim=n, arity=len(fs),
+                               coefficients=_fit_polynomial(values, len(fs), n))
 
 
 # ---------------------------------------------------------------------------

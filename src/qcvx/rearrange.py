@@ -15,13 +15,15 @@ the rearrangement would not preserve the functional's value.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+
 import numpy as np
 
 from .bodies import ConvexBody, volume
 from .errors import DegenerateBody, DimensionMismatch
 from .mixed_volumes import mixed_volume
-from .qc import LevelStack, QCFunction, RadialQC, indicator, mixed_integral
+from .qc import LevelStack, QCFunction, RadialQC, indicator, mixed_integral, terms_at
 from .quadrature import integrate_height
 
 
@@ -84,13 +86,8 @@ class SizeFunctional:
             return 1.0
         cached = self.__dict__.get("_weight_constant")
         if cached is None:
-            def integrand(ts):
-                acc = np.ones_like(ts)
-                for w in self.weights:
-                    acc = acc * w.profile.inv(ts)
-                return acc
-
-            cached = integrate_height(integrand)
+            profiles = [w.profile for w in self.weights]
+            cached = integrate_height(functools.partial(terms_at, [(1.0, profiles)]))
             if not 0.0 < cached < np.inf:
                 raise ValueError("weight functions must have finite positive mass")
             self.__dict__["_weight_constant"] = cached

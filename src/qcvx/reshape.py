@@ -14,11 +14,9 @@ worked example that does).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from math import factorial
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +27,6 @@ from .errors import (
     NotLogConcave,
     NotRegular,
 )
-from .mixed_volumes import mixed_volume
 from .profiles import Profile, RescaledProfile, StretchedExponentialProfile
 from .qc import (
     Band,
@@ -40,11 +37,12 @@ from .qc import (
     _as_point_or_scaled,
     _band_at,
     _bisect_height,
-    _coef_at,
+    band_terms,
     indicator,
     integral,
     mixed_integral,
     oplus,
+    terms_at,
 )
 from .quadrature import integrate_height
 from .rearrange import SizeFunctional
@@ -73,26 +71,9 @@ def _phi_at_height(phi: SizeFunctional, f: QCFunction, t: float) -> float:
     if bands is None:
         return phi.eval_body(f.level_set(t))
     parts = _band_at(bands, t).parts
-    refs = list(phi.references)
-    m = phi.degree
-    total = 0.0
-    for combo in itertools.combinations_with_replacement(range(len(parts)), m):
-        counts: dict[int, int] = {}
-        for k in combo:
-            counts[k] = counts.get(k, 0) + 1
-        ways = factorial(m)
-        coef = 1.0
-        bases = []
-        for k, c in counts.items():
-            ways //= factorial(c)
-            part_coef, base = parts[k]
-            value = _coef_at(part_coef, np.float64(t))
-            coef *= value ** c
-            bases.extend([base] * c)
-        if coef == 0.0:
-            continue
-        total += ways * coef * mixed_volume(bases + refs)
-    return phi.weight_constant * total
+    const, terms = band_terms([parts] * phi.degree
+                              + [((1.0, ref),) for ref in phi.references])
+    return phi.weight_constant * float(const + terms_at(terms, t))
 
 
 @dataclass
@@ -157,35 +138,20 @@ def phi_profile(phi: SizeFunctional, f: QCFunction,
     return prof
 
 
-@dataclass(frozen=True)
-class Rescaling:
-    """Increasing bijection of [0, 1] with its inverse."""
-
-    alpha: Callable[[float], float]
-    alpha_inv: Callable[[float], float]
-
-    def __call__(self, u):
-        return self.alpha(u)
-
-    def sample(self, grid: Optional[Sequence[float]] = None):
-        if grid is None:
-            grid = np.linspace(1e-6, 1.0, PROFILE_GRID)
-        grid = np.asarray(grid, dtype=float)
-        return grid, np.array([self.alpha(float(u)) for u in grid])
-
-
-def _apply_rescaling(f: QCFunction, rho: Rescaling) -> QCFunction:
-    def vec_alpha(u):
+def _elementwise(fn):
+    """fn on a float, applied entry by entry to an array."""
+    def vec(u):
         u = np.asarray(u, dtype=float)
         if u.ndim == 0:
-            return rho.alpha(float(u))
-        return np.array([rho.alpha(float(x)) for x in u.ravel()]).reshape(u.shape)
+            return fn(float(u))
+        return np.array([fn(float(x)) for x in u.ravel()]).reshape(u.shape)
+    return vec
 
-    def vec_alpha_inv(t):
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return rho.alpha_inv(float(t))
-        return np.array([rho.alpha_inv(float(x)) for x in t.ravel()]).reshape(t.shape)
+
+def _apply_rescaling(f: QCFunction, alpha, alpha_inv) -> QCFunction:
+    """alpha o f for an increasing bijection alpha of [0, 1] with inverse
+    alpha_inv, both taking floats."""
+    vec_alpha, vec_alpha_inv = _elementwise(alpha), _elementwise(alpha_inv)
 
     def rescaled(p: Profile) -> Profile:
         return RescaledProfile(p, vec_alpha, vec_alpha_inv)
@@ -252,7 +218,7 @@ def rescale_to_match(phi: SizeFunctional, f: QCFunction, g: QCFunction,
             return 1.0
         return min(1.0, pf.inverse(cm * pg.value(t)))
 
-    return _apply_rescaling(f, Rescaling(alpha, alpha_inv))
+    return _apply_rescaling(f, alpha, alpha_inv)
 
 
 def match_residual(phi: SizeFunctional, fa: QCFunction, fb: QCFunction,

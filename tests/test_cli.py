@@ -324,3 +324,21 @@ print(code, [m for m in heavy if m in sys.modules])
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "0 []"
+
+
+def test_compare_script_tags_round_off_moves_without_forgiving_them(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "compare_check_outputs.py"
+    records = {"old": [{"name": "r", "tiny": 4.7e-16, "big": 1.0, "ok": True}],
+               "new": [{"name": "r", "tiny": 4.3e-16, "big": 2.0, "ok": True}]}
+    for side, recs in records.items():
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "reports.json").write_text(json.dumps(recs), encoding="utf-8")
+    out = subprocess.run([sys.executable, str(script), "diff", str(tmp_path / "old"),
+                          str(tmp_path / "new")], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert out.stdout.splitlines() == [
+        "reports.json: differs; every verdict unchanged",
+        "  r#0 big: 1.0 -> 2.0",
+        "  r#0 tiny: 4.7e-16 -> 4.3e-16 (round-off)",
+        "  1 listed move(s) are round-off (old and new magnitudes below 1e-12)",
+    ]

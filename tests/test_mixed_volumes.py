@@ -283,6 +283,18 @@ def test_polynomial_builds_each_weight_prefix_once(monkeypatch):
     assert len(calls) == 80
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("arity", range(1, 7))
+def test_fit_design_matrix_has_full_rank_whatever_the_values(n, arity):
+    """The fit's matrix depends on the grid alone, so no set of values, not
+    even all zeros, can make the system singular: a refit could not help."""
+    from qcvx.mixed_volumes import _fit_polynomial
+
+    coeffs = _fit_polynomial(lambda eps: 0.0, arity, n)
+    assert len(coeffs) == math.comb(arity + n - 1, n)
+    assert all(c == 0.0 for c in coeffs.values())
+
+
 # -- quermassintegrals -------------------------------------------------------
 
 def test_quermass_square():

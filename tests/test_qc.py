@@ -307,6 +307,21 @@ def test_epsilon_extension_stack_polynomial_fit():
         assert integral(epsilon_extension(f, e)) == pytest.approx(fitted, rel=1e-8)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("eps", [0.1, 1.0])
+def test_epsilon_extension_stack_is_the_steiner_polynomial(dim, eps):
+    # each band of f_eps holds K + eps D, whose volume is the Steiner
+    # polynomial sum_k C(n, k) W_k(K) eps^k; a polytope stand-in for D
+    # misses it by 5e-6 in the plane and 1e-3 in space
+    from qcvx.mixed_volumes import quermassintegral_body
+    f = random_stack(np.random.default_rng(40 + dim), dim=dim)
+    lows = np.append(f.heights[1:], 0.0)
+    steiner = sum((hi - lo) * sum(math.comb(dim, k) * quermassintegral_body(body, k) * eps ** k
+                                  for k in range(dim + 1))
+                  for hi, lo, body in zip(f.heights, lows, f.bodies))
+    assert integral(epsilon_extension(f, eps)) == pytest.approx(steiner, rel=1e-12)
+
+
 def test_quermass_radial_closed_forms():
     # exp profile c=1 on the unit disc: W_0 = 2pi, W_1 = pi, W_2 = pi
     assert quermassintegral_fn(EXP_DISC, 0) == pytest.approx(2 * math.pi, rel=1e-12)
@@ -606,12 +621,33 @@ def test_mixed_integral_of_dilated_sum_keeps_its_value():
 
 
 def test_phi_at_height_matches_level_set_on_multipart_sum():
+    # the 3-D functionals give m = 3, 2 and 1 part slots with 0, 1 and 2
+    # reference slots; a weighted functional multiplies by the integral of
+    # its weight profiles
     from qcvx.rearrange import SizeFunctional
     from qcvx.reshape import _phi_at_height
-    stack = LevelStack([(1.0, SQUARE), (0.4, DIAMOND)])
-    f = oplus(stack, RadialQC(BOX2, exponential_profile(2.0)))
-    assert len(f.bands()) == 2
-    for phi in (SizeFunctional.vol(2), SizeFunctional.quermass(2, 1)):
-        for t in (0.9, 0.4, 0.2, 0.05):
-            assert _phi_at_height(phi, f, t) == pytest.approx(
-                phi.eval_body(f.level_set(t)), rel=1e-10)
+    cube = ConvexBody.box([-0.5] * 3, [0.5] * 3)
+    octa = ConvexBody.polytope(np.vstack([np.eye(3), -np.eye(3)]))
+    weighted2 = SizeFunctional(dim=2, degree=1, weights=(
+        RadialQC(ConvexBody.ball(1.0, 2), GaussianProfile(1.0)),))
+    weighted3 = SizeFunctional(dim=3, degree=1, weights=(
+        RadialQC(ConvexBody.ball(1.0, 3), GaussianProfile(1.0)),
+        RadialQC(cube, exponential_profile(1.0))))
+    # integral of sqrt(log 1/t) * log(1/t) dt = Gamma(5/2)
+    assert weighted3.weight_constant == pytest.approx(0.75 * math.sqrt(math.pi), rel=1e-10)
+    cases = [
+        (oplus(LevelStack([(1.0, SQUARE), (0.4, DIAMOND)]),
+               RadialQC(BOX2, exponential_profile(2.0))),
+         (SizeFunctional.vol(2), SizeFunctional.quermass(2, 1), weighted2)),
+        (oplus(LevelStack([(1.0, cube), (0.4, scale(octa, 2.0))]),
+               RadialQC(octa, exponential_profile(2.0))),
+         (SizeFunctional.vol(3), SizeFunctional.quermass(3, 1),
+          SizeFunctional.quermass(3, 2), weighted3)),
+    ]
+    for f, phis in cases:
+        assert len(f.bands()) == 2
+        assert all(len(band.parts) == 2 for band in f.bands())
+        for phi in phis:
+            for t in (0.9, 0.4, 0.2, 0.05):
+                assert _phi_at_height(phi, f, t) == pytest.approx(
+                    phi.eval_body(f.level_set(t)), rel=1e-10)
