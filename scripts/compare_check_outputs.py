@@ -9,11 +9,15 @@
         `dilation.json`, the worked example of `scripts/dilation_example.py`
         in full-precision floats: the vertices of the `ParabolicCapQC(64)`
         level sets at that script's heights and the volume-law dilation's
-        values on the section y = 0.  And it writes `oracle.json`: the
-        lattice sup-min bracket (`qc.supmin_bracket`) on one seeded pair of
-        polygon stacks and one seeded pair of polygon indicators, with its
-        `max_abs_error`, `fat_height` and `ok` and the full-precision
-        lattice (`field`) and exact (`exact`) values.  And `reports.json`:
+        values on the section y = 0, plus a `sum_section` row: the values
+        of one seeded 2-D and one seeded 3-D sum (oplus of two exponential
+        radial functions over different polytopes) at 25 seeded points
+        each, the heights that `SumQC.evaluate_many` searches for.  And it
+        writes `oracle.json`: the lattice sup-min bracket
+        (`qc.supmin_bracket`) on one seeded pair of polygon stacks and one
+        seeded pair of polygon indicators, with its `max_abs_error`,
+        `fat_height` and `ok` and the full-precision lattice (`field`) and
+        exact (`exact`) values.  And `reports.json`:
         the full `to_json` record of the verdict sites `check all` does not
         reach, on fixed seeded inputs (`rescaled_bm`, `rescaled_af`,
         `dilated_checks`, `dilated_af`, `dilation_nesting_report` and
@@ -95,10 +99,14 @@ def run(outdir: Path) -> int:
 
 def _dilation_records() -> list[dict]:
     """The dilation worked example at the heights and section points of
-    `scripts/dilation_example.py`, one record per level set plus the section."""
+    `scripts/dilation_example.py`, one record per level set plus the section,
+    and the values of two seeded sums at seeded points."""
     # imported here so that `diff` runs without qcvx on the path
     import numpy as np
 
+    from qcvx.generators import random_polytope
+    from qcvx.profiles import exponential_profile
+    from qcvx.qc import RadialQC, oplus
     from qcvx.rearrange import SizeFunctional
     from qcvx.reshape import ParabolicCapQC, dilate_to_exponential
 
@@ -110,6 +118,15 @@ def _dilation_records() -> list[dict]:
     values = dilate_to_exponential(SizeFunctional.vol(2), f).evaluate_many(
         np.stack([xs, np.zeros_like(xs)], axis=1))
     records.append({"name": "section", "x": xs.tolist(), "values": values.tolist()})
+    rng = np.random.default_rng(1412)
+    sums = {"name": "sum_section"}
+    for dim in (2, 3):
+        f = oplus(*(RadialQC(random_polytope(rng, dim, 8, origin_interior=True),
+                             exponential_profile(1.0)) for _ in range(2)))
+        pts = rng.normal(0.0, 1.5, (25, dim))
+        sums[f"points_{dim}d"] = pts.tolist()
+        sums[f"values_{dim}d"] = f.evaluate_many(pts).tolist()
+    records.append(sums)
     return records
 
 

@@ -536,23 +536,32 @@ def _point_in_hull(verts: np.ndarray, x: np.ndarray, tol: float) -> bool:
     return bool(np.all(A @ px[:2] <= b + tol))
 
 
-def contains_point(body: ConvexBody, x, tol: float = 1e-9) -> bool:
-    """True iff the point x lies in the body (within tol).
+def membership_margin(body: ConvexBody, x, tol: float = 1e-9) -> float:
+    """Signed slack of x against the body: at most 0 iff x lies in it
+    (within tol), positive outside.
 
-    The slack is ``tol * max(1, bounding radius, max|x_i|)``.  A
-    full-dimensional polytope tests x against its cached ``facets()``; a
-    lower-dimensional one falls back to projecting onto its affine hull.
+    A full-dimensional polytope gives ``max(A x - b) - tol * scale`` on its
+    cached ``facets()``, with scale ``max(1, bounding radius, max|x_i|)``; a
+    ball gives ``|x| - (r + tol * max(1, r))``; the empty body +inf.  A
+    lower-dimensional polytope projects onto its affine hull and gives only
+    the answer, as -1 inside and +1 outside.
     """
     x = np.asarray(x, dtype=float)
     if body.is_empty:
-        return False
+        return math.inf
     if body.is_ball:
-        return bool(np.linalg.norm(x) <= body.radius + tol * max(1.0, body.radius))
+        return float(np.linalg.norm(x) - (body.radius + tol * max(1.0, body.radius)))
     scale = max(1.0, body.bounding_radius(), float(np.max(np.abs(x))))
     if body.affine_rank() == body.dim:
         A, b = body.facets()
-        return bool(np.all(A @ x - b <= tol * scale))
-    return _point_in_hull(body.vertices, x, tol * scale)
+        return float(np.max(A @ x - b) - tol * scale)
+    return -1.0 if _point_in_hull(body.vertices, x, tol * scale) else 1.0
+
+
+def contains_point(body: ConvexBody, x, tol: float = 1e-9) -> bool:
+    """True iff the point x lies in the body (within tol): its
+    ``membership_margin`` is at most 0."""
+    return membership_margin(body, x, tol) <= 0.0
 
 
 def membership_mask(body: ConvexBody, x: np.ndarray, tol: float) -> np.ndarray:

@@ -36,12 +36,12 @@ from .qc import (
     SumQC,
     _as_point_or_scaled,
     _band_at,
-    _bisect_height,
     band_terms,
     indicator,
     integral,
     mixed_integral,
     oplus,
+    search_heights,
     terms_at,
 )
 from .quadrature import integrate_height
@@ -333,8 +333,7 @@ class DilatedQC(QCFunction):
         return scale(body, (target / size) ** (1.0 / self.phi.degree))
 
     def evaluate_many(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.array([_bisect_height(self, p) for p in x])
+        return search_heights(self, x)
 
     def is_rotation_invariant(self):
         return self.source.is_rotation_invariant()

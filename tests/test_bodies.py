@@ -28,6 +28,7 @@ from qcvx.bodies import (
     direction_net,
     facet_measure,
     inradius,
+    membership_margin,
     minkowski_sum,
     polar,
     polygon_ring,
@@ -284,6 +285,68 @@ def test_contains_point_degenerate():
     seg = ConvexBody.polytope([[0, 0], [1, 1]])
     assert contains_point(seg, [0.5, 0.5])
     assert not contains_point(seg, [0.5, 0.6])
+
+
+def _reference_contains(body, x, tol):
+    """Reference: the thresholded slacks, compared without a subtraction."""
+    x = np.asarray(x, dtype=float)
+    if body.is_empty:
+        return False
+    if body.is_ball:
+        return bool(np.linalg.norm(x) <= body.radius + tol * max(1.0, body.radius))
+    slack = tol * max(1.0, body.bounding_radius(), float(np.max(np.abs(x))))
+    if body.affine_rank() == body.dim:
+        A, b = body.facets()
+        return bool(np.all(A @ x - b <= slack))
+    return _point_in_hull(body.vertices, x, slack)
+
+
+def _knife_edges(x):
+    """x and the points one ulp off it along every axis, both ways."""
+    x = np.asarray(x, dtype=float)
+    out = [x]
+    for k in range(len(x)):
+        for toward in (-np.inf, np.inf):
+            y = x.copy()
+            y[k] = np.nextafter(y[k], toward)
+            out.append(y)
+    return out
+
+
+@pytest.mark.parametrize("tol", [2.0 ** -20, 1e-9, 1e-6])
+def test_membership_margin_sign_is_contains_point(tol):
+    """The margin is at most 0 exactly where the thresholded slack admits x,
+    on points placed on b + tol * scale and one ulp to either side; with a
+    dyadic tol the boxes, balls and segment put x exactly on it."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for body, edge in [(ConvexBody.box([-0.5, -0.5], [0.5, 0.5]), [0.5 + tol, 0.0]),
+                       (ConvexBody.box([-0.5] * 3, [0.5] * 3), [0.0, 0.0, 0.5 + tol]),
+                       (ConvexBody.ball(0.5, 2), [0.5 + tol, 0.0]),
+                       (ConvexBody.ball(4.0, 3), [0.0, 4.0 + 4.0 * tol, 0.0]),
+                       (ConvexBody.polytope([[-0.5, 0.0], [0.5, 0.0]]), [0.5 + tol, 0.0])]:
+        edge = np.asarray(edge)
+        cases.append((body, edge))
+        if tol == 2.0 ** -20:
+            beyond = np.nextafter(edge, 2.0 * edge)
+            assert membership_margin(body, edge, tol) <= 0.0 < membership_margin(body, beyond, tol)
+    # a segment whose scale is its bounding radius 4, and a point
+    cases.append((ConvexBody.polytope([[-4.0, 0.0], [1.0, 0.0]]), np.array([1.0 + 4.0 * tol, 0.0])))
+    cases.append((ConvexBody.polytope([[0.25, -0.5]]), np.array([0.25 + tol, -0.5])))
+    cases.append((ConvexBody.empty(2), np.zeros(2)))
+    for dim in (2, 3):
+        for _ in range(6):
+            body = random_polytope(rng, dim, 9, spread=3.0)
+            A, b = body.facets()
+            slack = tol * max(1.0, body.bounding_radius())
+            for a, off in zip(A, b):
+                p = body.vertices[0]
+                cases.append((body, p + (off + slack - a @ p) * a))
+    for body, edge in cases:
+        for x in _knife_edges(edge):
+            want = _reference_contains(body, x, tol)
+            assert (membership_margin(body, x, tol) <= 0.0) == want
+            assert contains_point(body, x, tol) == want
 
 
 def _point_in_reference_hull(verts, x, tol):

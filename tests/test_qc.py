@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.ndimage import maximum_filter, minimum_filter
 
-from qcvx.bodies import ConvexBody, approx_equal, minkowski_sum, scale, volume
+from qcvx.bodies import ConvexBody, approx_equal, contains_point, minkowski_sum, scale, volume
 from qcvx.errors import (
     ArityMismatch,
     DimensionMismatch,
@@ -21,6 +21,7 @@ from qcvx.grids import GridSpec, lattice_convolution
 from qcvx.mixed_volumes import mixed_volume
 from qcvx.profiles import GaussianProfile, PowerLawProfile, exponential_profile
 from qcvx.qc import (
+    Band,
     LevelStack,
     RadialQC,
     SumQC,
@@ -524,14 +525,18 @@ def test_lattice_convolution_rejects_other_dimensions(shapes):
         lattice_convolution(F, G, np.minimum, np.maximum, 0.0)
 
 
-@pytest.mark.parametrize("shape", [(1,), (3,), (40,), (1, 6), (2, 2), (9, 13), (41, 41)])
+@pytest.mark.parametrize("shape", [(1,), (3,), (40,), (1, 6), (2, 2), (9, 13), (41, 41),
+                                   (81, 81)])
 def test_erosion_matches_minimum_filter_bitwise(shape):
     """Reference: scipy's grey erosion over a 5-point window per axis with
-    the edge values repeated, on fields with plateaus and both infinities."""
+    the edge values repeated, on fields with plateaus, signed zeros and both
+    infinities; every other field has no negative finite values, so many
+    windows bottom out at a zero of either sign."""
     rng = np.random.default_rng(sum(shape))
-    for _ in range(5):
-        values = rng.choice([0.0, 0.25, 1.0, np.inf, -np.inf], size=shape)
-        values = np.where(rng.random(shape) < 0.5, rng.normal(size=shape), values)
+    for k in range(6):
+        values = rng.choice([0.0, -0.0, 0.25, 1.0, np.inf, -np.inf], size=shape)
+        noise = rng.normal(size=shape)
+        values = np.where(rng.random(shape) < 0.5, np.abs(noise) if k % 2 else noise, values)
         ref = minimum_filter(values, size=5, mode="nearest")
         out = _eroded(values, cells=2)
         assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
@@ -651,3 +656,107 @@ def test_phi_at_height_matches_level_set_on_multipart_sum():
             for t in (0.9, 0.4, 0.2, 0.05):
                 assert _phi_at_height(phi, f, t) == pytest.approx(
                     phi.eval_body(f.level_set(t)), rel=1e-10)
+
+
+# -- height search ------------------------------------------------------------
+
+def _reference_bisect(f, x):
+    """Reference: sup{t : x in K_t} by 60 geometric halvings of [1e-12, 1],
+    each deciding containment on a freshly built level set."""
+    if not contains_point(f.level_set(1e-12), x):
+        return 0.0
+    if contains_point(f.level_set(1.0), x):
+        return 1.0
+    lo, hi = 1e-12, 1.0
+    for _ in range(60):
+        mid = math.sqrt(lo * hi)
+        if contains_point(f.level_set(mid), x):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _assert_within_ulps(new, ref, ulps):
+    """Heights are nonnegative, so their bit patterns order like the floats."""
+    new, ref = np.asarray(new, dtype=float), np.asarray(ref, dtype=float)
+    assert np.all(np.abs(new.view(np.int64) - ref.view(np.int64)) <= ulps)
+
+
+def _count_level_sets(f):
+    """Count the level sets f builds from now on."""
+    built = [0]
+    level_set = f.level_set
+
+    def counted(t):
+        built[0] += 1
+        return level_set(t)
+
+    f.level_set = counted
+    return built
+
+
+def _parabolic_cap_section(npts):
+    from qcvx.rearrange import SizeFunctional
+    from qcvx.reshape import ParabolicCapQC, dilate_to_exponential
+    xs = np.geomspace(0.3, 6.0, npts)
+    return (dilate_to_exponential(SizeFunctional.vol(2), ParabolicCapQC(64)),
+            np.stack([xs, np.zeros_like(xs)], axis=1))
+
+
+@pytest.mark.parametrize("npts", [9, 25])
+def test_dilated_section_is_bitwise_the_reference_bisection(npts):
+    f, pts = _parabolic_cap_section(npts)
+    ref = np.array([_reference_bisect(f, p) for p in pts])
+    assert f.evaluate_many(pts).tobytes() == ref.tobytes()
+
+
+def test_dilated_section_builds_few_level_sets():
+    """The 9 section points take at most 200 level sets, against the 558 of
+    62 per point that bisection builds."""
+    f, pts = _parabolic_cap_section(9)
+    built = _count_level_sets(f)
+    f.evaluate_many(pts)
+    assert built[0] <= 200
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sum_heights_match_the_reference_bisection(dim):
+    """Seeded points, the origin (1) and a point outside every level set (0)
+    land within 8 ulps of bisection: both end in the few-ulp band where
+    rounding in the level sets can flip membership."""
+    from qcvx.generators import random_polytope
+    rng = np.random.default_rng(40 + dim)
+    f = oplus(*(RadialQC(random_polytope(rng, dim, 8, origin_interior=True),
+                         exponential_profile(1.0)) for _ in range(2)))
+    assert isinstance(f, SumQC)
+    pts = np.vstack([np.zeros(dim), np.full(dim, 1e3), rng.normal(0.0, 2.0, (10, dim))])
+    values = f.evaluate_many(pts)
+    assert values[0] == 1.0 and values[1] == 0.0
+    _assert_within_ulps(values, [_reference_bisect(f, p) for p in pts], 8)
+
+
+def test_segment_sum_heights_match_the_reference_bisection():
+    """Level sets that are segments give only the sign of the margin."""
+    seg_a = ConvexBody.polytope([[-1.0, 0.0], [1.0, 0.0]])
+    seg_b = ConvexBody.polytope([[-0.5, 0.0], [2.0, 0.0]])
+    f = SumQC([Band(0.0, 1.0, ((exponential_profile(1.0), seg_a),
+                               (GaussianProfile(1.0), seg_b)))])
+    xs = np.random.default_rng(5).normal(0.0, 3.0, 12)
+    pts = np.vstack([np.stack([xs, np.zeros_like(xs)], axis=1), [[0.0, 0.5]]])
+    values = f.evaluate_many(pts)
+    assert values[-1] == 0.0
+    _assert_within_ulps(values, [_reference_bisect(f, p) for p in pts], 8)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_step_function_heights_are_exact_at_bisection_cost(dim):
+    """A stack's bands as a sum: the margin jumps at every stack height, the
+    search lands on the height itself, and a point costs at most 3 level
+    sets more than bisection's 60."""
+    stack = random_stack(np.random.default_rng(dim), dim, nlevels=4)
+    f = SumQC(stack.bands())
+    pts = np.random.default_rng(9).normal(0.0, 0.8, (20, dim))
+    built = _count_level_sets(f)
+    np.testing.assert_array_equal(f.evaluate_many(pts), stack.evaluate_many(pts))
+    assert built[0] <= 2 + 63 * len(pts)
