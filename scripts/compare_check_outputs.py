@@ -12,8 +12,13 @@
         values on the section y = 0, plus a `sum_section` row: the values
         of one seeded 2-D and one seeded 3-D sum (oplus of two exponential
         radial functions over different polytopes) at 25 seeded points
-        each, the heights that `SumQC.evaluate_many` searches for.  And it
-        writes `oracle.json`: the lattice sup-min bracket
+        each, the heights that `SumQC.evaluate_many` searches for, and a
+        `stack_values` row: `LevelStack.evaluate_many` on a seeded 2-D
+        stack of 3 polygons at 25 seeded points, and on the stack
+        {1: [-1,1]^2, 0.5: [-100,100]^2} and the one-level stack over a
+        disc of radius 100 at (100 + 5e-8, 0), just outside both large
+        bodies but within their membership slack.  And it writes
+        `oracle.json`: the lattice sup-min bracket
         (`qc.supmin_bracket`) on one seeded pair of polygon stacks and one
         seeded pair of polygon indicators, with its `max_abs_error`,
         `fat_height` and `ok` and the full-precision lattice (`field`) and
@@ -104,9 +109,10 @@ def _dilation_records() -> list[dict]:
     # imported here so that `diff` runs without qcvx on the path
     import numpy as np
 
-    from qcvx.generators import random_polytope
+    from qcvx.bodies import ConvexBody
+    from qcvx.generators import random_polytope, random_stack
     from qcvx.profiles import exponential_profile
-    from qcvx.qc import RadialQC, oplus
+    from qcvx.qc import LevelStack, RadialQC, oplus
     from qcvx.rearrange import SizeFunctional
     from qcvx.reshape import ParabolicCapQC, dilate_to_exponential
 
@@ -127,6 +133,17 @@ def _dilation_records() -> list[dict]:
         sums[f"points_{dim}d"] = pts.tolist()
         sums[f"values_{dim}d"] = f.evaluate_many(pts).tolist()
     records.append(sums)
+    rng = np.random.default_rng(1415)
+    stack = random_stack(rng, 2, 3)
+    pts = rng.normal(0.0, 0.3 * stack.support_radius(), (25, 2))
+    edge = np.array([[100.0 + 5e-8, 0.0]])
+    wide = [LevelStack([(1.0, ConvexBody.box([-1, -1], [1, 1])),
+                        (0.5, ConvexBody.box([-100, -100], [100, 100]))]),
+            LevelStack([(1.0, ConvexBody.ball(100.0, 2))])]
+    records.append({"name": "stack_values", "points": pts.tolist(),
+                    "values": stack.evaluate_many(pts).tolist(),
+                    "edge_point": edge[0].tolist(),
+                    "edge_values": [float(g.evaluate_many(edge)[0]) for g in wide]})
     return records
 
 

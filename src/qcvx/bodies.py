@@ -409,18 +409,6 @@ class ConvexBody:
         self.__dict__["_facets"] = (A, b)
         return A, b
 
-    def gauge(self, x) -> float:
-        """Minkowski functional min{s >= 0 : x in s*body}; needs 0 interior."""
-        x = np.asarray(x, dtype=float)
-        if self.is_ball:
-            if self.radius <= 0:
-                raise OriginNotInterior("gauge needs a body with 0 in its interior")
-            return float(np.linalg.norm(x) / self.radius)
-        A, b = self.facets()
-        if np.min(b) <= VERTEX_TOL:
-            raise OriginNotInterior("gauge needs a body with 0 in its interior")
-        return float(max(0.0, np.max((A @ x) / b)))
-
 
 class DegenerateFacets(ValueError):
     pass
@@ -536,17 +524,21 @@ def _point_in_hull(verts: np.ndarray, x: np.ndarray, tol: float) -> bool:
     return bool(np.all(A @ px[:2] <= b + tol))
 
 
-def membership_margin(body: ConvexBody, x, tol: float = 1e-9) -> float:
+def membership_margin(body: ConvexBody, x, tol: float = 1e-9):
     """Signed slack of x against the body: at most 0 iff x lies in it
-    (within tol), positive outside.
+    (within tol), positive outside: the one membership rule.  An (m, n)
+    array x gets one margin per row.
 
     A full-dimensional polytope gives ``max(A x - b) - tol * scale`` on its
     cached ``facets()``, with scale ``max(1, bounding radius, max|x_i|)``; a
     ball gives ``|x| - (r + tol * max(1, r))``; the empty body +inf.  A
     lower-dimensional polytope projects onto its affine hull and gives only
-    the answer, as -1 inside and +1 outside.
+    the answer, as -1 inside and +1 outside.  BLAS may round a row of an
+    array differently from the same point alone.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        return _row_margins(body, x, tol)
     if body.is_empty:
         return math.inf
     if body.is_ball:
@@ -558,23 +550,26 @@ def membership_margin(body: ConvexBody, x, tol: float = 1e-9) -> float:
     return -1.0 if _point_in_hull(body.vertices, x, tol * scale) else 1.0
 
 
-def contains_point(body: ConvexBody, x, tol: float = 1e-9) -> bool:
-    """True iff the point x lies in the body (within tol): its
-    ``membership_margin`` is at most 0."""
-    return membership_margin(body, x, tol) <= 0.0
-
-
-def membership_mask(body: ConvexBody, x: np.ndarray, tol: float) -> np.ndarray:
-    """Row-wise membership of x: ``A x <= b + tol`` on a full-dimensional
-    polytope's facets, 1e-12 on a ball's radius, else ``contains_point``."""
+def _row_margins(body: ConvexBody, x: np.ndarray, tol: float) -> np.ndarray:
+    # the maxima per point reduce along axis 0, which numpy does several
+    # times faster than along axis 1; A @ x.T holds the floats of x @ A.T
     if body.is_empty:
-        return np.zeros(len(x), dtype=bool)
+        return np.full(len(x), math.inf)
     if body.is_ball:
-        return np.linalg.norm(x, axis=1) <= body.radius + 1e-12
+        return np.linalg.norm(x, axis=1) - (body.radius + tol * max(1.0, body.radius))
+    scale = np.maximum(max(1.0, body.bounding_radius()), np.abs(x).T.copy().max(axis=0))
     if body.affine_rank() == body.dim:
         A, b = body.facets()
-        return np.all(x @ A.T <= b + tol, axis=1)
-    return np.array([contains_point(body, p) for p in x])
+        slack = A @ x.T
+        slack -= b[:, None]
+        return slack.max(axis=0) - tol * scale
+    return np.array([-1.0 if _point_in_hull(body.vertices, p, tol * s) else 1.0
+                     for p, s in zip(x, scale)])
+
+
+def contains_point(body: ConvexBody, x, tol: float = 1e-9) -> bool:
+    """True iff x lies in the body (within tol): ``membership_margin`` <= 0."""
+    return membership_margin(body, x, tol) <= 0.0
 
 
 def minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
@@ -794,12 +789,9 @@ def direction_net(dim: int, count: int = 64) -> np.ndarray:
 def contains(a: ConvexBody, b: ConvexBody, tol: float = 1e-9) -> bool:
     """True iff b is a subset of a (within tol).
 
-    Polytope-in-polytope is exact via vertex membership: when ``a`` is
-    full-dimensional, all vertices of ``b`` are tested at once against the
-    cached ``a.facets()``, each with the slack ``contains_point`` gives it;
-    a lower-dimensional ``a`` falls back to ``contains_point`` per vertex.
-    Ball cases reduce to support-function dominance on the facet normals of
-    ``a``.
+    A polytope or a point ``b`` is exact via vertex membership: every
+    vertex has a ``membership_margin`` in ``a`` of at most 0.  A ball ``b``
+    reduces to support-function dominance on the facet normals of ``a``.
     """
     if a.dim != b.dim:
         raise DimensionMismatch("containment needs equal dimensions")
@@ -807,24 +799,15 @@ def contains(a: ConvexBody, b: ConvexBody, tol: float = 1e-9) -> bool:
         return True
     if a.is_empty:
         return False
-    slack = tol * max(1.0, a.bounding_radius(), b.bounding_radius())
+    if b.is_polytope or b.radius == 0.0:
+        points = b.vertices if b.is_polytope else np.zeros((1, b.dim))
+        return bool(np.all(membership_margin(a, points, tol) <= 0.0))
+    slack = tol * max(1.0, a.bounding_radius(), b.radius)
     if a.is_ball:
-        if b.is_ball:
-            return b.radius <= a.radius + slack
-        return bool(np.all(np.linalg.norm(b.vertices, axis=1) <= a.radius + slack))
-    if b.is_ball:
-        if b.radius == 0.0:
-            return contains_point(a, np.zeros(a.dim), tol)
-        if a.affine_rank() < a.dim:
-            return False
-        A, bb = a.facets()
-        return bool(np.min(bb) >= b.radius - slack)
+        return b.radius <= a.radius + slack
     if a.affine_rank() < a.dim:
-        return all(contains_point(a, v, tol) for v in b.vertices)
-    A, bb = a.facets()
-    verts = b.vertices
-    scales = np.maximum(max(1.0, a.bounding_radius()), np.max(np.abs(verts), axis=1))
-    return bool(np.all(verts @ A.T - bb <= (tol * scales)[:, None]))
+        return False
+    return bool(np.min(a.facets()[1]) >= b.radius - slack)
 
 
 def approx_equal(a: ConvexBody, b: ConvexBody, tol: float = 1e-9) -> bool:

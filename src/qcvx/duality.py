@@ -28,7 +28,7 @@ from .bodies import (
     _dedupe_rows,
     contains_point,
     direction_net,
-    membership_mask,
+    membership_margin,
     polar,
     scale,
 )
@@ -86,7 +86,7 @@ class GeomConvexFn:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         vals = np.max(x @ self.slopes.T + self.offsets, axis=1)
         if self.domain is not None:
-            vals = np.where(membership_mask(self.domain, x, 1e-12), vals, np.inf)
+            vals = np.where(membership_margin(self.domain, x, 1e-12) <= 0.0, vals, np.inf)
         return vals
 
     def __call__(self, x) -> float:

@@ -39,7 +39,6 @@ from .bodies import (
     contains,
     inradius,
     membership_margin,
-    membership_mask,
     minkowski_sum,
     scale,
     volume,
@@ -60,6 +59,7 @@ from .profiles import (
     Profile,
     ShiftedProfile,
     SumProfile,
+    margin_root,
     profile_from_json,
     profile_to_json,
 )
@@ -181,7 +181,7 @@ class LevelStack(QCFunction):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.zeros(len(x))
         for t, body in zip(self.heights[::-1], self.bodies[::-1]):
-            out = np.where(membership_mask(body, x, 1e-9), t, out)
+            out = np.where(membership_margin(body, x) <= 0.0, t, out)
         return out
 
     def bands(self):
@@ -210,7 +210,7 @@ class RadialQC(QCFunction):
 
     def __init__(self, base: ConvexBody, profile: Profile):
         if base.is_polytope and base.affine_rank() == base.dim:
-            # ``gauge`` and ``evaluate_many`` divide by these facet offsets
+            # ``evaluate_many`` divides by these facet offsets
             inside = float(np.min(base.facets()[1])) > VERTEX_TOL
         else:
             inside = base.is_ball and base.radius > 0
@@ -305,77 +305,23 @@ class SumQC(QCFunction):
                    for band in self._bands)
 
 
-_EPS = math.ulp(1.0)
-
-
 def search_heights(f: QCFunction, x: np.ndarray) -> np.ndarray:
     """f(x) = sup{t : x in K_t} for every row of x, from the level sets.
 
     The level sets nest, so ``membership_margin(K_t, x)`` (tol 1e-9) rises
     with t, and f(x) is where it changes sign: 0 outside K_1e-12, 1 inside
     K_1, else a height lo with x in K_lo and not in K_hi, hi a few ulps
-    above lo (``_margin_root``).  K_1e-12 and K_1 are built once per call.
+    above lo (``profiles.margin_root``).  K_1e-12 and K_1 are built once
+    per call, and their margins are taken for all rows at once.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    bottom, top = f.level_set(1e-12), f.level_set(1.0)
-    out = np.empty(len(x))
-    for i, p in enumerate(x):
-        m_lo, m_hi = membership_margin(bottom, p), membership_margin(top, p)
-        if m_lo > 0.0:
-            out[i] = 0.0
-        elif m_hi <= 0.0:
-            out[i] = 1.0
-        else:
-            out[i] = _margin_root(lambda t: membership_margin(f.level_set(t), p),
-                                  1e-12, 1.0, m_lo, m_hi)
+    lows = membership_margin(f.level_set(1e-12), x)
+    highs = membership_margin(f.level_set(1.0), x)
+    out = np.where(lows > 0.0, 0.0, 1.0)
+    for i in np.flatnonzero((lows <= 0.0) & (highs > 0.0)):
+        out[i] = margin_root(lambda t: membership_margin(f.level_set(t), x[i]),
+                             1e-12, 1.0, float(lows[i]), float(highs[i]))
     return out
-
-
-def _margin_root(margin, lo: float, hi: float, m_lo: float, m_hi: float) -> float:
-    """The sign change of ``margin`` in (lo, hi], given margin(lo) = m_lo
-    <= 0 < m_hi = margin(hi): a safeguarded secant search in u = log t,
-    finished by geometric bisection.
-
-    Each step is the Illinois regula falsi point in u, kept 4 ulps inside
-    the bracket (a step that rounds onto an end probes next to it).  It
-    takes the geometric midpoint instead when a bracket margin is not
-    finite (an empty level set) or when the log-width has fallen more than
-    two halvings behind plain bisection, which bounds the steps on a margin
-    that jumps (a stack's band edge) or only gives its sign (a flat level
-    set).  Once hi <= lo * (1 + 8 eps), geometric bisection runs until the
-    midpoint rounds onto an end, and lo is returned.  A smooth margin takes
-    about 8-14 evaluations; any other stays within three of the 60 that
-    plain bisection of [1e-12, 1] takes.
-    """
-    width, steps, kept = math.log(hi) - math.log(lo), 0, 0
-    while hi > lo * (1.0 + 8.0 * _EPS):
-        u_lo, u_hi = math.log(lo), math.log(hi)
-        on_schedule = u_hi - u_lo <= width * 2.0 ** (2 - steps)
-        if on_schedule and math.isfinite(m_lo) and math.isfinite(m_hi):
-            step = math.exp(u_lo - m_lo * (u_hi - u_lo) / (m_hi - m_lo))
-            t = min(max(step, lo * (1.0 + 4.0 * _EPS)), hi / (1.0 + 4.0 * _EPS))
-        else:
-            t = math.sqrt(lo * hi)
-        m = margin(t)
-        steps += 1
-        if m <= 0.0:
-            lo, m_lo = t, m
-            if kept < 0:  # hi kept twice running: Illinois halves its margin
-                m_hi *= 0.5
-            kept = -1
-        else:
-            hi, m_hi = t, m
-            if kept > 0:
-                m_lo *= 0.5
-            kept = 1
-    while True:
-        mid = math.sqrt(lo * hi)
-        if mid == lo or mid == hi:
-            return lo
-        if margin(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
 
 
 # ---------------------------------------------------------------------------

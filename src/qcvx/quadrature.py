@@ -95,46 +95,30 @@ def integrate_height(fn, lo: float = 0.0, hi: float = 1.0,
         t = np.exp(-s)
         return fn(t) * t
 
-    s_lo = -np.log(hi)
-    total = 0.0
-    width = 1.0
-    edge = s_lo
-    used = 0
-    last = np.inf
-    grew = 0
-    while used < max_nodes:
-        panel = integrate_interval(g, edge, edge + width, rel_tol, 4 * NODES_PER_PANEL)
-        total += panel
-        used += NODES_PER_PANEL
-        if abs(panel) <= rel_tol * max(abs(total), 1e-300) and edge > s_lo + 4.0:
-            return total
-        grew = grew + 1 if abs(panel) > abs(last) else 0
-        if grew >= 8:
-            raise DivergentIntegral("height integral does not converge near t = 0")
-        last = panel
-        edge += width
-        width *= 2.0
-    raise DivergentIntegral("height integral did not settle within the node cap")
+    return _tail(g, -np.log(hi), rel_tol, max_nodes, "height integral", " near t = 0")
 
 
 def integrate_radial(fn, rel_tol: float = REL_TOL, max_nodes: int | None = None) -> float:
     """Integral of fn(r) dr over [0, inf) on geometrically growing panels."""
+    return _tail(fn, 0.0, rel_tol, max_nodes, "radial integral", "")
+
+
+def _tail(fn, start: float, rel_tol: float, max_nodes, what: str, near: str) -> float:
+    """Integral of fn over [start, inf) on panels of width 1, 2, 4, ..., up to
+    the first panel past start + 4 that adds at most rel_tol of the total;
+    eight growing panels in a row or the node cap raise DivergentIntegral."""
     max_nodes = _NODE_CAP.get() if max_nodes is None else max_nodes
-    total = 0.0
-    edge, width = 0.0, 1.0
-    used = 0
-    last = np.inf
-    grew = 0
+    total, edge, width, used, last, grew = 0.0, start, 1.0, 0, np.inf, 0
     while used < max_nodes:
         panel = integrate_interval(fn, edge, edge + width, rel_tol, 4 * NODES_PER_PANEL)
         total += panel
         used += NODES_PER_PANEL
-        if abs(panel) <= rel_tol * max(abs(total), 1e-300) and edge >= 4.0:
+        if abs(panel) <= rel_tol * max(abs(total), 1e-300) and edge > start + 4.0:
             return total
         grew = grew + 1 if abs(panel) > abs(last) else 0
         if grew >= 8:
-            raise DivergentIntegral("radial integral does not converge")
+            raise DivergentIntegral(f"{what} does not converge{near}")
         last = panel
         edge += width
         width *= 2.0
-    raise DivergentIntegral("radial integral did not settle within the node cap")
+    raise DivergentIntegral(f"{what} did not settle within the node cap")

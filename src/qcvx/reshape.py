@@ -27,7 +27,7 @@ from .errors import (
     NotLogConcave,
     NotRegular,
 )
-from .profiles import Profile, RescaledProfile, StretchedExponentialProfile
+from .profiles import Profile, RescaledProfile, StretchedExponentialProfile, margin_root
 from .qc import (
     Band,
     LevelStack,
@@ -104,18 +104,15 @@ class PhiProfile:
             base_val = self.phi.eval_body(self.f.base)
             r = (v / base_val) ** (1.0 / self.phi.degree)
             return float(self.f.profile.value(r))
-        lo, hi = 1e-300, 1.0
-        if self.value(lo) < v:
+        m = 1.0 / self.phi.degree
+
+        def margin(t):  # the Phi-ball radii: smoother in log t than Phi itself
+            return v ** m - self.value(t) ** m
+
+        m_lo, m_hi = margin(1e-300), margin(1.0)
+        if m_lo > 0.0:
             raise NonInvertibleProfile(f"value {v} beyond the resolvable range")
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            if self.value(mid) >= v:
-                lo = mid
-            else:
-                hi = mid
-            if hi / lo < 1.0 + 1e-12:
-                break
-        return math.sqrt(lo * hi)
+        return 1.0 if m_hi <= 0.0 else margin_root(margin, 1e-300, 1.0, m_lo, m_hi)
 
     def sample(self, heights: Optional[Sequence[float]] = None):
         if heights is None:

@@ -349,6 +349,56 @@ def test_membership_margin_sign_is_contains_point(tol):
             assert contains_point(body, x, tol) == want
 
 
+def _reference_contains_body(a, b, tol):
+    """Reference: the vertex test of ``contains`` written out, the facet
+    slacks of every vertex against tol times its own scale on a
+    full-dimensional ``a``, else the projection onto ``a``'s affine hull."""
+    V = b.vertices
+    scales = np.maximum(max(1.0, a.bounding_radius()), np.max(np.abs(V), axis=1))
+    if a.affine_rank() == a.dim:
+        A, off = a.facets()
+        return bool(np.all(V @ A.T - off <= (tol * scales)[:, None]))
+    return all(_point_in_hull(a.vertices, v, tol * s) for v, s in zip(V, scales))
+
+
+@pytest.mark.parametrize("tol", [2.0 ** -20, 1e-9])
+def test_contains_polytope_is_the_vertex_formula(tol):
+    """``contains`` answers as the written-out vertex test, bitwise, on
+    polytopes with one vertex planted on b + tol * scale of a facet of a
+    full-dimensional ``a`` (or past an end of a flat one) and one ulp to
+    either side of it along every axis."""
+    rng = np.random.default_rng(23)
+    cases = []
+    for dim in (2, 3):
+        for _ in range(5):
+            a = random_polytope(rng, dim, 9, spread=3.0)
+            A, off = a.facets()
+            slack = tol * max(1.0, a.bounding_radius())
+            inner = 0.9 * a.vertices.mean(axis=0) + 0.1 * a.vertices[:dim]
+            for u, c in zip(A, off):
+                p = a.vertices[0]
+                cases.append((a, p + (c + slack - u @ p) * u, inner))
+    # with a dyadic tol the boxes and the segment put the vertex exactly on it
+    for dim in (2, 3):
+        edge = np.zeros(dim)
+        edge[-1] = 0.5 + tol
+        cases.append((ConvexBody.box([-0.5] * dim, [0.5] * dim), edge, np.zeros((1, dim))))
+    segment = ConvexBody.polytope([[-4.0, 0.0], [1.0, 0.0]])
+    cases.append((segment, np.array([1.0 + 4.0 * tol, 0.0]), np.zeros((1, 2))))
+    square = ConvexBody.polytope([[x, y, 0.0] for x in (-1, 1) for y in (-1, 1)])
+    cases.append((square, np.array([1.0 + 1.5 * tol, 0.5, 0.0]), np.zeros((1, 3))))
+    cases.append((square, np.array([0.5, 0.5, 1.5 * tol]), np.zeros((1, 3))))
+    answers = []
+    for a, edge, inner in cases:
+        for v in _knife_edges(edge):
+            b = ConvexBody.polytope(np.vstack([v, inner]))
+            assert any(np.array_equal(w, v) for w in b.vertices)
+            want = _reference_contains_body(a, b, tol)
+            assert contains(a, b, tol) == want
+            answers.append(want)
+    assert any(answers) and not all(answers)
+
+
 def _point_in_reference_hull(verts, x, tol):
     """x in conv(verts): a fresh Qhull build's planes when the hull is solid
     in 3-space, else the projection onto the affine hull."""

@@ -104,6 +104,37 @@ def test_sum_profile_value_inverse_consistency():
     assert s.is_regular()
 
 
+def _count_calls(obj, name):
+    """Count the calls of obj.name made from now on."""
+    calls = [0]
+    fn = getattr(obj, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    setattr(obj, name, counted)
+    return calls
+
+
+def test_sum_profile_value_matches_the_closed_form():
+    """Exponential parts add radii log(1/t)/c_i, so h(r) = exp(-r / sum 1/c_i);
+    h is 1 up to r(1) = 0 and stays at the search floor 1e-300 past
+    r(1e-300), and each point takes at most 30 evaluations of r(t)."""
+    s = SumProfile([exponential_profile(1.0), exponential_profile(2.5),
+                    exponential_profile(0.4)])
+    k = 1.0 + 1.0 / 2.5 + 1.0 / 0.4
+    r = np.geomspace(1e-6, 600.0 * k, 41)
+    np.testing.assert_allclose(s.value(r), np.exp(-r / k), rtol=1e-12, atol=0.0)
+    assert s.value(0.0) == 1.0 and s.value(-2.0) == 1.0
+    assert s.value(1.01 * s.inv(1e-300)) == 1e-300
+    calls = _count_calls(s, "inv")
+    for rk in r:
+        calls[0] = 0
+        s.value(rk)
+        assert calls[0] <= 30
+
+
 def test_log_concavity_flags():
     assert exponential_profile(2.0).is_log_concave()
     assert GaussianProfile(0.5).is_log_concave()

@@ -760,3 +760,17 @@ def test_step_function_heights_are_exact_at_bisection_cost(dim):
     built = _count_level_sets(f)
     np.testing.assert_array_equal(f.evaluate_many(pts), stack.evaluate_many(pts))
     assert built[0] <= 2 + 63 * len(pts)
+
+
+@pytest.mark.parametrize("body", [ConvexBody.box([-100.0, -100.0], [100.0, 100.0]),
+                                  ConvexBody.ball(100.0, 2)])
+def test_stack_and_its_bands_agree_at_a_large_boundary(body):
+    """A point 5e-8 outside a body of radius 100 lies within the slack
+    1e-9 * 100 that every membership test gives it, whether the stack
+    evaluates itself or its bands are searched as a sum."""
+    levels = [(1.0, body)] if body.is_ball else [(1.0, BOX2), (0.5, body)]
+    stack = LevelStack(levels)
+    x = np.array([[100.0 + 5e-8, 0.0]])
+    want = levels[-1][0]
+    assert stack.evaluate_many(x)[0] == want
+    assert SumQC(stack.bands()).evaluate_many(x)[0] == want

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from qcvx.bodies import ConvexBody, volume
-from qcvx.errors import NotLogConcave, NotRegular
+from qcvx.bodies import ConvexBody, minkowski_sum, volume
+from qcvx.errors import NonInvertibleProfile, NotLogConcave, NotRegular
 from qcvx.generators import random_radial, rng_for
 from qcvx.profiles import GaussianProfile, exponential_profile
-from qcvx.qc import RadialQC, indicator, integral
+from qcvx.qc import RadialQC, indicator, integral, oplus
 from qcvx.rearrange import SizeFunctional
 from qcvx.reshape import (
     DilatedStack,
@@ -51,6 +51,32 @@ def test_phi_profile_closed_form():
         assert prof.value(t) == pytest.approx(math.pi * math.log(1 / t) ** 2, rel=1e-12)
     assert prof.inverse(math.pi) == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert prof.certify_monotone()
+
+
+def test_phi_profile_inverse_of_a_sum_matches_the_closed_form():
+    """exp(-|.|_K) (+) exp(-|.|_L) has the level sets log(1/t) (K + L), so
+    its area profile is V log^2(1/t) with V = vol(K + L), inverted by
+    exp(-sqrt(v / V)) in at most 30 evaluations; past the search floor
+    t = 1e-300 the inverse raises."""
+    square = ConvexBody.box([-1.0, -0.5], [1.0, 0.5])
+    diamond = ConvexBody.polytope([[1, 0], [-1, 0], [0, 2], [0, -2]])
+    f = oplus(RadialQC(square, exponential_profile(1.0)),
+              RadialQC(diamond, exponential_profile(1.0)))
+    prof = phi_profile(VOL2, f)
+    area = volume(minkowski_sum(square, diamond))
+    calls, value = [0], prof.value
+
+    def counted(t):
+        calls[0] += 1
+        return value(t)
+
+    prof.value = counted
+    for v in (1e-8, 0.1, 1.0, 10.0, 1e3, 1e5, 3e6):
+        calls[0] = 0
+        assert prof.inverse(v) == pytest.approx(math.exp(-math.sqrt(v / area)), rel=1e-12)
+        assert calls[0] <= 30
+    with pytest.raises(NonInvertibleProfile):
+        prof.inverse(area * 700.0 ** 2)
 
 
 def test_phi_profile_rejects_stacks():
