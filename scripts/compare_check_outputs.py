@@ -29,9 +29,11 @@
         `polarity_sandwich_check`).  And `kernel.json`: the 3-D body kernel
         on seeded polytopes, their pairwise Minkowski sums and homothets,
         one record per body with its full-precision `volume`, facet-measure
-        total (`surface`), W1 and W2, and one record with V(K, L, M) of the
-        first three polytopes.  The qcvx package is the one Python imports,
-        so set PYTHONPATH to pick a checkout.
+        total (`surface`), W1 and W2, one record with V(K, L, M) of the
+        first three polytopes, and one with the full-precision coefficients
+        of their `minkowski_polynomial` grid fit, keyed by multiset ("0,1,2"
+        is V(K, L, M)).  The qcvx package is the one Python imports, so set
+        PYTHONPATH to pick a checkout.
 
     compare_check_outputs.py diff OLD NEW
         Reports which files are byte-identical and, on the same line,
@@ -214,12 +216,13 @@ def _report_records() -> list[dict]:
 
 def _kernel_records() -> list[dict]:
     """Volume, facet-measure total, W1 and W2 of seeded 3-D polytopes, their
-    pairwise sums and homothets, and V(K, L, M) of the first three."""
+    pairwise sums and homothets, and V(K, L, M) and the Minkowski-polynomial
+    fit of the first three."""
     import numpy as np
 
     from qcvx.bodies import facet_measure, minkowski_sum, scale, volume
     from qcvx.generators import random_polytope
-    from qcvx.mixed_volumes import mixed_volume, quermassintegral_body
+    from qcvx.mixed_volumes import minkowski_polynomial, mixed_volume, quermassintegral_body
 
     rng = np.random.default_rng(1210)
     polys = [random_polytope(rng, 3, npts) for npts in (5, 8, 13, 21)]
@@ -233,6 +236,9 @@ def _kernel_records() -> list[dict]:
                 "W1": quermassintegral_body(k, 1), "W2": quermassintegral_body(k, 2)}
                for name, k in named]
     records.append({"name": "V(K,L,M)", "value": mixed_volume(polys[:3])})
+    fit = minkowski_polynomial(polys[:3]).coefficients
+    records.append({"name": "minkowski_polynomial",
+                    "coefficients": {",".join(map(str, ms)): c for ms, c in fit.items()}})
     return records
 
 

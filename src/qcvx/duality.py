@@ -288,12 +288,6 @@ def a_transform_values(phi: GeomConvexFn, x: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def a_transform(phi: GeomConvexFn, grid: GridSpec) -> SampledField:
-    """The ratio transform sampled on the lattice."""
-    vals = a_transform_values(phi, grid.points())
-    return SampledField(grid, vals.reshape((grid.npts,) * grid.dim))
-
-
 def a_transform_level_set(phi: GeomConvexFn, t: float) -> ConvexBody:
     """K_t(A phi) = {x : <x, y_v> <= 1 + t phi(y_v) for every vertex}, cut by
     t * conv(slopes) when phi has no domain: an exact polytope.

@@ -17,13 +17,18 @@ quermassintegral patterns V(K, ..., K, B, ..., B) use closed forms
 r/6 [S(K+L) - S(K) - S(L)].
 
 `minkowski_polynomial` recovers the same coefficients from a deterministic
-grid fit of Vol(sum eps_i K_i) and serves as an independent oracle.  It is
-the only place that substitutes a fixed polytope for the unit ball
-(`unit_ball_polytope`), since a fit needs bodies it can add and measure:
-the Minkowski average of the inscribed and circumscribed regular 128-gon in
-the plane, the Minkowski average of a geodesic 320-facet sphere and its
-polar dual in 3-space, and the exact segment [-1, 1] on the line, each
-rescaled to the exact ball volume.
+grid fit of Vol(sum eps_i K_i) and serves as an independent oracle: it reads
+volumes only, never facet measures.  For positive weights the normal fan of
+sum eps_i K_i does not depend on eps, so in the plane and in space its grid
+values come from one triangulation of the vertex-tuple family, not from one
+hull per grid point (``_tuple_volumes``).  On the line, for a body of affine
+rank below n, and where Qhull fails on the tuple cloud, each grid point's sum
+is built and measured on its own.  The fit is also the only place that
+substitutes a fixed polytope for the unit ball (`unit_ball_polytope`), since
+a fit needs bodies it can add and measure: the Minkowski average of the
+inscribed and circumscribed regular 128-gon in the plane, the Minkowski
+average of a geodesic 320-facet sphere and its polar dual in 3-space, and the
+exact segment [-1, 1] on the line, each rescaled to the exact ball volume.
 Measured support-function error of the stand-ins: about 5e-5 (2-D) and 3e-3
 (3-D).
 """
@@ -44,6 +49,7 @@ from .bodies import (
     VERTEX_TOL,
     _affine_frame,
     _ccw_order,
+    _polygon_area,
     _polygon_edges,
     convex_hull,
     facet_measure,
@@ -176,24 +182,13 @@ def _quermass_exact(body: ConvexBody, i: int) -> float:
 # mixed volumes from facet measures
 # ---------------------------------------------------------------------------
 
-def _weighted_sum(bodies, weights, partial: dict | None = None) -> ConvexBody:
-    """sum w_i K_i over the nonzero weights, added left to right.
-
-    ``partial``, when given, maps proper weight prefixes to the partial sums
-    they give; it is read and filled, so calls that share it build each
-    prefix's sum once.
-    """
+def _weighted_sum(bodies, weights) -> ConvexBody:
+    """sum w_i K_i over the nonzero weights, added left to right."""
     acc = None
-    for k, (body, w) in enumerate(zip(bodies, weights), 1):
-        prefix = tuple(map(float, weights[:k]))
-        if partial is not None and prefix in partial:
-            acc = partial[prefix]
-            continue
+    for body, w in zip(bodies, weights):
         if w != 0:
             term = scale(body, float(w))
             acc = term if acc is None else minkowski_sum(acc, term)
-        if partial is not None and k < len(bodies):
-            partial[prefix] = acc
     return acc
 
 
@@ -375,10 +370,82 @@ def _fit_polynomial(values_fn, arity: int, n: int) -> dict:
     return {ms: float(c) for ms, c in zip(multisets, sol)}
 
 
+def _vertex_tuples(verts):
+    """(tuples, hull): the vertex tuples of K_1 + ... + K_m, as rows of
+    indices into ``verts``, and the Qhull hull of their sums.
+
+    A vertex of K_1 + ... + K_k is a sum of vertices, and the sum of its
+    first k - 1 entries is a vertex of K_1 + ... + K_{k-1}, so K_k is added
+    only to the vertex tuples of the previous hull: one build per added body.
+    """
+    # looked up on ``bodies`` at call time, so whatever counts the body
+    # kernel's Qhull builds there counts these too
+    from .bodies import ConvexHull
+
+    idx = np.arange(len(verts[0]))[:, None]
+    hull = ConvexHull(verts[0]) if len(verts) == 1 else None
+    for v in verts[1:]:
+        if hull is not None:
+            idx = idx[hull.vertices]
+        idx = np.concatenate([np.repeat(idx, len(v), axis=0),
+                              np.tile(np.arange(len(v)), len(idx))[:, None]], axis=1)
+        hull = ConvexHull(sum(w[col] for w, col in zip(verts, idx.T)))
+    return idx, hull
+
+
+def _tuple_volumes(bodies, n: int):
+    """Vol(sum eps_i K_i) for every eps > 0, on one triangulation, or None
+    where the kernel cannot take the bodies: on the line, for a body of
+    affine rank below n, and where Qhull fails on the tuple cloud.
+
+    For positive weights the normal fan of sum eps_i K_i does not depend on
+    eps, so every such sum has the same vertex tuples and the same facets:
+    the triangles (n = 3) or the ccw ring (n = 2) of the hull at eps = 1,
+    indexed by tuples, serve every weight.  The volume at eps is then
+    sum |det| / 6 over those triangles, or the shoelace area of that ring,
+    at the points sum eps_i V_i[tuple_i], measured from their centroid.
+    """
+    from .bodies import QhullError
+
+    if n == 1 or not all(b.is_polytope and b.affine_rank() == n for b in bodies):
+        return None
+    verts = [b.vertices for b in bodies]
+    try:
+        idx, hull = _vertex_tuples(verts)
+    except QhullError:
+        return None
+    tuples = idx[hull.vertices]
+    if n == 3:
+        slot = np.empty(len(idx), dtype=np.intp)
+        slot[hull.vertices] = np.arange(len(tuples))
+        triangles = slot[hull.simplices]
+    corners = np.stack([w[col] for w, col in zip(verts, tuples.T)])
+
+    def value(eps):
+        pts = np.tensordot(eps, corners, axes=1)
+        pts = pts - pts.mean(axis=0)
+        if n == 2:
+            return _polygon_area(pts)       # Qhull lists 2-D vertices ccw
+        tri = pts[triangles]
+        dets = np.einsum("fi,fi->f", tri[:, 0], np.cross(tri[:, 1], tri[:, 2]))
+        return float(np.sum(np.abs(dets)) / 6.0)
+
+    return value
+
+
 def minkowski_polynomial(bodies, dim: int | None = None) -> MinkowskiPolynomial:
     """Fit Vol(sum eps_i K_i) on the deterministic grid {1..n+1}^m.
 
     Balls enter as the fixed polytope stand-in (``unit_ball_polytope``).
+    In the plane and in space, with every body full-dimensional, all grid
+    values come from one triangulation of the vertex-tuple family of
+    K_1 + ... + K_m (``_tuple_volumes``): one Qhull build per added body
+    and no Minkowski sum.  On the line, with a body of lower affine rank
+    (its sum with the others may change combinatorics or rank), or where
+    Qhull fails on the tuple cloud, each grid point is summed and measured
+    on its own (``_weighted_sum``, ``volume``).  Either way the fit reads
+    only volumes, never facet measures, so it stays an independent oracle
+    for ``mixed_volume``.
     The design matrix depends on the grid alone and has full rank for every
     n <= 3 and m <= 7 (condition number at most about 4e2), so there is no
     refit; a singular system raises SingularSystem.
@@ -390,10 +457,6 @@ def minkowski_polynomial(bodies, dim: int | None = None) -> MinkowskiPolynomial:
     if any(b.dim != n for b in bodies):
         raise DimensionMismatch("all bodies must live in the polynomial's dimension")
 
-    partial: dict = {}  # the grid repeats every weight prefix n + 1 times
-
-    def values(eps):
-        return volume(_weighted_sum(bodies, eps, partial))
-
+    values = _tuple_volumes(bodies, n) or (lambda eps: volume(_weighted_sum(bodies, eps)))
     return MinkowskiPolynomial(dim=n, arity=len(bodies),
                                coefficients=_fit_polynomial(values, len(bodies), n))

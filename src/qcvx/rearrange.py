@@ -161,11 +161,6 @@ def sdr(f: QCFunction) -> QCFunction:
     return phi_rearrange(SizeFunctional.vol(f.dim), f)
 
 
-def body_rearrange_vol(a: ConvexBody) -> ConvexBody:
-    """K*: the ball with the volume of K."""
-    return ball_rearrange(SizeFunctional.vol(a.dim), a)
-
-
 def size_functional_from_json(obj: dict) -> SizeFunctional:
     from .bodies import body_from_json
 

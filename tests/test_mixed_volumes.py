@@ -255,15 +255,13 @@ def test_evaluation_at_unit_vectors_recovers_volume():
     assert poly.evaluate([1.0, 1e-9]) == pytest.approx(volume(a), rel=1e-6)
 
 
-def test_polynomial_builds_each_weight_prefix_once(monkeypatch):
-    """The grid {1..4}^3 has 16 two-body prefixes and 64 full sums: 80
-    Minkowski sums, not 128, and the coefficients of a fit that sums every
-    grid point from scratch."""
-    from qcvx import mixed_volumes
+def from_scratch_fit(bodies):
+    """Independent oracle: the grid fit with every grid point's weighted sum
+    built and measured on its own, balls as the fixed polytope stand-in."""
     from qcvx.mixed_volumes import _fit_polynomial
 
-    rng = np.random.default_rng(11)
-    bodies = [random_polytope(rng, 3) for _ in range(3)]
+    bodies = [scale(unit_ball_polytope(b.dim), b.radius) if b.is_ball else b
+              for b in bodies]
 
     def from_scratch(eps):
         acc = scale(bodies[0], float(eps[0]))
@@ -271,7 +269,17 @@ def test_polynomial_builds_each_weight_prefix_once(monkeypatch):
             acc = minkowski_sum(acc, scale(body, float(w)))
         return volume(acc)
 
-    reference = _fit_polynomial(from_scratch, 3, 3)
+    return _fit_polynomial(from_scratch, len(bodies), bodies[0].dim)
+
+
+@pytest.fixture
+def sum_calls(monkeypatch):
+    """The Minkowski sums `minkowski_polynomial` makes, one entry per call.
+    The ball stand-ins, built with sums of their own, are built first."""
+    from qcvx import mixed_volumes
+
+    for dim in (2, 3):
+        unit_ball_polytope(dim)
     calls = []
 
     def counted(a, b):
@@ -279,8 +287,96 @@ def test_polynomial_builds_each_weight_prefix_once(monkeypatch):
         return minkowski_sum(a, b)
 
     monkeypatch.setattr(mixed_volumes, "minkowski_sum", counted)
+    return calls
+
+
+def test_polynomial_triangulates_once_for_the_whole_grid(monkeypatch, sum_calls):
+    """The grid {1..4}^3 of a full-dimensional triple takes two Qhull builds
+    (K1 + K2, then K3 added to its vertex pairs) and no Minkowski sum, and
+    the fit matches one that sums every grid point from scratch."""
+    from qcvx import bodies as body_kernel
+
+    rng = np.random.default_rng(11)
+    bodies = [random_polytope(rng, 3) for _ in range(3)]
+    reference = from_scratch_fit(bodies)
+    builds = []
+    real_hull = body_kernel.ConvexHull
+
+    def counted_hull(points):
+        builds.append(len(points))
+        return real_hull(points)
+
+    monkeypatch.setattr(body_kernel, "ConvexHull", counted_hull)
+    assert minkowski_polynomial(bodies).coefficients == pytest.approx(reference, rel=1e-12)
+    assert sum_calls == []
+    assert len(builds) == 2
+    assert builds[0] == len(bodies[0].vertices) * len(bodies[1].vertices)
+
+
+def _tuple_kernel_cases():
+    rng = np.random.default_rng(1603)
+    cases = {}
+    for k in range(6):
+        dim = 2 + k % 2
+        cases[f"random-triple-{k}-{dim}d"] = [
+            random_polytope(rng, dim, int(rng.integers(4, 12))) for _ in range(3)]
+    a, c = random_polytope(rng, 3, 9), random_polytope(rng, 3, 6)
+    cases["boxes-with-parallel-facets"] = [
+        ConvexBody.box([0, 0, 0], [1, 2, 3]), ConvexBody.box([-1, 0.5, -2], [-0.5, 0.75, 2]), c]
+    cases["repeated-a-a-c"] = [a, a, c]
+    cases["unit-square-pair"] = [UNIT_SQUARE, UNIT_SQUARE]
+    cases["polygon-and-disc"] = [random_polytope(rng, 2, 7), ConvexBody.ball(0.7, 2)]
+    cases["polytope-and-ball"] = [random_polytope(rng, 3, 8), ConvexBody.ball(0.5, 3)]
+    return cases
+
+
+TUPLE_KERNEL_CASES = _tuple_kernel_cases()
+
+
+@pytest.mark.parametrize("name", sorted(TUPLE_KERNEL_CASES))
+def test_tuple_kernel_matches_from_scratch_fit(name, sum_calls):
+    bodies = TUPLE_KERNEL_CASES[name]
+    reference = from_scratch_fit(bodies)
+    assert minkowski_polynomial(bodies).coefficients == pytest.approx(reference, rel=1e-12)
+    assert sum_calls == []
+
+
+FALLBACK_CASES = {
+    "intervals": [ConvexBody.interval(0.0, 1.0), ConvexBody.interval(-0.5, 2.0)],
+    "segment-and-polygon": [ConvexBody.polytope([[-0.3, 0.2], [0.9, 0.7]]),
+                            ConvexBody.polytope([[0, 0], [1, 0], [0.2, 1.1], [-0.4, 0.6]])],
+    "flat-polygon-in-space": [
+        ConvexBody.polytope([[0, 0, 0.4], [1, 0, 0.4], [0, 2, 0.4], [1, 1, 0.4]]),
+        ConvexBody.box([0, 0, 0], [1, 2, 3]),
+        ConvexBody.polytope([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, 0.6, 0.6]])],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_CASES))
+def test_fallback_sums_each_grid_point(name, sum_calls):
+    """Bodies the tuple kernel cannot take keep the per-grid-point fit,
+    bit for bit."""
+    bodies = FALLBACK_CASES[name]
+    assert minkowski_polynomial(bodies).coefficients == from_scratch_fit(bodies)
+    assert sum_calls
+
+
+def test_fallback_on_qhull_error(monkeypatch, sum_calls):
+    """A Qhull failure on the tuple cloud falls back to the per-grid-point
+    fit, bit for bit."""
+    from scipy.spatial import QhullError
+
+    from qcvx import mixed_volumes
+
+    def failing_tuples(verts):
+        raise QhullError("forced")
+
+    rng = np.random.default_rng(11)
+    bodies = [random_polytope(rng, 3) for _ in range(3)]
+    reference = from_scratch_fit(bodies)
+    monkeypatch.setattr(mixed_volumes, "_vertex_tuples", failing_tuples)
     assert minkowski_polynomial(bodies).coefficients == reference
-    assert len(calls) == 80
+    assert len(sum_calls) == 128
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -14,7 +14,6 @@ from qcvx.qc import LevelStack, RadialQC, indicator, integral, mixed_integral
 from qcvx.rearrange import (
     SizeFunctional,
     ball_rearrange,
-    body_rearrange_vol,
     eval_body,
     eval_fn,
     phi_rearrange,
@@ -165,8 +164,3 @@ def test_generalized_rejects_non_homothetic_weights():
     rng = np.random.default_rng(2)
     with pytest.raises(ValueError):
         SizeFunctional(dim=2, degree=1, weights=(random_stack(rng, 2),))
-
-
-def test_body_rearrange_vol_alias():
-    assert body_rearrange_vol(UNIT_SQUARE).radius == pytest.approx(
-        1 / math.sqrt(math.pi), rel=1e-12)
