@@ -33,7 +33,8 @@
         first three polytopes, and one with the full-precision coefficients
         of their `minkowski_polynomial` grid fit, keyed by multiset ("0,1,2"
         is V(K, L, M)).  The qcvx package is the one Python imports, so set
-        PYTHONPATH to pick a checkout.
+        PYTHONPATH to pick a checkout; when qcvx does not import, it writes
+        nothing and exits 2 with a message that names PYTHONPATH.
 
     compare_check_outputs.py diff OLD NEW
         Reports which files are byte-identical and, on the same line,
@@ -79,6 +80,13 @@ VERDICT_FIELDS = ("verdict", "equality_hits", "violations", "ok")
 
 
 def run(outdir: Path) -> int:
+    try:
+        import qcvx  # noqa: F401  (the checkout every run below measures)
+    except ImportError as exc:
+        print(f"error: cannot import qcvx ({exc}); set PYTHONPATH to the src "
+              "directory of the checkout to run, e.g. PYTHONPATH=src; nothing "
+              "was written", file=sys.stderr)
+        return 2
     outdir.mkdir(parents=True, exist_ok=True)
     status = 0
     for dim, trials, seed, flagged in STANDARD_RUNS:

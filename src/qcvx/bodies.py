@@ -824,7 +824,14 @@ def approx_equal(a: ConvexBody, b: ConvexBody, tol: float = 1e-9) -> bool:
         return abs(a.radius - b.radius) <= tol * max(1.0, a.radius)
     if len(a.vertices) != len(b.vertices):
         return False
-    slack = tol * max(1.0, a.bounding_radius(), b.bounding_radius())
+    ra, rb = a.bounding_radius(), b.bounding_radius()
+    slack = tol * max(1.0, ra, rb)
+    # matched vertices within slack put the largest norms within slack; the
+    # margin covers the rounding of both norms and of the differences (for
+    # coordinates whose squares do not underflow), so this rejects nothing
+    # that the all-pairs test below accepts
+    if abs(ra - rb) > 2.0 * slack + 8.0 * np.finfo(float).eps * max(ra, rb):
+        return False
     d = np.linalg.norm(a.vertices[:, None, :] - b.vertices[None, :, :], axis=2)
     return bool(np.all(d.min(axis=1) <= slack) and np.all(d.min(axis=0) <= slack))
 

@@ -260,7 +260,7 @@ def cmd_report(args, config: RunConfig) -> int:
     from .profiles import exponential_profile
     from .bodies import ConvexBody
     from .qc import epsilon_extension
-    from .reshape import _phi_at_height
+    from .reshape import PhiProfile
 
     outdir = Path(args.out or "qcvx-report")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -275,12 +275,10 @@ def cmd_report(args, config: RunConfig) -> int:
     with (outdir / "phi_profile.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "phi_vol", "phi_W1"])
-        vol = SizeFunctional.vol(2)
-        w1 = SizeFunctional.quermass(2, 1)
+        vol = PhiProfile(SizeFunctional.vol(2), f)
+        w1 = PhiProfile(SizeFunctional.quermass(2, 1), f)
         for t in ts:
-            writer.writerow([f"{t:.12g}",
-                             f"{_phi_at_height(vol, f, float(t)):.12g}",
-                             f"{_phi_at_height(w1, f, float(t)):.12g}"])
+            writer.writerow([f"{t:.12g}", f"{vol.value(t):.12g}", f"{w1.value(t):.12g}"])
 
     # epsilon-extension table: eps vs integral of f_eps
     with (outdir / "epsilon_integral.csv").open("w", encoding="utf-8", newline="") as fh:

@@ -261,7 +261,7 @@ def mixed_volume(bodies) -> float:
         return math.prod(b.radius for b in balls) * _quermass_exact(others[0][0], len(balls))
 
     # from here on at most one ball remains, in a distinct triple
-    groups = _group_distinct(bodies)
+    groups = _group_distinct(bodies) if balls else others
     if len(groups) == 1:
         return volume(groups[0][0])
     with np.errstate(over="ignore", invalid="ignore"):

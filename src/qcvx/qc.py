@@ -408,46 +408,61 @@ def integral(f: QCFunction) -> float:
 # mixed integrals
 # ---------------------------------------------------------------------------
 
-def band_terms(slots: Sequence[Sequence[tuple]]) -> tuple[float, list]:
-    """Expand V(S_1, ..., S_n) over one band by multilinearity.
+def band_terms(slots: Sequence[Sequence[tuple]]) -> tuple[float, list, list]:
+    """Expand V(S_1, ..., S_n) over one band by multilinearity, once per band.
 
     Slot i is the Minkowski sum of coef * base over its (coef, base) parts,
     so V(S_1, ..., S_n)(t) = sum over one part per slot of
-    prod coef(t) * V(bases).  Returns (const, terms): the summed products
-    whose coefficients are all floats, and one (c, profiles) per product
-    with a ``Profile`` coefficient, worth c * prod p.inv(t) (``terms_at``).
-    Products whose bases have mixed volume 0 are dropped.
+    prod coef(t) * V(bases).  The mixed volumes of the bases do not depend
+    on t, so callers expand a band once and evaluate the result at every
+    height with ``terms_at``.  Returns (const, profiles, terms): the summed
+    products whose coefficients are all floats, the band's distinct
+    ``Profile`` coefficients (by identity, in order of first use), and one
+    (c, indices) per product with a ``Profile`` coefficient, worth
+    c * prod profiles[i].inv(t) over its indices in slot order.  Products
+    whose bases have mixed volume 0 are dropped.
     """
     const_sum = 0.0
-    fn_terms: list[tuple[float, list]] = []
+    profiles: list[Profile] = []
+    index: dict[int, int] = {}
+    fn_terms: list[tuple[float, tuple]] = []
     for choice in itertools.product(*slots):
         V = mixed_volume([base for _, base in choice])
         if V == 0.0:
             continue
         const = V
-        profiles = []
+        picks = []
         for coef, _ in choice:
             if isinstance(coef, Profile):
-                profiles.append(coef)
+                if id(coef) not in index:
+                    index[id(coef)] = len(profiles)
+                    profiles.append(coef)
+                picks.append(index[id(coef)])
             else:
                 const *= coef
-        if profiles:
-            fn_terms.append((const, profiles))
+        if picks:
+            fn_terms.append((const, tuple(picks)))
         else:
             const_sum += const
-    return const_sum, fn_terms
+    return const_sum, profiles, fn_terms
 
 
-def terms_at(terms: Sequence[tuple], t):
-    """sum of c * prod p.inv(t) over the (c, profiles) terms, for a height
-    or an array of heights."""
+def terms_at(profiles: Sequence[Profile], terms: Sequence[tuple], t):
+    """sum of c * prod profiles[i].inv(t) over the (c, indices) terms, for a
+    height or an array of heights (quadrature nodes).
+
+    Each profile is inverted once per call however many terms share it;
+    the products run in slot order and the sum in term order, the same
+    floats as inverting afresh for every factor.
+    """
+    radii = [p.inv(t) for p in profiles]
     # scalar seeds, not zeros_like/full_like: the same floats either way,
     # and no array allocations when t is one height
     total = 0.0
-    for const, profiles in terms:
+    for const, picks in terms:
         prod = const
-        for p in profiles:
-            prod = prod * p.inv(t)
+        for i in picks:
+            prod = prod * radii[i]
         total = total + prod
     return total
 
@@ -471,10 +486,10 @@ def mixed_integral(fs: Sequence[QCFunction]) -> float:
 
     total = 0.0
     for lo, hi, slot_parts in _merge_bands(views):
-        const_sum, fn_terms = band_terms(slot_parts)
+        const_sum, profiles, fn_terms = band_terms(slot_parts)
         total += const_sum * (hi - lo)
         if fn_terms:
-            integrand = functools.partial(terms_at, fn_terms)
+            integrand = functools.partial(terms_at, profiles, fn_terms)
             if lo == 0.0:
                 total += integrate_height(integrand, 0.0, hi)
             else:

@@ -87,7 +87,8 @@ class SizeFunctional:
         cached = self.__dict__.get("_weight_constant")
         if cached is None:
             profiles = [w.profile for w in self.weights]
-            cached = integrate_height(functools.partial(terms_at, [(1.0, profiles)]))
+            cached = integrate_height(functools.partial(
+                terms_at, profiles, [(1.0, tuple(range(len(profiles))))]))
             if not 0.0 < cached < np.inf:
                 raise ValueError("weight functions must have finite positive mass")
             self.__dict__["_weight_constant"] = cached

@@ -10,12 +10,16 @@ dilation instead replaces each level set by the homothet whose Phi-size
 follows the exponential law M(x) = exp(-|x|), which exists for any geometric
 log-concave input but can leave log-concavity (see ParabolicCapQC for the
 worked example that does).
+
+Size profiles are evaluated through ``PhiProfile``, which expands the one
+band of a regular function by multilinearity once; each height then costs
+one inversion per distinct profile of that band.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -65,24 +69,20 @@ def is_regular(f: QCFunction) -> bool:
             and all(isinstance(c, Profile) and c.is_regular() for c, _ in bands[0].parts))
 
 
-def _phi_at_height(phi: SizeFunctional, f: QCFunction, t: float) -> float:
-    """Phi(level set of f at t), via the banded decomposition when available."""
-    bands = f.bands()
-    if bands is None:
-        return phi.eval_body(f.level_set(t))
-    parts = _band_at(bands, t).parts
-    const, terms = band_terms([parts] * phi.degree
-                              + [((1.0, ref),) for ref in phi.references])
-    return phi.weight_constant * float(const + terms_at(terms, t))
-
-
 @dataclass
 class PhiProfile:
     """The decreasing bijection t -> Phi(level set of f at t) for regular f,
-    with an exact inverse; carries a monotonicity certification grid."""
+    with an exact inverse; carries a monotonicity certification grid.
+
+    Phi(K_t) = C * V(K_t, ..., K_t, refs) is multilinear in the radii of
+    the parts of f's one band, so the band is expanded (``band_terms``) the
+    first time a height is asked for and the expansion kept on the instance;
+    every height after that only inverts the band's distinct profiles.
+    """
 
     phi: SizeFunctional
     f: QCFunction
+    _expansion: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_regular(self.f):
@@ -92,7 +92,13 @@ class PhiProfile:
                 "step profile, use the dilation instead")
 
     def value(self, t: float) -> float:
-        return _phi_at_height(self.phi, self.f, float(t))
+        t = float(t)
+        band = _band_at(self.f.bands(), t)
+        if self._expansion is None:
+            self._expansion = band_terms([band.parts] * self.phi.degree
+                                         + [((1.0, ref),) for ref in self.phi.references])
+        const, profiles, terms = self._expansion
+        return self.phi.weight_constant * float(const + terms_at(profiles, terms, t))
 
     def inverse(self, v: float) -> float:
         """The height at which the profile equals v."""
@@ -220,13 +226,14 @@ def rescale_to_match(phi: SizeFunctional, f: QCFunction, g: QCFunction,
 
 def match_residual(phi: SizeFunctional, fa: QCFunction, fb: QCFunction,
                    heights: Optional[Sequence[float]] = None) -> float:
-    """Max relative gap between the two size profiles over a height grid."""
+    """Max relative gap between the two size profiles over a height grid
+    (both functions regular)."""
     if heights is None:
         heights = np.geomspace(0.999, 1e-4, 64)
+    pa, pb = PhiProfile(phi, fa), PhiProfile(phi, fb)
     worst = 0.0
     for t in heights:
-        va = _phi_at_height(phi, fa, float(t))
-        vb = _phi_at_height(phi, fb, float(t))
+        va, vb = pa.value(t), pb.value(t)
         worst = max(worst, abs(va - vb) / max(abs(vb), 1e-300))
     return worst
 

@@ -740,6 +740,51 @@ def test_check_all_in_space_builds_each_hull_once(monkeypatch, tmp_path, capsys)
     assert builds and set(builds) == {"_extreme_points"}
 
 
+# -- approximate equality ----------------------------------------------------
+
+def _all_pairs_equal(a, b, tol):
+    """approx_equal on two polytopes by the all-pairs distance test alone."""
+    if len(a.vertices) != len(b.vertices):
+        return False
+    slack = tol * max(1.0, a.bounding_radius(), b.bounding_radius())
+    d = np.linalg.norm(a.vertices[:, None, :] - b.vertices[None, :, :], axis=2)
+    return bool(np.all(d.min(axis=1) <= slack) and np.all(d.min(axis=0) <= slack))
+
+
+@given(st.integers(0, 10_000), st.sampled_from([2, 3]),
+       st.sampled_from([0.0, 1e-16, 1e-12, 1e-9]),
+       st.sampled_from(["permuted", "scattered", "radial"]),
+       st.sampled_from([0.5, 0.999, 1.0, 1.001, 1.999, 2.001, 3.0]),
+       st.floats(-3.0, 3.0))
+@settings(max_examples=150, deadline=None)
+def test_approx_equal_radius_shortcut_agrees_with_all_pairs(seed, dim, tol, move, factor,
+                                                            log_extent):
+    """Permuted copies, and copies whose vertices move by factor * slack, at
+    and near the slack and twice it: in scattered directions, or straight out
+    from the origin so the bounding radii part by about that much.  With
+    tol = 0 a move above the slack is one ulp."""
+    rng = np.random.default_rng(seed)
+    extent = 10.0 ** log_extent
+    a = ConvexBody.polytope(extent * (rng.uniform(-1, 1, (8, dim)) + rng.uniform(-3, 3, dim)))
+    v = a.vertices
+    if move == "permuted":
+        moved = rng.permutation(v)
+    elif tol == 0.0:
+        moved = np.nextafter(v, np.inf) if factor > 1.0 else v.copy()
+    else:
+        if move == "scattered":
+            u = rng.normal(size=v.shape)
+        else:
+            u = v.copy()
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        moved = v + factor * tol * max(1.0, a.bounding_radius()) * u
+    b = ConvexBody.polytope(moved)
+    assert approx_equal(a, b, tol) == _all_pairs_equal(a, b, tol)
+    assert approx_equal(b, a, tol) == _all_pairs_equal(b, a, tol)
+    if move == "permuted":
+        assert approx_equal(a, b, tol)
+
+
 # -- json --------------------------------------------------------------------
 
 def test_json_round_trip():

@@ -342,3 +342,23 @@ def test_compare_script_tags_round_off_moves_without_forgiving_them(tmp_path):
         "  r#0 tiny: 4.7e-16 -> 4.3e-16 (round-off)",
         "  1 listed move(s) are round-off (old and new magnitudes below 1e-12)",
     ]
+
+
+@pytest.mark.parametrize("case", ["absent", "broken"])
+def test_compare_script_run_stops_before_writing_when_qcvx_does_not_import(tmp_path, case):
+    # absent: no site directory and no PYTHONPATH, so no qcvx to find;
+    # broken: PYTHONPATH puts a qcvx that fails to import ahead of any other
+    script = Path(__file__).resolve().parents[1] / "scripts" / "compare_check_outputs.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    flags = ["-S"] if case == "absent" else []
+    if case == "broken":
+        (tmp_path / "shadow" / "qcvx").mkdir(parents=True)
+        (tmp_path / "shadow" / "qcvx" / "__init__.py").write_text(
+            "raise ImportError('broken checkout')\n", encoding="utf-8")
+        env["PYTHONPATH"] = str(tmp_path / "shadow")
+    out = subprocess.run([sys.executable, *flags, str(script), "run", str(tmp_path / "out")],
+                         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert "PYTHONPATH" in out.stderr
+    assert out.stdout == ""
+    assert not (tmp_path / "out").exists()

@@ -1,5 +1,6 @@
 """Level-set calculus: oplus/odot, integrals, mixed integrals, the grid oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,14 +20,16 @@ from qcvx.errors import (
 )
 from qcvx.grids import GridSpec, lattice_convolution
 from qcvx.mixed_volumes import mixed_volume
-from qcvx.profiles import GaussianProfile, PowerLawProfile, exponential_profile
+from qcvx.profiles import GaussianProfile, PowerLawProfile, Profile, exponential_profile
 from qcvx.qc import (
     Band,
     LevelStack,
     RadialQC,
     SumQC,
+    _band_at,
     _eroded,
     as_stack,
+    band_terms,
     certify_log_concave,
     epsilon_extension,
     evaluate,
@@ -43,6 +46,7 @@ from qcvx.qc import (
     quermassintegral_fn,
     supmin_arrays,
     surface_area_fn,
+    terms_at,
 )
 
 SQUARE = ConvexBody.box([-0.5, -0.5], [0.5, 0.5])
@@ -625,12 +629,19 @@ def test_mixed_integral_of_dilated_sum_keeps_its_value():
     assert mixed_integral([s, g]) == pytest.approx(8.472331392316487, rel=1e-12)
 
 
-def test_phi_at_height_matches_level_set_on_multipart_sum():
+def _phi_by_band_terms(phi, f, t):
+    """Phi(level set of f at t): the band at t expanded afresh, then evaluated."""
+    parts = _band_at(f.bands(), t).parts
+    const, profiles, terms = band_terms([parts] * phi.degree
+                                        + [((1.0, ref),) for ref in phi.references])
+    return phi.weight_constant * float(const + terms_at(profiles, terms, t))
+
+
+def test_band_terms_phi_matches_level_set_on_multipart_sum():
     # the 3-D functionals give m = 3, 2 and 1 part slots with 0, 1 and 2
     # reference slots; a weighted functional multiplies by the integral of
     # its weight profiles
     from qcvx.rearrange import SizeFunctional
-    from qcvx.reshape import _phi_at_height
     cube = ConvexBody.box([-0.5] * 3, [0.5] * 3)
     octa = ConvexBody.polytope(np.vstack([np.eye(3), -np.eye(3)]))
     weighted2 = SizeFunctional(dim=2, degree=1, weights=(
@@ -654,8 +665,42 @@ def test_phi_at_height_matches_level_set_on_multipart_sum():
         assert all(len(band.parts) == 2 for band in f.bands())
         for phi in phis:
             for t in (0.9, 0.4, 0.2, 0.05):
-                assert _phi_at_height(phi, f, t) == pytest.approx(
+                assert _phi_by_band_terms(phi, f, t) == pytest.approx(
                     phi.eval_body(f.level_set(t)), rel=1e-10)
+
+
+class _CountingProfile(Profile):
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def inv(self, t):
+        self.calls += 1
+        return self.inner.inv(t)
+
+
+def test_terms_at_inverts_each_distinct_profile_once():
+    """V(S, S, S) over one band of a 3-D two-part sum expands to 8 terms over
+    2 distinct profiles; terms_at inverts each once per call and returns the
+    term-by-term products bitwise, at one height and at 64 nodes."""
+    cube = ConvexBody.box([-0.5] * 3, [0.5] * 3)
+    octa = ConvexBody.polytope(np.vstack([np.eye(3), -np.eye(3)]))
+    p, q = _CountingProfile(exponential_profile(1.0)), _CountingProfile(GaussianProfile(2.0))
+    parts = ((p, cube), (q, octa))
+    const, profiles, terms = band_terms([parts] * 3)
+    assert const == 0.0 and profiles == [p, q] and len(terms) == 8
+    assert [picks for _, picks in terms] == [
+        (i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+    for t in (0.37, np.geomspace(1e-6, 1.0, 64)):
+        p.calls = q.calls = 0
+        got = terms_at(profiles, terms, t)
+        assert (p.calls, q.calls) == (1, 1)
+        want = 0.0  # one product per choice of parts, each factor inverted afresh
+        for choice in itertools.product(parts, repeat=3):
+            prod = mixed_volume([base for _, base in choice])
+            for coef, _ in choice:
+                prod = prod * coef.inner.inv(t)
+            want = want + prod
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 # -- height search ------------------------------------------------------------

@@ -9,10 +9,13 @@ from qcvx.bodies import ConvexBody, minkowski_sum, volume
 from qcvx.errors import NonInvertibleProfile, NotLogConcave, NotRegular
 from qcvx.generators import random_radial, rng_for
 from qcvx.profiles import GaussianProfile, exponential_profile
-from qcvx.qc import RadialQC, indicator, integral, oplus
+from qcvx import reshape
+from qcvx.cli import main
+from qcvx.qc import RadialQC, band_terms, indicator, integral, oplus, terms_at
 from qcvx.rearrange import SizeFunctional
 from qcvx.reshape import (
     DilatedStack,
+    PhiProfile,
     ParabolicCapQC,
     dilate_to_exponential,
     dilated_af,
@@ -84,6 +87,70 @@ def test_phi_profile_rejects_stacks():
     from qcvx.generators import random_stack
     with pytest.raises(NotRegular):
         phi_profile(VOL2, random_stack(rng, 2))
+
+
+def _expansion_cases():
+    """(phi, f) pairs: a 2-D radial function, a 3-D sum over two bases and a
+    rescaled 2-D sum, each under a functional without and with references."""
+    cube = ConvexBody.box([-0.5] * 3, [0.5] * 3)
+    octa = ConvexBody.polytope(np.vstack([np.eye(3), -np.eye(3)]))
+    square = ConvexBody.box([-1.0, -0.5], [1.0, 0.5])
+    diamond = ConvexBody.polytope([[1, 0], [-1, 0], [0, 2], [0, -2]])
+    radial2 = RadialQC(diamond, GaussianProfile(1.0))
+    sum3 = oplus(RadialQC(cube, exponential_profile(1.0)),
+                 RadialQC(octa, GaussianProfile(2.0)))
+    rescaled2 = rescale_to_match(VOL2, oplus(RadialQC(square, exponential_profile(1.0)),
+                                             RadialQC(diamond, GaussianProfile(1.0))), GAUSS2)
+    with_refs2 = SizeFunctional(dim=2, degree=1, references=(square,))
+    with_refs3 = SizeFunctional(dim=3, degree=2, references=(octa,))
+    return [(phi, f) for f, phis in ((radial2, (VOL2, with_refs2)),
+                                     (sum3, (SizeFunctional.vol(3), with_refs3)),
+                                     (rescaled2, (VOL2, SizeFunctional.quermass(2, 1))))
+            for phi in phis]
+
+
+@pytest.fixture
+def band_terms_calls(monkeypatch):
+    calls = []
+
+    def counting(slots):
+        calls.append(slots)
+        return band_terms(slots)
+
+    monkeypatch.setattr(reshape, "band_terms", counting)
+    return calls
+
+
+def test_phi_profile_expands_its_band_once(band_terms_calls):
+    """Sampling, inverting and matching expand each function's one band at
+    most once per profile, and every value is bitwise the expansion built
+    afresh at its height."""
+    heights = np.geomspace(0.999, 1e-4, 16)
+    for phi, f in _expansion_cases():
+        assert len(f.bands()) == 1
+        del band_terms_calls[:]
+        prof = PhiProfile(phi, f)
+        _, values = prof.sample(heights)
+        prof.inverse(float(values[5]))
+        assert len(band_terms_calls) == 1
+        del band_terms_calls[:]
+        PhiProfile(phi, f).inverse(float(values[5]))
+        assert len(band_terms_calls) <= 1  # none for a radial closed form
+        del band_terms_calls[:]
+        match_residual(phi, f, f, heights)
+        assert len(band_terms_calls) == 2
+        for t, v in zip(heights, values):
+            const, profiles, terms = band_terms(
+                [f.bands()[0].parts] * phi.degree + [((1.0, ref),) for ref in phi.references])
+            ref = phi.weight_constant * float(const + terms_at(profiles, terms, float(t)))
+            assert v.tobytes() == np.float64(ref).tobytes()
+
+
+def test_report_profile_table_expands_each_band_once(tmp_path, band_terms_calls):
+    # the table holds one radial function under Vol and W1: one band each
+    main(["report", "--dim", "2", "--trials", "1", "--out", str(tmp_path)])
+    assert len(band_terms_calls) == 2
+    assert len((tmp_path / "phi_profile.csv").read_text().splitlines()) == 65
 
 
 # -- rescaling ---------------------------------------------------------------------
