@@ -7,6 +7,12 @@ relative on exact stack paths, 1e-6 where quadrature enters), passed to
 ``run_all``/``run_check``, on to every trial and into every check.  A
 "violated" verdict carries the serialized inputs as a witness and is
 treated as a build failure by the test suite.
+
+Trial k of every check draws its inputs from ``rng_for(seed, k)``, so checks
+at the same trial that draw the same stack, polytope or radial function from
+the same generator state share that draw (``generators.shared_draws``): it is
+built once per trial, and every report is the same as when each check runs
+alone.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .generators import (
     random_size_functional,
     random_stack,
     rng_for,
+    shared_draws,
 )
 from .mixed_volumes import quermassintegral_body
 from .profiles import Profile, PowerLawProfile, StretchedExponentialProfile
@@ -466,34 +473,56 @@ CHECKS = {
 MIN_DIM = {"alexandrov-rearrangement": 2, "lc-alexandrov": 2}
 
 
-def run_check(name: str, seed: int = 0, trials: int = 100, dim: int = 2,
-              tols: Tolerances = DEFAULT_TOLS) -> list[CheckReport]:
-    """Run seeded trials of one named check; deterministic in (seed, trials, dim).
-
-    Every trial is called as ``CHECKS[name](rng, dim, tols)``; the sandwich
-    and polarity checks keep their own lattice and 1e-9 tolerances."""
+def _validate(name: str, dim: int) -> None:
     if name not in CHECKS:
         raise KeyError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
     if dim < MIN_DIM.get(name, 1):
         raise ValueError(f"check {name!r} needs dimension >= {MIN_DIM[name]}")
-    fn = CHECKS[name]
-    out = []
+
+
+def _run_trials(names: Sequence[str], seed: int, trials: int, dim: int,
+                tols: Tolerances) -> dict[str, list[CheckReport]]:
+    """Trial by trial, every named check as ``CHECKS[name](rng_for(seed,
+    trial), dim, tols)``, inside one ``shared_draws`` block per trial."""
+    out: dict[str, list[CheckReport]] = {name: [] for name in names}
     for trial in range(trials):
-        rng = rng_for(seed, trial)
-        out.append(fn(rng, dim, tols))
+        with shared_draws():
+            for name in names:
+                out[name].append(CHECKS[name](rng_for(seed, trial), dim, tols))
     return out
+
+
+def run_check(name: str, seed: int = 0, trials: int = 100, dim: int = 2,
+              tols: Tolerances = DEFAULT_TOLS) -> list[CheckReport]:
+    """Run seeded trials of one named check; deterministic in (seed, trials, dim).
+
+    Every trial is called as ``CHECKS[name](rng_for(seed, trial), dim,
+    tols)``; the sandwich and polarity checks keep their own lattice and 1e-9
+    tolerances."""
+    _validate(name, dim)
+    return _run_trials([name], seed, trials, dim, tols)[name]
 
 
 def run_all(seed: int = 0, trials: int = 100, dim: int = 2,
             names: Optional[Sequence[str]] = None,
             tols: Tolerances = DEFAULT_TOLS) -> dict[str, list[CheckReport]]:
-    """Run every named check in sorted order; results keyed by name.
+    """Run every named check in sorted order; results keyed by name, each
+    list equal to what ``run_check`` returns for that name.
 
-    Checks whose minimum dimension exceeds ``dim`` are skipped.
+    Checks whose minimum dimension exceeds ``dim`` are skipped.  The run is
+    trial-major: trial k of every check runs inside one
+    ``generators.shared_draws`` block, since each check's trial k starts from
+    the same ``rng_for(seed, k)`` and often draws the same stacks, polytopes
+    and radial functions as the check before; those are built once, with
+    their cached volumes, facets and hulls.  When two checks would raise, the
+    one at the earlier trial surfaces first.
     """
-    names = sorted(names or CHECKS)
-    names = [n for n in names if dim >= MIN_DIM.get(n, 1)]
-    return {name: run_check(name, seed, trials, dim, tols) for name in names}
+    # an unknown name stays in to raise; a check above its dimension drops out
+    names = [n for n in sorted(names or CHECKS)
+             if n not in CHECKS or dim >= MIN_DIM.get(n, 1)]
+    for name in names:
+        _validate(name, dim)
+    return _run_trials(names, seed, trials, dim, tols)
 
 
 def summarize(results: dict[str, list[CheckReport]]) -> list[dict]:

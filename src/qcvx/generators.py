@@ -8,6 +8,11 @@ power-law families with parameters in safe integrability ranges.
 
 from __future__ import annotations
 
+import functools
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterator
+
 import numpy as np
 
 from .bodies import ConvexBody, minkowski_sum
@@ -15,10 +20,58 @@ from .profiles import PowerLawProfile, StretchedExponentialProfile
 from .qc import LevelStack, RadialQC
 
 
+_DRAWS: ContextVar[dict | None] = ContextVar("qcvx_shared_draws", default=None)
+
+
 def rng_for(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial])
 
 
+@contextmanager
+def shared_draws() -> Iterator[None]:
+    """Inside the block, ``random_polytope``, ``random_stack`` and
+    ``random_radial`` called from a generator state and with arguments seen
+    before in the block return the object built the first time and move the
+    generator to where that first call left it, so every draw, this one and
+    every later one, is the same as without the block.  The memo is dropped
+    when the block exits, also on a raise."""
+    token = _DRAWS.set({})
+    try:
+        yield
+    finally:
+        _DRAWS.reset(token)
+
+
+def _frozen(value):
+    """A hashable copy of a bit generator's ``state`` dict."""
+    if isinstance(value, dict):
+        return tuple((key, _frozen(value[key])) for key in sorted(value))
+    return value
+
+
+def _shared(draw):
+    """``draw(rng, ...)``, memoized inside a ``shared_draws`` block on the
+    generator's full state and the other arguments."""
+
+    @functools.wraps(draw)
+    def shared(rng, *args, **kwargs):
+        memo = _DRAWS.get()
+        if memo is None:
+            return draw(rng, *args, **kwargs)
+        key = (draw, _frozen(rng.bit_generator.state), args, tuple(sorted(kwargs.items())))
+        hit = memo.get(key)
+        if hit is None:
+            out = draw(rng, *args, **kwargs)
+            memo[key] = out, rng.bit_generator.state
+            return out
+        out, state = hit
+        rng.bit_generator.state = state
+        return out
+
+    return shared
+
+
+@_shared
 def random_polytope(rng, dim: int, npts: int | None = None,
                     origin_interior: bool = False) -> ConvexBody:
     npts = int(npts or rng.integers(4, 11))
@@ -40,6 +93,7 @@ def random_ball(rng, dim: int) -> ConvexBody:
     return ConvexBody.ball(float(rng.uniform(0.3, 1.5)), dim)
 
 
+@_shared
 def random_stack(rng, dim: int, nlevels: int | None = None,
                  rotation_invariant: bool = False) -> LevelStack:
     nlevels = int(nlevels or rng.integers(2, 7))
@@ -74,6 +128,7 @@ def random_profile(rng, dim: int, log_concave: bool = False):
                            float(rng.uniform(0.5, 2.0)))
 
 
+@_shared
 def random_radial(rng, dim: int, log_concave: bool = False,
                   ball_base: bool | None = None) -> RadialQC:
     if ball_base is None:

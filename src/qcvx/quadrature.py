@@ -54,9 +54,16 @@ def gl_panel(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     return float(half * np.dot(w, fn(mid + half * x)))
 
 
+def _panel_edges(a: float, b: float, panels: int) -> list[float]:
+    """The floats of ``np.linspace(a, b, panels + 1)``: k·step + a below the
+    last edge, which is b itself."""
+    step = (b - a) / panels
+    return [k * step + a for k in range(panels)] + [b]
+
+
 def integrate_fixed(fn, a: float, b: float, panels: int = 1,
                     order: int = NODES_PER_PANEL) -> float:
-    edges = np.linspace(a, b, panels + 1)
+    edges = _panel_edges(a, b, panels)
     return sum(gl_panel(fn, lo, hi, order) for lo, hi in zip(edges[:-1], edges[1:]))
 
 

@@ -24,7 +24,14 @@ from qcvx.checks import (
     summarize,
 )
 from qcvx.errors import IndexOutOfRange, NotLogConcave, NumericalFailure
-from qcvx.generators import random_stack, rng_for
+from qcvx import generators
+from qcvx.generators import (
+    random_polytope,
+    random_radial,
+    random_stack,
+    rng_for,
+    shared_draws,
+)
 from qcvx.profiles import GaussianProfile, PowerLawProfile, exponential_profile
 from qcvx.qc import RadialQC, indicator, odot
 from qcvx.rearrange import SizeFunctional
@@ -238,6 +245,55 @@ def test_run_all_summary_shape():
     rows = summarize(results)
     assert [row["name"] for row in rows] == ["af", "gen-bm"]
     assert all(row["violations"] == 0 for row in rows)
+
+
+@pytest.mark.parametrize("dim, trials", [(2, 3), (3, 2)])
+def test_run_all_is_run_check_per_name_bit_for_bit(dim, trials):
+    together = run_all(seed=4, trials=trials, dim=dim)
+    alone = {name: run_check(name, seed=4, trials=trials, dim=dim) for name in together}
+    assert list(together) == list(alone)
+    for name in together:
+        assert [r.to_json() for r in together[name]] == [r.to_json() for r in alone[name]]
+
+
+@pytest.mark.parametrize("draw, kwargs", [
+    (random_stack, {}),
+    (random_polytope, {"origin_interior": True}),
+    (random_radial, {"log_concave": True}),
+])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_shared_draw_is_the_first_object_and_leaves_the_generator_in_step(
+        draw, kwargs, dim):
+    plain = rng_for(6, 1)
+    draw.__wrapped__(plain, dim, **kwargs)
+    with shared_draws():
+        first_rng, second_rng = rng_for(6, 1), rng_for(6, 1)
+        first = draw(first_rng, dim, **kwargs)
+        second = draw(second_rng, dim, **kwargs)
+        other = draw(rng_for(6, 2), dim, **kwargs)
+        assert second is first and other is not first
+        after = plain.random()
+        assert first_rng.random() == after and second_rng.random() == after
+    # outside the block every call draws afresh
+    assert draw(rng_for(6, 1), dim, **kwargs) is not first
+
+
+def test_shared_draws_memo_lives_only_inside_the_block(monkeypatch):
+    seen = []
+
+    def fails(rng, dim, tols):
+        seen.append(generators._DRAWS.get())
+        raise RuntimeError("check failed")
+
+    assert generators._DRAWS.get() is None
+    with shared_draws():
+        assert generators._DRAWS.get() == {}
+    assert generators._DRAWS.get() is None
+    monkeypatch.setitem(CHECKS, "gen-bm-bodies", fails)
+    with pytest.raises(RuntimeError, match="check failed"):
+        run_all(seed=1, trials=2, dim=2, names=["af-bodies", "gen-bm-bodies"])
+    assert isinstance(seen[0], dict) and len(seen[0]) > 0
+    assert generators._DRAWS.get() is None
 
 
 def test_violated_verdict_carries_witness():

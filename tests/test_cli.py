@@ -344,6 +344,33 @@ def test_compare_script_tags_round_off_moves_without_forgiving_them(tmp_path):
     ]
 
 
+def test_compare_script_lists_moved_heights_of_a_levelwise_row_not_its_argmin(tmp_path):
+    # heights 1 and 0.5 tie at round-off; the argmin, and with it left/right,
+    # jumps from the first to the second while no entry moves by 1e-12
+    script = Path(__file__).resolve().parents[1] / "scripts" / "compare_check_outputs.py"
+    ulp5, ulp4 = math.ulp(5.0), math.ulp(4.0)
+    rows = {"old": {"left": 5.0, "right": 5.0 + ulp5,
+                    "lhs": [5.0, 4.0, 3.0], "rhs": [5.0 + ulp5, 4.0, 2.0]},
+            "new": {"left": 4.0, "right": 4.0 + ulp4,
+                    "lhs": [5.0, 4.0, 3.5], "rhs": [5.0, 4.0 + ulp4, 2.0]}}
+    for side, row in rows.items():
+        record = {"name": "gen-bm", "left": row["left"], "right": row["right"],
+                  "margin": -1e-16, "verdict": "holds-with-equality",
+                  "details": {"heights": [1.0, 0.5, 0.25],
+                              "lhs": row["lhs"], "rhs": row["rhs"]}}
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "check.jsonl").write_text(json.dumps(record) + "\n",
+                                                     encoding="utf-8")
+    out = subprocess.run([sys.executable, str(script), "diff", str(tmp_path / "old"),
+                          str(tmp_path / "new")], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert out.stdout.splitlines() == [
+        "check.jsonl: differs; every verdict unchanged",
+        "  gen-bm#0 details.lhs[2]: 3.0 -> 3.5",
+        "  0 listed move(s) are round-off (old and new magnitudes below 1e-12)",
+    ]
+
+
 @pytest.mark.parametrize("case", ["absent", "broken"])
 def test_compare_script_run_stops_before_writing_when_qcvx_does_not_import(tmp_path, case):
     # absent: no site directory and no PYTHONPATH, so no qcvx to find;

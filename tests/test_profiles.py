@@ -17,10 +17,25 @@ from qcvx.profiles import (
     TableProfile,
     exponential_profile,
 )
-from qcvx.quadrature import integrate_height, integrate_interval, integrate_radial
+from qcvx.quadrature import (
+    _panel_edges,
+    integrate_height,
+    integrate_interval,
+    integrate_radial,
+)
 
 
 # -- quadrature ----------------------------------------------------------------
+
+def test_panel_edges_are_linspace_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for k in range(3000):
+        a = float(rng.normal() * 10.0 ** rng.integers(-6, 6))
+        b = a if k % 5 == 0 else a + float(rng.exponential() * 10.0 ** rng.integers(-9, 6))
+        panels = int(2 ** rng.integers(0, 9))
+        edges = np.array(_panel_edges(a, b, panels))
+        assert edges.tobytes() == np.linspace(a, b, panels + 1).tobytes(), (a, b, panels)
+
 
 def test_interval_polynomial_exact():
     assert integrate_interval(lambda x: x ** 3, 0.0, 2.0) == pytest.approx(4.0, rel=1e-14)
