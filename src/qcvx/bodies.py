@@ -1,21 +1,19 @@
 """Convex bodies in R^1..R^3: canonical V-polytopes, centered balls, the empty set.
 
 All bodies are immutable and safe to share between threads.  Polytope vertices
-are canonicalized at construction: duplicate and non-extreme points are dropped
-(tolerance 1e-10) and the survivors are sorted lexicographically, which makes
-structural equality testable.  Non-finite coordinates, radii and scale factors
-are rejected with a ValueError that names the value.
+are canonicalized at construction by one rule, free of scale and position
+(``_resolution``, ``_extreme_points``): the survivors are input rows, sorted
+lexicographically, which makes structural equality testable.  Non-finite
+coordinates, radii and scale factors are rejected with a ValueError that names
+the value.
 
-In the plane one kernel does the work.  Points already in strictly convex
-position are recognized without a loop (sorted by angle, every turn above the
-monotone chain's threshold, no near duplicates); only inputs with interior,
-duplicate or collinear points run the monotone chain.  The sum of two
-full-dimensional polygons merges their edges by angle: each sum vertex is a
-vertex pair ``a[i] + b[j]``, the same floats the hull of all pairs would keep,
-and only rings the merge cannot settle fall back to that hull.  A polygon's
-ccw ring and a polytope's affine rank are cached on the body; the rank is
-decided at construction when the vertices are the input rows (and carried by
-``scale`` where it is scale-invariant), else by one SVD when first needed.
+The sum of two full-dimensional polygons merges their edges by angle: each
+sum vertex is a vertex pair ``a[i] + b[j]``, the same floats the hull of all
+pairs would keep, and only rings the merge cannot settle fall back to that
+hull.  A polygon's ccw ring and a polytope's affine rank are cached on the
+body; the rank is decided at construction when the vertices are the input
+rows, is 2 for a merged sum and is carried by ``scale``, since the rule scales
+with the body, else it takes one SVD when first needed.
 
 In space a body takes one Qhull build.  ``polytope`` canonicalizes through
 Qhull and keeps that hull's facet planes, neighbours and triangles, indexed
@@ -48,6 +46,7 @@ from .errors import (
     NumericalFailure,
     OriginNotInterior,
     UnsupportedMix,
+    parsing_input,
 )
 
 VERTEX_TOL = 1e-10
@@ -64,11 +63,11 @@ def _dedupe_rows(points: np.ndarray, tol: float) -> np.ndarray:
     Above 48 rows, rows are matched by their coordinates rounded to multiples
     of tol instead, keeping the first row of each match.
     """
-    if len(points) <= 1:
-        return points.copy()
     if len(points) <= 48:
-        diff = np.max(np.abs(points[:, None, :] - points[None, :, :]), axis=2)
-        close = np.tril(diff <= tol, k=-1)
+        close = np.abs(points[:, None, :] - points[None, :, :]).max(axis=2) <= tol
+        if np.count_nonzero(close) == len(points):  # the diagonal alone
+            return points.copy()
+        close = np.tril(close, k=-1)
         keep = ~close.any(axis=1)
         # a row near only dropped rows survives, so settle those in order
         for i in np.flatnonzero(~keep):
@@ -89,62 +88,46 @@ def _successors(ring: np.ndarray) -> np.ndarray:
 
 def _turns(ring: np.ndarray) -> np.ndarray:
     """(a - o) x (p - o) at every joint a of a closed ring, o and p its ring
-    neighbours: the monotone chain's own turn test, term for term."""
+    neighbours: twice the area of the triangle the joint cuts off."""
     o = np.concatenate((ring[-1:], ring[:-1]))
     p = _successors(ring)
     return ((ring[:, 0] - o[:, 0]) * (p[:, 1] - o[:, 1])
             - (ring[:, 1] - o[:, 1]) * (p[:, 0] - o[:, 0]))
 
 
-def _is_strict_ring(ring: np.ndarray, tol: float, scale: float) -> bool:
-    """True when the chain below would keep every point of this ccw ring: every
-    turn exceeds ``tol * scale**2`` and no two points are near duplicates."""
-    return (len(ring) >= 3 and bool(np.all(_turns(ring) > tol * scale * scale))
-            and len(_dedupe_rows(ring, tol * scale)) == len(ring))
+def _resolution(points: np.ndarray, tol: float = VERTEX_TOL):
+    """(dist, e), the one rule that decides what a point set is: e is the
+    largest max-norm distance from the mean and dist = tol * e + 64 ulps of
+    max|x|.  Points within dist are one point, a ring joint turning at most
+    dist * e is flat, and the rank counts singular values above 10 * dist.
+    Moving the set moves only the ulp term; scaling it scales both."""
+    e = float(np.abs(points - points.mean(axis=0)).max())
+    return tol * e + 2.0 ** -46 * float(np.abs(points).max()), e  # 64 ulps of 1
 
 
-def _chain_2d(points: np.ndarray, tol: float):
-    """Extreme points of a 2-D point set in lexicographic order, and their ccw
-    ring when every point is extreme (None otherwise).
-
-    Points already in strictly convex position are recognized without a loop:
-    sorted by angle (``_ccw_order``), each turn clears the chain's threshold
-    and none is a near duplicate, so the chain would keep them all.  Anything
-    else (interior, duplicate or collinear points) goes through the monotone
-    chain, where points within ``tol`` of an edge are treated as non-extreme.
-    """
-    scale = max(1.0, float(np.max(np.abs(points))))
-    cross_tol = tol * scale * scale
-    pts = _sort_lex(points)
-    ring = _ccw_order(pts)
-    if _is_strict_ring(ring, tol, scale):
-        return pts, ring
-
-    def build(seq):
-        out: list[np.ndarray] = []
-        for p in seq:
-            while len(out) >= 2:
-                o, a = out[-2], out[-1]
-                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= cross_tol:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
-
-    lower = build(pts)
-    upper = build(pts[::-1])
-    hull = np.array(lower[:-1] + upper[:-1]) if len(lower) > 1 else np.array(lower)
-    return _dedupe_rows(hull, tol * scale), None
+def _is_strict_ring(ring: np.ndarray, dist: float, e: float) -> bool:
+    """True when every point of this ccw ring is a vertex under the rule of
+    ``_resolution``: no joint is flat and no two points are one."""
+    return (len(ring) >= 3 and bool(np.all(_turns(ring) > dist * e))
+            and len(_dedupe_rows(ring, dist)) == len(ring))
 
 
-def _affine_frame(points: np.ndarray, tol: float):
-    """Return (origin, orthonormal basis U) of the affine hull, rank = U.shape[1]."""
+def _drop_flat_joints(ring: np.ndarray, flat: float) -> np.ndarray:
+    """The ccw ring without its flat joints (turn at most ``flat``), dropped
+    flattest first, each drop turning its neighbours anew; a triangle stays."""
+    while len(ring) > 3 and (turns := _turns(ring)).min() <= flat:
+        ring = np.delete(ring, int(np.argmin(turns)), axis=0)
+    return ring
+
+
+def _affine_frame(points: np.ndarray, dist: Optional[float] = None):
+    """(origin, orthonormal basis U) of the affine hull; its rank U.shape[1]
+    counts singular values above 10 * dist, by default the points' own."""
+    if dist is None:
+        dist = _resolution(points)[0]
     origin = points.mean(axis=0)
-    centered = points - origin
-    scale = max(1.0, float(np.max(np.abs(centered))))
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    rank = int(np.sum(s > tol * scale * 10.0))
+    _, s, vt = np.linalg.svd(points - origin, full_matrices=False)
+    rank = int(np.sum(s > 10.0 * dist))
     return origin, vt[:rank].T
 
 
@@ -160,51 +143,62 @@ class Hull(NamedTuple):
 
 
 def _extreme_points(pts: np.ndarray, tol: float):
-    """(extreme points, rank, cache) of conv(pts), handling lower-dimensional sets.
+    """(extreme points, rank, cache) of conv(pts): rows of pts in lexicographic
+    order, the affine rank of pts, and what the body may keep.
 
-    ``rank`` is the affine rank ``_affine_frame`` gives ``pts``; it is None
-    where the extreme points are not rows of ``pts``.  ``cache`` holds what
-    the construction settled for the body: the ccw ``_ring`` of a planar set
-    whose every point is extreme, or the ``_hull`` of a 3-D set whose Qhull
-    vertices all survive ``_dedupe_rows``.  When it is not empty, the
-    extreme points are already in lexicographic order.
+    One ``_resolution`` of pts decides the rank, the near duplicates and the
+    flat joints.  A planar set in strictly convex position (sorted by angle,
+    no flat joint, no near duplicate) is its own vertex list and keeps its
+    ``_ccw_order`` as ``_ring``.  Any other full-rank set takes one Qhull
+    build, joggled (``QJ``) where plain Qhull refuses it.  A polygon (in
+    space, in its frame coordinates) keeps Qhull's vertices less near
+    duplicates, the lexicographically first surviving, and drops their flat
+    joints flattest first; Qhull's ring starts elsewhere, so facet sums would
+    add in another order, and is not kept.  A solid keeps its ``_hull`` when
+    every Qhull vertex survives ``_dedupe_rows``.
     """
     dim = pts.shape[1]
-    if len(pts) == 1:
-        return pts.copy(), 0, {}
-    origin, basis = _affine_frame(pts, tol)
+    dist, e = _resolution(pts, tol)
+    origin, basis = _affine_frame(pts, dist)
     rank = basis.shape[1]
     if rank == 0:
         return pts[:1].copy(), 0, {}
     if rank == 1:
         coords = (pts - origin) @ basis[:, 0]
         ends = pts[[int(np.argmin(coords)), int(np.argmax(coords))]]
-        return _dedupe_rows(ends, tol), 1, {}
-    if rank == 2:
-        if dim == 2:
-            verts, ring = _chain_2d(pts, tol)
-            return verts, 2, ({} if ring is None else {"_ring": ring})
-        hull2, _ = _chain_2d((pts - origin) @ basis, tol)
-        return np.array([origin + basis @ q for q in hull2]), None, {}
-    vertex_tol = tol * max(1.0, float(np.max(np.abs(pts))))
-    try:
-        hull = ConvexHull(pts)
-    except QhullError:
-        # nearly degenerate: flatten onto the affine frame and retry; that
-        # hull's planes live in frame coordinates, so it is not kept
-        proj = (pts - origin) @ basis
-        verts = pts[ConvexHull(proj, qhull_options="QJ").vertices]
-        return _dedupe_rows(verts, vertex_tol), rank, {}
-    verts = pts[hull.vertices]
-    kept = _dedupe_rows(verts, vertex_tol)
-    if len(kept) < len(verts):
-        # a dropped near duplicate still spans triangles of this hull
-        return kept, rank, {}
-    order = _lex_order(verts)
-    slot = np.empty(len(pts), dtype=np.intp)
-    slot[hull.vertices[order]] = np.arange(len(order))
-    return verts[order], rank, {"_hull": Hull(hull.equations, hull.neighbors,
-                                              slot[hull.simplices])}
+        return _sort_lex(_dedupe_rows(ends, dist)), 1, {}
+    # a polygon in space is settled in its frame coordinates
+    coords = pts if rank == dim else (pts - origin) @ basis
+    work = _sort_lex(coords) if rank == 2 else pts
+    if rank == 2 and _is_strict_ring(ring := _ccw_order(work), dist, e):
+        verts, cache = work, {"_ring": ring}
+    else:
+        try:
+            hull, joggled = ConvexHull(work), False
+        except QhullError:
+            # nearly degenerate: joggle a polygon as it is (its ring stays
+            # ccw) and a solid in its frame, whose planes are not kept
+            frame = work if rank == 2 else (work - origin) @ basis
+            hull, joggled = ConvexHull(frame, qhull_options="QJ"), True
+        verts = work[hull.vertices]
+        if rank == 3:
+            kept = _dedupe_rows(verts, dist)
+            if joggled or len(kept) < len(verts):
+                # a dropped near duplicate still spans triangles of this hull
+                return _sort_lex(kept), 3, {}
+            order = _lex_order(verts)
+            slot = np.empty(len(pts), dtype=np.intp)
+            slot[hull.vertices[order]] = np.arange(len(order))
+            return verts[order], 3, {"_hull": Hull(hull.equations, hull.neighbors,
+                                                   slot[hull.simplices])}
+        # Qhull's 2-D ring is ccw; near duplicates go in lexicographic order
+        kept = _dedupe_rows(work[np.sort(hull.vertices)], dist)
+        ring = verts if len(kept) == len(verts) else _ccw_order(kept)
+        verts, cache = _sort_lex(_drop_flat_joints(ring, dist * e)), {}
+    if rank < dim:
+        rows = {q.tobytes(): p for q, p in zip(coords, pts)}  # the input row of each
+        return _sort_lex(np.array([rows[q.tobytes()] for q in verts])), 2, {}
+    return verts, 2, cache
 
 
 def _lex_order(verts: np.ndarray) -> np.ndarray:
@@ -247,23 +241,14 @@ def _merged_ring(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
     return ra[ia[i % len(ra)]] + rb[ib[j % len(rb)]]
 
 
-def _prune_convex_ring(ring: np.ndarray, tol: float) -> Optional[np.ndarray]:
-    """Lexicographically sorted vertices of a ccw ring from ``_merged_ring``,
-    or None where only the monotone chain can settle them.
-
-    A flat joint (turn at most the chain's threshold) whose neighbours both
-    turn is the point parallel edges leave mid-edge, and is dropped, unless it
-    is the lexicographic first or last point, which the chain never tests.
-    What remains must be a strict ring (``_is_strict_ring``).
-    """
-    scale_ = max(1.0, float(np.max(np.abs(ring))))
-    flat = _turns(ring) <= tol * scale_ * scale_
-    drop = flat & ~np.concatenate((flat[-1:], flat[:-1])) & ~_successors(flat)
-    order = np.lexsort((ring[:, 1], ring[:, 0]))
-    drop[order[[0, -1]]] = False
-    if not _is_strict_ring(ring[~drop], tol, scale_):
-        return None
-    return ring[order[~drop[order]]]
+def _prune_convex_ring(ring: np.ndarray, dist: float, e: float) -> Optional[np.ndarray]:
+    """Lexicographically sorted vertices of a ccw ring from ``_merged_ring``
+    under the rule (dist, e), or None where only a hull can settle them: a
+    flat joint whose neighbours both turn (the point parallel edges leave
+    mid-edge) is dropped, and what remains must be a strict ring."""
+    flat = _turns(ring) <= dist * e
+    kept = ring[~(flat & ~np.concatenate((flat[-1:], flat[:-1])) & ~_successors(flat))]
+    return _sort_lex(kept) if _is_strict_ring(kept, dist, e) else None
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +287,8 @@ class ConvexBody:
         if bad.size:
             raise ValueError(f"polytope vertex coordinates must be finite, got {bad[0]}")
         verts, rank, cache = _extreme_points(pts, VERTEX_TOL)
-        if not cache:
-            verts = _sort_lex(verts)
         body = cls(dim=pts.shape[1], kind="polytope", vertices=verts)
-        if rank is not None and len(verts) == len(pts):
+        if len(verts) == len(pts):
             # the vertices are the input rows, whose rank is decided already
             body.__dict__["_affine_rank"] = rank
         body.__dict__.update(cache)
@@ -367,7 +350,7 @@ class ConvexBody:
             return 0
         cached = self.__dict__.get("_affine_rank")
         if cached is None:
-            cached = _affine_frame(self.vertices, VERTEX_TOL)[1].shape[1]
+            cached = _affine_frame(self.vertices)[1].shape[1]
             self.__dict__["_affine_rank"] = cached
         return cached
 
@@ -472,7 +455,7 @@ def facet_measure(body: ConvexBody):
         U, w = np.array([[1.0], [-1.0]]), np.ones(2)
     elif rank == n - 1:
         verts = body.vertices
-        origin, basis = _affine_frame(verts, VERTEX_TOL)
+        origin, basis = _affine_frame(verts)
         if n == 2:
             coords = verts @ basis[:, 0]
             d = verts[int(np.argmax(coords))] - verts[int(np.argmin(coords))]
@@ -502,7 +485,7 @@ def _point_in_hull(verts: np.ndarray, x: np.ndarray, tol: float) -> bool:
     by projecting onto its affine hull."""
     if len(verts) == 1:
         return bool(np.max(np.abs(verts[0] - x)) <= tol)
-    origin, basis = _affine_frame(verts, VERTEX_TOL)
+    origin, basis = _affine_frame(verts)
     rank = basis.shape[1]
     resid = (x - origin) - basis @ (basis.T @ (x - origin))
     if np.linalg.norm(resid) > tol:
@@ -514,14 +497,9 @@ def _point_in_hull(verts: np.ndarray, x: np.ndarray, tol: float) -> bool:
     if rank == 1:
         lo, hi = float(coords.min()), float(coords.max())
         return lo - tol <= px[0] <= hi + tol
-    ring = _ccw_order(np.column_stack([coords[:, 0], coords[:, 1]]))
-    edges = _successors(ring) - ring
-    normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
-    lens = np.linalg.norm(normals, axis=1)
-    good = lens > 0
-    A = normals[good] / lens[good, None]
-    b = np.einsum("ij,ij->i", A, ring[good])
-    return bool(np.all(A @ px[:2] <= b + tol))
+    ring = _ccw_order(coords)
+    A, _ = _polygon_edges(ring)  # canonical vertices leave no zero-length edge
+    return bool(np.all(A @ px <= np.einsum("ij,ij->i", A, ring) + tol))
 
 
 def membership_margin(body: ConvexBody, x, tol: float = 1e-9):
@@ -595,9 +573,11 @@ def minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
         )
     if a.dim == 2 and a.affine_rank() == 2 and b.affine_rank() == 2:
         ring = _merged_ring(polygon_ring(a), polygon_ring(b))
-        verts = _prune_convex_ring(ring, VERTEX_TOL)
+        verts = _prune_convex_ring(ring, *_resolution(ring))
         if verts is not None:
-            return ConvexBody(dim=2, kind="polytope", vertices=verts)
+            out = ConvexBody(dim=2, kind="polytope", vertices=verts)
+            out.__dict__["_affine_rank"] = 2  # a sum of two polygons is one
+            return out
     pts = (a.vertices[:, None, :] + b.vertices[None, :, :]).reshape(-1, a.dim)
     return ConvexBody.polytope(pts)
 
@@ -613,14 +593,8 @@ def scale(a: ConvexBody, lam: float) -> ConvexBody:
     if a.is_ball:
         return ConvexBody.ball(a.radius * lam, a.dim)
     out = ConvexBody(dim=a.dim, kind="polytope", vertices=_sort_lex(a.vertices * lam))
-    rank = a.__dict__.get("_affine_rank")
-    if rank is not None:
-        # the threshold tol * max(1, extent) of ``_affine_frame`` scales with
-        # the body only where both extents clear the floor of 1; the
-        # homothet's extent is lam * ext up to rounding, hence the margin
-        ext = float(np.max(np.abs(a.vertices - a.vertices.mean(axis=0))))
-        if min(ext, lam * ext) > 1.0 + 1e-9:
-            out.__dict__["_affine_rank"] = rank
+    if "_affine_rank" in a.__dict__:  # the rule of ``_resolution`` scales with the body
+        out.__dict__["_affine_rank"] = a.__dict__["_affine_rank"]
     return out
 
 
@@ -848,6 +822,7 @@ def body_to_json(a: ConvexBody) -> dict:
     return {"type": "polytope", "vertices": a.vertices.tolist()}
 
 
+@parsing_input()
 def body_from_json(obj: dict) -> ConvexBody:
     kind = obj.get("type")
     if kind == "empty":

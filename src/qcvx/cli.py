@@ -1,11 +1,13 @@
 """Single entry point: parse JSON specs, dispatch computations and checks.
 
 Exit codes: 0 on success with every verdict in {holds, holds-with-equality},
-1 when any check is violated, 2 on malformed input.  Identical seed and
-configuration produce byte-identical output files (keys sorted, no
-timestamps).  Every flag applies to its own call only: handlers read the
-validated ``RunConfig``, the tolerances travel into the checks as arguments
-and ``--panels`` caps quadrature inside a ``quadrature.node_cap`` block.
+1 when any check is violated or the program fails, 2 on malformed input only
+(``InputParse``, raised at the JSON boundary by ``errors.parsing_input``).
+Identical seed and configuration produce byte-identical output files (keys
+sorted, no timestamps).  Every flag applies to its own call only: handlers
+read the validated ``RunConfig``, the tolerances travel into the checks as
+arguments and ``--panels`` caps quadrature inside a ``quadrature.node_cap``
+block.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -22,9 +25,9 @@ import numpy as np
 
 from . import quadrature
 from .bodies import body_from_json
-from .checks import CHECKS, Tolerances, run_all, summarize
+from .checks import CHECKS, Tolerances, _validate, run_all, summarize
 from .duality import GeomConvexFn, polarity_sandwich_check
-from .errors import ArityMismatch, DimensionMismatch, InputParse, QcvxError
+from .errors import ArityMismatch, DimensionMismatch, InputParse, QcvxError, parsing_input
 from .grids import GridSpec
 from .mixed_volumes import minkowski_polynomial, mixed_volume
 from .qc import (
@@ -196,9 +199,10 @@ def cmd_rearrange(args, config: RunConfig) -> int:
 
 def cmd_duality_check(args, config: RunConfig) -> int:
     spec = _load_json(args.phi)
-    domain = body_from_json(spec["domain"]) if spec.get("domain") else None
-    phi = GeomConvexFn.from_pieces(spec["slopes"], spec.get("offsets"), domain)
-    t_values = [float(t) for t in args.t_values.split(",")]
+    with parsing_input():
+        domain = body_from_json(spec["domain"]) if spec.get("domain") else None
+        phi = GeomConvexFn.from_pieces(spec["slopes"], spec.get("offsets"), domain)
+        t_values = [float(t) for t in args.t_values.split(",")]
     reports = [polarity_sandwich_check(phi, t) for t in t_values]
     _emit([json.loads(r.to_json()) for r in reports], args)
     return 0 if all(r.ok for r in reports) else 1
@@ -222,6 +226,9 @@ def _write_results(results, jsonl: Path, csv_path: Path) -> list[dict]:
 
 def cmd_check(args, config: RunConfig) -> int:
     names = sorted(CHECKS) if args.name == "all" else [args.name]
+    if args.name != "all":
+        with parsing_input():
+            _validate(args.name, config.dimension)
     results = run_all(config.seed, config.trials, config.dimension, names, config.tolerances)
     out_prefix = args.out or "qcvx-check"
     jsonl, csv_path = Path(f"{out_prefix}.jsonl"), Path(f"{out_prefix}.csv")
@@ -400,12 +407,14 @@ def main(argv=None) -> int:
         config = RunConfig.from_args(args)
         with quadrature.node_cap(config.node_cap or quadrature.DEFAULT_MAX_NODES):
             return args.handler(args, config)
-    except (InputParse, ArityMismatch, DimensionMismatch,
-            KeyError, ValueError, TypeError) as exc:
+    except (InputParse, ArityMismatch, DimensionMismatch) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     except QcvxError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except Exception:  # bad input is InputParse by now, so this is a fault of qcvx
+        traceback.print_exc()
         return 1
 
 

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all modules."""
 
+from contextlib import contextmanager
+
 
 class QcvxError(Exception):
     """Base class for every error raised by this package."""
@@ -77,3 +79,13 @@ class NumericalFailure(QcvxError):
 
 class InputParse(QcvxError):
     """Malformed JSON input (CLI exit code 2)."""
+
+
+@contextmanager
+def parsing_input():
+    """The JSON boundary (a ``with`` block, or called, a decorator): a ValueError,
+    TypeError, KeyError or AttributeError inside becomes ``InputParse``."""
+    try:
+        yield
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise InputParse(str(exc)) from exc

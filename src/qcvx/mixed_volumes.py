@@ -46,7 +46,6 @@ import numpy as np
 from .bodies import (
     ConvexBody,
     UNIT_BALL_VOLUME,
-    VERTEX_TOL,
     _affine_frame,
     _ccw_order,
     _polygon_area,
@@ -144,7 +143,7 @@ def _edge_angle_sum_3d(body: ConvexBody) -> float:
     if rank <= 0:
         return 0.0
     if rank < 3:
-        origin, basis = _affine_frame(verts, VERTEX_TOL)
+        origin, basis = _affine_frame(verts)
         coords = (verts - origin) @ basis
         if rank == 1:
             return 2.0 * math.pi * float(coords.max() - coords.min())

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gamma
 
-from .errors import DivergentIntegral, NonpositiveScale
+from .errors import DivergentIntegral, NonpositiveScale, parsing_input
 from .quadrature import integrate_height, integrate_radial
 
 
@@ -409,6 +409,7 @@ def profile_to_json(profile: Profile) -> dict:
     raise ValueError(f"profile {type(profile).__name__} has no JSON form")
 
 
+@parsing_input()
 def profile_from_json(obj: dict) -> Profile:
     kind = obj.get("kind")
     if kind == "exp":

@@ -52,6 +52,7 @@ from .errors import (
     InputParse,
     NonpositiveScale,
     NotRotationInvariant,
+    parsing_input,
 )
 from .grids import GridSpec, SampledField, lattice_convolution
 from .mixed_volumes import mixed_volume, quermassintegral_body
@@ -688,6 +689,7 @@ def fn_to_json(f: QCFunction) -> dict:
     raise ValueError(f"{type(f).__name__} has no JSON form")
 
 
+@parsing_input()
 def fn_from_json(obj: dict) -> QCFunction:
     kind = obj.get("type")
     if kind == "stack":

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import ConvexBody, volume
-from .errors import DegenerateBody, DimensionMismatch
+from .errors import DegenerateBody, DimensionMismatch, parsing_input
 from .mixed_volumes import mixed_volume
 from .qc import LevelStack, QCFunction, RadialQC, indicator, mixed_integral, terms_at
 from .quadrature import integrate_height
@@ -162,6 +162,7 @@ def sdr(f: QCFunction) -> QCFunction:
     return phi_rearrange(SizeFunctional.vol(f.dim), f)
 
 
+@parsing_input()
 def size_functional_from_json(obj: dict) -> SizeFunctional:
     from .bodies import body_from_json
 

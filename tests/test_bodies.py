@@ -14,11 +14,11 @@ from qcvx.bodies import (
     ConvexBody,
     _affine_frame,
     _ccw_order,
-    _chain_2d,
     _dedupe_rows,
     _merged_ring,
     _point_in_hull,
     _prune_convex_ring,
+    _resolution,
     _sort_lex,
     approx_equal,
     body_from_json,
@@ -92,6 +92,71 @@ def test_non_finite_input_rejected_at_the_constructors(bad):
         ConvexBody.ball(bad, 2)
     with pytest.raises(ValueError, match=name):
         scale(UNIT_SQUARE, bad)
+
+
+def _vertex_rows(body, points):
+    """Indices of the input rows that are vertices of the body, bitwise."""
+    keys = {v.tobytes() for v in body.vertices}
+    return [i for i, x in enumerate(points) if x.tobytes() in keys]
+
+
+@given(st.integers(0, 10_000), st.sampled_from([2, 3]), st.sampled_from(["round", "thin", "flat"]),
+       st.floats(-3.0, 4.0), st.floats(-6.0, 0.0))
+@settings(max_examples=100, deadline=None)
+def test_canonical_polytope_is_free_of_scale_and_position(seed, dim, shape, log_lam, log_shift):
+    """``polytope`` of P, P + c and lam P keeps the same vertex count, the
+    same rank and the same input rows (moved) as vertices, for lam in
+    [1e-3, 1e4] and |c| up to 1e6.  P is round, thin (solid, its width 1e-6
+    to 1e-3 of its size) or flat (width 1e-16 to 1e-13, below the rule's
+    1e-10), at sizes 1e-3 to 1e3 and turned at random."""
+    rng = np.random.default_rng(seed)
+    size = 10.0 ** rng.uniform(-3, 3)
+    width = {"round": 1.0, "thin": 10.0 ** rng.uniform(-6, -3),
+             "flat": 10.0 ** rng.uniform(-16, -13)}[shape]
+    pts = rng.uniform(-1, 1, (int(rng.integers(dim + 2, 16)), dim))
+    pts[:, -1] *= width
+    turn, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    pts = size * pts @ turn.T
+    # rounding P + c moves each coordinate by up to ulp(|c|) / 2, and the
+    # rule's floor of 64 ulps of |c| grows with it; a thin set keeps every
+    # vertex decision only while that floor stays far below its width, so
+    # for thin sets alone |c| stops at 1e9 times the width (at 1e10 and
+    # above, a few in 10^4 of them lose or gain a vertex or their rank)
+    reach = min(1e6, 1e9 * size * width) if shape == "thin" else 1e6
+    u = rng.normal(size=dim)
+    shift = reach * 10.0 ** log_shift * u / np.linalg.norm(u)
+    seen = []
+    for points in (pts, pts + shift, 10.0 ** log_lam * pts):
+        body = ConvexBody.polytope(points)
+        seen.append((len(body.vertices), body.affine_rank(), _vertex_rows(body, points)))
+    assert seen[0] == seen[1] == seen[2]
+    assert len(seen[0][2]) == seen[0][0]  # every vertex is an input row
+    assert seen[0][1] == (dim - 1 if shape == "flat" else dim)
+
+
+def test_a_far_solid_keeps_its_vertices():
+    # twelve points 1e-5 apart at 1e6: the centred extent sets the rule,
+    # and max|x| only its floor of 64 ulps
+    rng = np.random.default_rng(0)
+    pts = 1e6 + 1e-5 * rng.uniform(-1, 1, (12, 3))
+    body = ConvexBody.polytope(pts)
+    hull = ConvexHull(pts)
+    _assert_bitwise(body.vertices, _sort_lex(pts[hull.vertices]))
+    assert len(body.vertices) == 9 and body.affine_rank() == 3
+    # moving by a point of the set is exact, so that hull's volume is
+    # the set's to round-off; Qhull's own on the far points is 6e-7 off
+    assert volume(body) == pytest.approx(ConvexHull(pts - pts[0]).volume, rel=1e-14)
+    assert volume(body) == pytest.approx(hull.volume, rel=1e-5)
+
+
+@pytest.mark.parametrize("length", [1e5, 4e5, 1e6])
+def test_a_vertex_beside_a_collinear_point_stays(length):
+    # (0, L) lies on the edge from (0, 0) to (0, L + 1), and the vertex
+    # (0, L + 1) beside it turns by L + 1, 1.6e4 times dist * e at L = 1e6
+    pts = np.array([[0, 0], [length, 0], [0, length], [0, length + 1], [1, length + 4]])
+    body = ConvexBody.polytope(pts)
+    assert body.vertices.tolist() == [[0, 0], [0, length + 1], [1, length + 4], [length, 0]]
+    assert volume(body) == pytest.approx(ConvexHull(pts).volume, rel=1e-14)
 
 
 # -- minkowski sum -----------------------------------------------------------
@@ -402,7 +467,7 @@ def test_contains_polytope_is_the_vertex_formula(tol):
 def _point_in_reference_hull(verts, x, tol):
     """x in conv(verts): a fresh Qhull build's planes when the hull is solid
     in 3-space, else the projection onto the affine hull."""
-    if verts.shape[1] == 3 and _affine_frame(verts, VERTEX_TOL)[1].shape[1] == 3:
+    if verts.shape[1] == 3 and _affine_frame(verts)[1].shape[1] == 3:
         A = ConvexHull(verts).equations
         return bool(np.all(A[:, :-1] @ x + A[:, -1] <= tol))
     return _point_in_hull(verts, x, tol)
@@ -499,29 +564,38 @@ def test_dedupe_rows_above_48_rows_keeps_first_of_each_rounded_key():
     np.testing.assert_array_equal(_dedupe_rows(pts, tol), pts[np.sort(first)])
 
 
-# -- the 2-D kernel: fast path, chain, merge, rank ------------------------------
+# -- the 2-D kernel: fast path, hull, merge, rank ------------------------------
 
 def _chain_2d_loop(points, tol):
-    """Reference: the monotone chain alone, on every input."""
-    scale_ = max(1.0, float(np.max(np.abs(points))))
-    cross_tol = tol * scale_ * scale_
-    pts = points[np.lexsort((points[:, 1], points[:, 0]))]
+    """Reference: the rule of ``_resolution`` as a plain loop, with no Qhull.
+    An exact monotone chain keeps the points that turn left, in ccw order
+    from the lexicographically first; near duplicates go in lexicographic
+    order (``_dedupe_rows``), and then the flat joints, flattest first."""
+    dist, e = _resolution(points, tol)
+    pts = sorted(map(tuple, points.tolist()))
+
+    def turn(o, a, p):
+        return (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
 
     def build(seq):
         out = []
         for p in seq:
-            while len(out) >= 2:
-                o, a = out[-2], out[-1]
-                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= cross_tol:
-                    out.pop()
-                else:
-                    break
+            while len(out) >= 2 and turn(out[-2], out[-1], p) <= 0.0:
+                out.pop()
             out.append(p)
         return out
 
-    lower, upper = build(pts), build(pts[::-1])
-    hull = np.array(lower[:-1] + upper[:-1]) if len(lower) > 1 else np.array(lower)
-    return _dedupe_rows(hull, tol * scale_)
+    ring = build(pts)[:-1] + build(pts[::-1])[:-1]
+    kept = set(map(tuple, _dedupe_rows(np.array(sorted(ring)), dist).tolist()))
+    ring = [p for p in ring if p in kept]
+    while len(ring) > 3:
+        turns = [turn(ring[k - 1], ring[k], ring[(k + 1) % len(ring)])
+                 for k in range(len(ring))]
+        k = min(range(len(ring)), key=turns.__getitem__)
+        if turns[k] > dist * e:
+            break
+        del ring[k]
+    return np.array(ring)
 
 
 def sector_polygon(rng, m, spread=1.0):
@@ -539,27 +613,28 @@ def _assert_bitwise(a, b):
 @given(st.integers(0, 10_000), st.sampled_from(["permuted", "duplicates", "on-edges", "near-flat"]))
 @settings(max_examples=60, deadline=None)
 def test_fast_path_matches_monotone_chain(seed, case):
+    """Construction (the fast path, or Qhull and the rule) keeps bitwise the
+    vertices of the plain-loop reference."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(3, 70))
     pts = sector_polygon(rng, m, 10.0 ** rng.uniform(-3, 4))
-    scale_ = max(1.0, float(np.max(np.abs(pts))))
+    dist, e = _resolution(pts, VERTEX_TOL)
     k = rng.integers(0, m, 3)
     if case == "duplicates":
-        jitter = rng.uniform(-1, 1, (3, 2)) * VERTEX_TOL * scale_ * rng.choice([0.0, 0.5, 2.0])
+        jitter = rng.uniform(-1, 1, (3, 2)) * dist * rng.choice([0.0, 0.5, 2.0])
         pts = np.vstack([pts, pts[k] + jitter])
     elif case == "on-edges":
         t = rng.uniform(0, 1, (3, 1))
         pts = np.vstack([pts, t * pts[k] + (1 - t) * pts[(k + 1) % m]])
     elif case == "near-flat":
-        # push an edge midpoint out until its turn is within a factor 4 of the threshold
+        # push an edge midpoint out until its turn is within a factor 4 of dist * e
         a, b = pts[k[0]], pts[(k[0] + 1) % m]
         normal = np.array([b[1] - a[1], a[0] - b[0]])
         normal /= np.linalg.norm(normal)
-        height = rng.uniform(0.25, 4.0) * VERTEX_TOL * scale_ * scale_ / np.linalg.norm(b - a)
+        height = rng.uniform(0.25, 4.0) * dist * e / np.linalg.norm(b - a)
         pts = np.vstack([pts, 0.5 * (a + b) + height * normal])
     pts = pts[rng.permutation(len(pts))]
-    fast, _ = _chain_2d(pts, VERTEX_TOL)
-    _assert_bitwise(_sort_lex(fast), _sort_lex(_chain_2d_loop(pts, VERTEX_TOL)))
+    _assert_bitwise(ConvexBody.polytope(pts).vertices, _sort_lex(_chain_2d_loop(pts, VERTEX_TOL)))
     if case == "permuted":
         # convex input takes the fast path and caches the ring facets use
         body = ConvexBody.polytope(pts)
@@ -584,18 +659,20 @@ def test_merge_matches_all_pairs_hull_bitwise(seed, case):
     else:
         a = ConvexBody.polytope(a.vertices * 1e4)
         b = ConvexBody.polytope(sector_polygon(rng, int(rng.integers(3, 40)), 1e4))
-    # parallel edges leave a joint mid-edge, which the merge drops without the chain
-    assert _prune_convex_ring(_merged_ring(polygon_ring(a), polygon_ring(b)), VERTEX_TOL) is not None
+    # parallel edges leave a joint mid-edge, which the merge drops without a hull
+    ring = _merged_ring(polygon_ring(a), polygon_ring(b))
+    assert _prune_convex_ring(ring, *_resolution(ring)) is not None
     pairs = (a.vertices[:, None, :] + b.vertices[None, :, :]).reshape(-1, 2)
     _assert_bitwise(minkowski_sum(a, b).vertices, ConvexBody.polytope(pairs).vertices)
 
 
-def test_merge_leaves_a_flat_lexicographic_end_to_the_all_pairs_hull():
-    # the chain never tests its first and last points, so it keeps the flat
-    # corner at the origin; the merge cannot drop it and falls back
+def test_a_flat_lexicographic_end_is_dropped_and_the_merge_settles_the_sum():
+    # the corner at the origin lies 1.5e-11 from its chord, a turn of 3e-11
+    # against dist * e = 2.25e-10, so it is flat like any other joint
     a = ConvexBody.polytope([[0, 0], [1e-11, 1], [2e-11, -1], [2, 0]])
-    assert len(a.vertices) == 4
-    assert _prune_convex_ring(_merged_ring(polygon_ring(a), polygon_ring(a)), VERTEX_TOL) is None
+    assert a.vertices.tolist() == [[1e-11, 1], [2e-11, -1], [2, 0]]
+    ring = _merged_ring(polygon_ring(a), polygon_ring(a))
+    assert _prune_convex_ring(ring, *_resolution(ring)) is not None
     pairs = (a.vertices[:, None, :] + a.vertices[None, :, :]).reshape(-1, 2)
     _assert_bitwise(minkowski_sum(a, a).vertices, ConvexBody.polytope(pairs).vertices)
 
@@ -604,14 +681,21 @@ def test_merge_leaves_a_flat_lexicographic_end_to_the_all_pairs_hull():
 @settings(max_examples=80, deadline=None)
 def test_cached_rank_matches_a_fresh_frame(seed, log_size, log_width, log_lam):
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(3, 30))
-    ang = 2.0 * np.pi * (np.arange(m) + rng.uniform(0.1, 0.9, m)) / m
-    # thin ellipses straddle the rank threshold 1e-9 * max(1, extent)
-    pts = 10.0 ** log_size * np.stack([np.cos(ang), 10.0 ** log_width * np.sin(ang)], axis=1)
-    pts = pts[rng.permutation(m)]
-    for body in (ConvexBody.polytope(pts), ConvexBody.polytope(pts[:2])):
+
+    def thin_ellipse():
+        m = int(rng.integers(3, 30))
+        ang = 2.0 * np.pi * (np.arange(m) + rng.uniform(0.1, 0.9, m)) / m
+        # thin ellipses straddle the rank threshold, about 1e-9 times the extent
+        pts = 10.0 ** log_size * np.stack([np.cos(ang), 10.0 ** log_width * np.sin(ang)], axis=1)
+        return pts[rng.permutation(m)]
+
+    pts, other = thin_ellipse(), ConvexBody.polytope(thin_ellipse())
+    ellipse = ConvexBody.polytope(pts)
+    # the sums of two polygons take the edge merge, which carries rank 2
+    for body in (ellipse, ConvexBody.polytope(pts[:2]),
+                 minkowski_sum(ellipse, ellipse), minkowski_sum(ellipse, other)):
         for b in (body, scale(body, 10.0 ** log_lam)):
-            fresh = _affine_frame(b.vertices, VERTEX_TOL)[1].shape[1] if len(b.vertices) > 1 else 0
+            fresh = _affine_frame(b.vertices)[1].shape[1] if len(b.vertices) > 1 else 0
             assert b.affine_rank() == fresh
 
 
@@ -717,6 +801,25 @@ def test_a_qj_retry_is_not_kept(monkeypatch):
     assert builds == ["convex_hull"]
 
 
+def test_a_qj_retry_settles_polygons_as_a_plain_build(monkeypatch):
+    rng = np.random.default_rng(1)
+    plane = np.vstack([rng.uniform(-1, 1, (10, 2)), [[0.0, 0.0]]])
+    turn, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    space = np.column_stack([plane, np.zeros(len(plane))]) @ turn.T + 5.0
+    plain = [ConvexBody.polytope(pts).vertices for pts in (plane, space)]
+    real = bodies.ConvexHull
+
+    def refuse_plain(points, *args, **kwargs):
+        if "QJ" not in str(kwargs.get("qhull_options") or ""):
+            raise QhullError("refused for the test")
+        return real(points, *args, **kwargs)
+
+    monkeypatch.setattr(bodies, "ConvexHull", refuse_plain)
+    for pts, want in zip((plane, space), plain):
+        assert len(want) < len(pts)
+        _assert_bitwise(ConvexBody.polytope(pts).vertices, want)
+
+
 def test_flat_and_scaled_bodies_carry_no_hull(monkeypatch):
     flat = ConvexBody.polytope([[0, 0, 1], [2, 0, 1], [0, 2, 1], [2, 2, 1], [1, 1, 1]])
     solid = ConvexBody.box([0, 0, 0], [1, 2, 3])
@@ -737,6 +840,17 @@ def test_check_all_in_space_builds_each_hull_once(monkeypatch, tmp_path, capsys)
     assert main(["check", "all", "--dim", "3", "--trials", "1", "--seed", "7",
                  "--out", str(tmp_path / "run")]) == 0
     # every body this round measures kept the hull that canonicalized it
+    assert builds and set(builds) == {"_extreme_points"}
+
+
+def test_check_all_in_the_plane_builds_hulls_only_to_canonicalize(monkeypatch, tmp_path, capsys):
+    from qcvx.cli import main
+
+    builds = _count_hull_builds(monkeypatch)
+    assert main(["check", "all", "--dim", "2", "--trials", "4", "--seed", "7",
+                 "--out", str(tmp_path / "run")]) == 0
+    # Qhull finds the vertices of sets not in strictly convex position; rings,
+    # facets and areas are the polygon's own and need no hull
     assert builds and set(builds) == {"_extreme_points"}
 
 

@@ -182,6 +182,32 @@ def test_bad_input_exits_two(workdir, capsys):
     assert main(["mixed-volume", wrong_arity]) == 2
 
 
+def test_malformed_specs_and_values_exit_two_with_their_message(workdir, capsys):
+    phi = _write(workdir / "phi.json", {"slopes": [[1.0], [-1.0]]})
+    no_slopes = _write(workdir / "no_slopes.json", {"offsets": [0.0]})
+    assert main(["duality-check", no_slopes]) == 2
+    assert capsys.readouterr().err == "input error: 'slopes'\n"
+    assert main(["duality-check", phi, "--t-values", "0.5,two"]) == 2
+    assert "could not convert string to float: 'two'" in capsys.readouterr().err
+    assert main(["integral", _write(workdir / "list.json", [EXP_DISC])]) == 2
+    assert main(["integral", _write(workdir / "kind.json", {"type": "cone"})]) == 2
+    assert "unknown function type 'cone'" in capsys.readouterr().err
+    assert main(["check", "no-such-check", "--trials", "1"]) == 2
+    assert "unknown check 'no-such-check'" in capsys.readouterr().err
+
+
+def test_an_internal_value_error_exits_one(workdir, capsys, monkeypatch):
+    from qcvx import cli
+
+    def broken(args, config):
+        raise ValueError("a fault of the program")
+
+    monkeypatch.setattr(cli, "cmd_integral", broken)
+    assert main(["integral", _write(workdir / "f.json", EXP_DISC)]) == 1
+    err = capsys.readouterr().err
+    assert "input error" not in err and "ValueError: a fault of the program" in err
+
+
 def test_radial_base_without_the_origin_inside_exits_two(workdir, capsys):
     fn = _write(workdir / "f.json", {"type": "radial", "base": SQUARE,
                                      "profile": {"kind": "exp", "c": 1.0}})
