@@ -54,8 +54,12 @@
         height when two heights tie at round-off.
         A listed move whose old and new values are both below 1e-12 in
         magnitude is tagged `(round-off)`, and each differing file ends with
-        its count of such moves.  The tag only annotates: every move is
-        still listed and the exit code does not depend on it.
+        its count of such moves, then with its count of unlisted numeric
+        moves (values that differ by at most 1e-12 relative) and the
+        largest relative one among them, with its row and field, so a file
+        that differs only below the threshold still says how far it moved.
+        Neither line forgives anything: every move above the threshold is
+        still listed and the exit code does not depend on them.
         Exits 0 when every file is byte-identical and 1 otherwise.
 
 Typical use, parent commit against a working tree:
@@ -278,15 +282,18 @@ def _as_number(value):
         return None
 
 
-def _moved(old, new) -> bool:
+def _relative_change(old, new):
+    """|old - new| / max(|old|, |new|) for two numbers: 0 when they are
+    equal (or both NaN), inf when they differ and one is not finite, and
+    None when either is not a number."""
     a, b = _as_number(old), _as_number(new)
     if a is None or b is None:
-        return old != new
+        return None
     if a == b or (math.isnan(a) and math.isnan(b)):
-        return False
+        return 0.0
     if not (math.isfinite(a) and math.isfinite(b)):
-        return True
-    return abs(a - b) > REL_TOL * max(abs(a), abs(b))
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
 
 
 def _rows(path: Path) -> list[dict]:
@@ -315,12 +322,15 @@ def _round_off(old, new) -> bool:
     return a is not None and b is not None and abs(a) < ROUND_OFF and abs(b) < ROUND_OFF
 
 
-def _diff_file(old: Path, new: Path) -> tuple[list[str], int, int]:
+def _diff_file(old: Path, new: Path) -> tuple[list[str], int, int, list]:
     """(report lines, number of changed verdicts, number of round-off
-    moves) for two differing files."""
+    moves, unlisted moves) for two differing files; an unlisted move is
+    (relative change, row, field) for a number that moved by at most
+    REL_TOL relative."""
     old_rows, new_rows = _rows(old), _rows(new)
     lines = []
     round_off = 0
+    unlisted = []
     verdicts = abs(len(old_rows) - len(new_rows))
     if len(old_rows) != len(new_rows):
         lines.append(f"  row count {len(old_rows)} -> {len(new_rows)}")
@@ -336,13 +346,17 @@ def _diff_file(old: Path, new: Path) -> tuple[list[str], int, int]:
             keys -= {"left", "right"}
         for key in sorted(keys):
             va, vb = a["fields"].get(key, "<absent>"), b["fields"].get(key, "<absent>")
-            if _moved(va, vb):
+            rel = _relative_change(va, vb)
+            moved = va != vb if rel is None else rel > REL_TOL
+            if moved:
                 tiny = _round_off(va, vb)
                 lines.append(f"  {where} {key}: {va!r} -> {vb!r}"
                              + (" (round-off)" if tiny else ""))
                 verdicts += key in VERDICT_FIELDS
                 round_off += tiny
-    return lines, verdicts, round_off
+            elif rel:
+                unlisted.append((rel, where, key))
+    return lines, verdicts, round_off, unlisted
 
 
 def diff(old_dir: Path, new_dir: Path) -> int:
@@ -361,13 +375,18 @@ def diff(old_dir: Path, new_dir: Path) -> int:
             print(f"{name}: byte-identical; every verdict unchanged")
         else:
             same = False
-            lines, verdicts, round_off = _diff_file(old, new)
+            lines, verdicts, round_off, unlisted = _diff_file(old, new)
             print(f"{name}: differs; " + (f"{verdicts} verdict(s) changed" if verdicts
                                           else "every verdict unchanged"))
             for line in lines:
                 print(line)
             print(f"  {round_off} listed move(s) are round-off "
                   f"(old and new magnitudes below {ROUND_OFF:g})")
+            summary = f"  {len(unlisted)} unlisted numeric move(s) of at most {REL_TOL:g} relative"
+            if unlisted:
+                rel, where, key = max(unlisted)
+                summary += f"; largest {rel:.3g} at {where} {key}"
+            print(summary)
     return 0 if same else 1
 
 

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import gamma
 
-from .bodies import ConvexBody, UNIT_BALL_VOLUME, minkowski_sum, volume
+from .bodies import ConvexBody, UNIT_BALL_VOLUME
 from .errors import IndexOutOfRange, NotLogConcave
 from .generators import (
     random_polytope,
@@ -45,11 +45,10 @@ from .qc import (
     integral,
     merged_heights,
     mixed_integral,
-    oplus,
     quermassintegral_fn,
     surface_area_fn,
 )
-from .rearrange import SizeFunctional, ball_rearrange, phi_rearrange, sdr
+from .rearrange import SizeFunctional, ball_radius, phi_rearrange, sdr
 from .report import CheckReport, judge, pair_scale
 
 
@@ -108,8 +107,17 @@ def _witness(**objs) -> dict:
     return out
 
 
-def _ball_radius(phi: SizeFunctional, body: ConvexBody) -> float:
-    return ball_rearrange(phi, body).radius
+def _levelwise_bm(phi: SizeFunctional, f: QCFunction, g: QCFunction):
+    """(heights, lhs, rhs): at each sample height t, the Phi-ball radius of
+    K_t + L_t (from ``eval_sum``, the sum never built) against the sum of
+    those of K_t and L_t."""
+    heights = _sample_heights(f, g)
+    lhs, rhs = [], []
+    for t in heights:
+        kf, kg = f.level_set(float(t)), g.level_set(float(t))
+        lhs.append(ball_radius(phi, [kf, kg]))
+        rhs.append(ball_radius(phi, [kf]) + ball_radius(phi, [kg]))
+    return heights, lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -129,21 +137,19 @@ def check_isoperimetric_qc(f: QCFunction, tols: Tolerances = DEFAULT_TOLS) -> Ch
 
 def check_bm_rearrangement(f: QCFunction, g: QCFunction,
                            tols: Tolerances = DEFAULT_TOLS) -> CheckReport:
-    """(f oplus g)* dominates f* oplus g*, levelwise in the ball radii."""
-    n = f.dim
-    wn = UNIT_BALL_VOLUME[n]
-    s = oplus(f, g)
-    heights = _sample_heights(f, g)
-    lhs, rhs = [], []
-    for t in heights:
-        t = float(t)
-        lhs.append((volume(s.level_set(t)) / wn) ** (1.0 / n))
-        rhs.append((volume(f.level_set(t)) / wn) ** (1.0 / n)
-                   + (volume(g.level_set(t)) / wn) ** (1.0 / n))
+    """(f oplus g)* dominates f* oplus g*, levelwise in the ball radii.
+
+    At each height the radius of (f oplus g)* is that of Vol(K_t + L_t),
+    expanded into mixed volumes of K_t and L_t; ``integral_lhs`` and
+    ``integral_rhs`` expand int f oplus g and int f* oplus g* into mixed
+    integrals the same way.  No Minkowski sum is built.
+    """
+    vol = SizeFunctional.vol(f.dim)
+    heights, lhs, rhs = _levelwise_bm(vol, f, g)
     details = {
         "rotation_invariant": f.is_rotation_invariant() and g.is_rotation_invariant(),
-        "integral_lhs": integral(s),
-        "integral_rhs": integral(oplus(sdr(f), sdr(g))),
+        "integral_lhs": vol.eval_sum([f, g]),
+        "integral_rhs": vol.eval_sum([sdr(f), sdr(g)]),
     }
     tol = tols.for_fns(f, g)
     return judge(
@@ -154,14 +160,14 @@ def check_bm_rearrangement(f: QCFunction, g: QCFunction,
 
 def check_gen_bm(phi: SizeFunctional, f: QCFunction, g: QCFunction,
                  tols: Tolerances = DEFAULT_TOLS) -> CheckReport:
-    """(f oplus g)^Phi dominates f^Phi oplus g^Phi for any size functional."""
-    heights = _sample_heights(f, g)
-    lhs, rhs = [], []
-    for t in heights:
-        t = float(t)
-        kf, kg = f.level_set(t), g.level_set(t)
-        lhs.append(_ball_radius(phi, minkowski_sum(kf, kg)))
-        rhs.append(_ball_radius(phi, kf) + _ball_radius(phi, kg))
+    """(f oplus g)^Phi dominates f^Phi oplus g^Phi for any size functional.
+
+    Phi(K_t + L_t) at each height comes from ``SizeFunctional.eval_sum``:
+    mixed volumes of K_t and L_t, so vol and every degree-1 functional build
+    no sum; W_1 in space builds S(K_t + L_t) once per height, inside
+    ``mixed_volume``.
+    """
+    heights, lhs, rhs = _levelwise_bm(phi, f, g)
     details = {
         "functional": phi.name or f"degree-{phi.degree}",
         "rotation_invariant": f.is_rotation_invariant() and g.is_rotation_invariant(),
@@ -175,9 +181,10 @@ def check_gen_bm(phi: SizeFunctional, f: QCFunction, g: QCFunction,
 
 def check_gen_bm_bodies(phi: SizeFunctional, a: ConvexBody, b: ConvexBody,
                         tols: Tolerances = DEFAULT_TOLS) -> CheckReport:
-    """Body form: Phi(A+B)^(1/m) >= Phi(A)^(1/m) + Phi(B)^(1/m)."""
-    left = _ball_radius(phi, minkowski_sum(a, b))
-    right = _ball_radius(phi, a) + _ball_radius(phi, b)
+    """Body form: Phi(A+B)^(1/m) >= Phi(A)^(1/m) + Phi(B)^(1/m), with
+    Phi(A+B) from ``SizeFunctional.eval_sum`` (A + B is never built)."""
+    left = ball_radius(phi, [a, b])
+    right = ball_radius(phi, [a]) + ball_radius(phi, [b])
     return judge(
         "gen-bm-bodies",
         "(A + B)^Phi contains A^Phi + B^Phi (generalized Brunn-Minkowski)",

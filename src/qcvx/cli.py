@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import traceback
 from dataclasses import dataclass
@@ -130,6 +131,15 @@ def _grid_size(args) -> int:
     return args.grid_size
 
 
+def _half_width(args) -> Optional[float]:
+    """The --half-width flag: None when absent, else a finite positive width
+    (``GridSpec.cube`` would take 0 as a lattice of coincident points)."""
+    half = args.half_width
+    if half is not None and not (math.isfinite(half) and half > 0.0):
+        raise InputParse(f"--half-width must be finite and positive, got {half}")
+    return half
+
+
 # -- subcommand handlers -----------------------------------------------------
 
 def cmd_mixed_volume(args, config: RunConfig) -> int:
@@ -176,9 +186,11 @@ def cmd_oplus(args, config: RunConfig) -> int:
 def cmd_oracle_compare(args, config: RunConfig) -> int:
     from .qc import supmin_bracket
 
+    half = _half_width(args)
     f = fn_from_json(_load_json(args.f))
     g = fn_from_json(_load_json(args.g))
-    half = args.half_width or 1.2 * max(f.support_radius(), g.support_radius())
+    if half is None:
+        half = 1.2 * max(f.support_radius(), g.support_radius())
     grid = GridSpec.cube(half, f.dim, _grid_size(args))
     result = supmin_bracket(f, g, grid)
     _emit({"max_abs_error": result["max_abs_error"],

@@ -11,17 +11,25 @@ functions having homothetic level sets c_i(t) * K_i; it reduces to the plain
 functional times the constant C = integral of prod c_i(t) dt, so rearranges
 identically.  Arbitrary weight functions are rejected: without the homothety
 the rearrangement would not preserve the functional's value.
+
+The size of a sum is never measured on the sum itself: Phi is a mixed volume
+(a mixed integral for functions) and so multilinear, and ``eval_sum``
+expands Phi(P_1 + ... + P_k) into mixed volumes (mixed integrals) of the
+parts (Schneider, *Convex Bodies*, sec. 5.1; the paper's polarization of the
+Lebesgue integral, int f oplus g = sum_j C(n, j) V(f[j], g[n-j])).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
+from math import factorial, prod
 
 import numpy as np
 
-from .bodies import ConvexBody, volume
-from .errors import DegenerateBody, DimensionMismatch, parsing_input
+from .bodies import ConvexBody
+from .errors import ArityMismatch, DegenerateBody, DimensionMismatch, parsing_input
 from .mixed_volumes import mixed_volume
 from .qc import LevelStack, QCFunction, RadialQC, indicator, mixed_integral, terms_at
 from .quadrature import integrate_height
@@ -102,19 +110,42 @@ class SizeFunctional:
             self.__dict__["_ball_value"] = cached
         return cached
 
+    def eval_sum(self, parts) -> float:
+        """Phi(P_1 + ... + P_k) of a Minkowski sum of bodies, or of an oplus
+        sum of functions, without building the sum.
+
+        By multilinearity V((P_1 + ... + P_k)[m], refs) is the sum over the
+        multisets {i_1, ..., i_m} of the multinomial coefficient times
+        V(P_{i_1}, ..., P_{i_m}, refs): ``mixed_volume`` for bodies (times
+        ``weight_constant``, as for a single body) and ``mixed_integral``
+        for functions (with the weights, or the references' indicators, in
+        the reference slots).  One part is Phi of that part.
+        """
+        parts = list(parts)
+        if not parts:
+            raise ArityMismatch("need at least one part")
+        if any(p.dim != self.dim for p in parts):
+            raise DimensionMismatch("part dimension does not match the functional")
+        if all(isinstance(p, ConvexBody) for p in parts):
+            measure, fixed, const = mixed_volume, list(self.references), self.weight_constant
+        elif all(isinstance(p, QCFunction) for p in parts):
+            fixed = list(self.weights) or [indicator(ref) for ref in self.references]
+            measure, const = mixed_integral, None
+        else:
+            raise TypeError("the parts of a sum must be all bodies or all functions")
+        total = 0.0
+        for ms in itertools.combinations_with_replacement(range(len(parts)), self.degree):
+            ways = factorial(self.degree) // prod(factorial(ms.count(i)) for i in set(ms))
+            total += ways * measure([parts[i] for i in ms] + fixed)
+        return total if const is None else const * total
+
     def eval_body(self, a: ConvexBody) -> float:
         """Phi(A) = V(A, ..., A, references), weighted by C when generalized."""
-        if a.dim != self.dim:
-            raise DimensionMismatch("body dimension does not match the functional")
-        plain = mixed_volume([a] * self.degree + list(self.references))
-        return self.weight_constant * plain
+        return self.eval_sum([a])
 
     def eval_fn(self, f: QCFunction) -> float:
         """Phi(f) = integral over t of Phi(level set at t)."""
-        if self.weights:
-            return mixed_integral([f] * self.degree + list(self.weights))
-        return mixed_integral([f] * self.degree
-                              + [indicator(ref) for ref in self.references])
+        return self.eval_sum([f])
 
 
 def eval_body(phi: SizeFunctional, a: ConvexBody) -> float:
@@ -125,6 +156,20 @@ def eval_fn(phi: SizeFunctional, f: QCFunction) -> float:
     return phi.eval_fn(f)
 
 
+def ball_radius(phi: SizeFunctional, parts) -> float:
+    """Radius of the centered ball whose Phi-size is Phi(P_1 + ... + P_k)
+    for bodies P_i, the size taken by ``eval_sum`` and the sum never built.
+
+    A size of 0 gives radius 0, unless a part is a full-dimensional polytope.
+    """
+    value = phi.eval_sum(parts)
+    if value <= 0.0:
+        if any(p.is_polytope and p.affine_rank() == p.dim for p in parts):
+            raise DegenerateBody("full-dimensional body with zero size")
+        return 0.0
+    return (value / phi.ball_value()) ** (1.0 / phi.degree)
+
+
 def ball_rearrange(phi: SizeFunctional, a: ConvexBody) -> ConvexBody:
     """The centered ball with the same Phi-size as a.
 
@@ -132,13 +177,7 @@ def ball_rearrange(phi: SizeFunctional, a: ConvexBody) -> ConvexBody:
     """
     if a.is_empty:
         return ConvexBody.empty(phi.dim)
-    value = phi.eval_body(a)
-    if value <= 0.0:
-        if a.is_polytope and a.affine_rank() == a.dim:
-            raise DegenerateBody("full-dimensional body with zero size")
-        return ConvexBody.ball(0.0, phi.dim)
-    radius = (value / phi.ball_value()) ** (1.0 / phi.degree)
-    return ConvexBody.ball(radius, phi.dim)
+    return ConvexBody.ball(ball_radius(phi, [a]), phi.dim)
 
 
 def phi_rearrange(phi: SizeFunctional, f: QCFunction) -> QCFunction:
@@ -150,8 +189,7 @@ def phi_rearrange(phi: SizeFunctional, f: QCFunction) -> QCFunction:
     if isinstance(f, RadialQC):
         # levelwise: Phi(r * base) = r^m Phi(base), so the rearranged function
         # is radial over the ball matched to the base
-        radius = (phi.eval_body(f.base) / phi.ball_value()) ** (1.0 / phi.degree)
-        return RadialQC(ConvexBody.ball(radius, f.dim), f.profile)
+        return RadialQC(ConvexBody.ball(ball_radius(phi, [f.base]), f.dim), f.profile)
     heights = np.geomspace(1.0, 1e-3, 64)
     return LevelStack([(float(t), ball_rearrange(phi, f.level_set(float(t))))
                        for t in heights], validate=False)

@@ -94,6 +94,52 @@ def test_gen_bm_bodies_degree_one_is_identity():
     assert rep.verdict == "holds-with-equality"
 
 
+def _count_minkowski_sums(monkeypatch):
+    """Count every call of ``bodies.minkowski_sum``, under each name a qcvx
+    module binds it to."""
+    import sys
+
+    from qcvx import bodies
+
+    real, calls = bodies.minkowski_sum, []
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("qcvx") and getattr(mod, "minkowski_sum", None) is real:
+            monkeypatch.setattr(mod, "minkowski_sum", counting)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_brunn_minkowski_checks_build_no_sum(monkeypatch, dim):
+    """Sizes of sums come from mixed volumes of the parts: vol and every
+    degree-1 functional need no Minkowski sum at any height, and neither
+    does either integral of bm-rearrangement."""
+    rng = rng_for(8, dim)
+    f, g = random_stack(rng, dim), random_stack(rng, dim)
+    a, b = random_polytope(rng, dim), random_polytope(rng, dim)
+    phis = [SizeFunctional.vol(dim), SizeFunctional.quermass(dim, dim - 1)]
+    calls = _count_minkowski_sums(monkeypatch)
+    reports = [check_bm_rearrangement(f, g)]
+    for phi in phis:
+        reports += [check_gen_bm(phi, f, g), check_gen_bm_bodies(phi, a, b)]
+    assert all(rep.ok for rep in reports)
+    assert calls == []
+
+
+def test_gen_bm_with_w1_in_space_builds_at_most_one_sum_per_height(monkeypatch):
+    # V(K, L, B) = r/6 [S(K+L) - S(K) - S(L)] is the one term that needs K + L
+    rng = rng_for(9, 0)
+    f, g = random_stack(rng, 3), random_stack(rng, 3)
+    calls = _count_minkowski_sums(monkeypatch)
+    rep = check_gen_bm(SizeFunctional.quermass(3, 1), f, g)
+    assert rep.ok
+    assert 0 < len(calls) <= len(rep.details["heights"])
+
+
 def test_alexandrov_square_radii():
     # W_1(square)/omega_2 vs sqrt(W_0/omega_2): 2/pi < 2/sqrt(pi), so the
     # W_1-ball contains the W_0-ball

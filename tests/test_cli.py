@@ -322,6 +322,23 @@ def test_grid_size_below_two_exits_two(workdir, capsys):
         GridSpec.cube(1.0, 2, 1)
 
 
+@pytest.mark.parametrize("half", ["0", "-1", "nan", "inf"])
+def test_a_half_width_that_is_not_finite_and_positive_exits_two(workdir, capsys, half):
+    stack = {"type": "stack", "levels": [{"t": 1.0, "body": SQUARE}]}
+    f = _write(workdir / "f.json", stack)
+    assert main(["oracle-compare", f, f, "--half-width", half]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--half-width" in captured.err
+
+
+def test_a_positive_half_width_is_the_lattice_box(workdir, capsys):
+    stack = {"type": "stack", "levels": [{"t": 1.0, "body": SQUARE}]}
+    f = _write(workdir / "f.json", stack)
+    assert main(["oracle-compare", f, f, "--half-width", "2.5", "--grid-size", "21"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
 def test_workloads_leave_the_heavy_scipy_subpackages_unloaded(tmp_path):
     """A fresh interpreter runs the harness in the plane and one sup-min
     bracket without importing scipy.interpolate, scipy.optimize or
@@ -367,6 +384,30 @@ def test_compare_script_tags_round_off_moves_without_forgiving_them(tmp_path):
         "  r#0 big: 1.0 -> 2.0",
         "  r#0 tiny: 4.7e-16 -> 4.3e-16 (round-off)",
         "  1 listed move(s) are round-off (old and new magnitudes below 1e-12)",
+        "  0 unlisted numeric move(s) of at most 1e-12 relative",
+    ]
+
+
+def test_compare_script_names_the_largest_move_below_the_threshold(tmp_path):
+    # nothing moves by more than 1e-12 relative, so nothing is listed; the
+    # summary still counts the numbers that moved and names the largest
+    script = Path(__file__).resolve().parents[1] / "scripts" / "compare_check_outputs.py"
+    records = {"old": [{"name": "r", "x": 1.0, "ys": [2.0, 3.0], "ok": True, "tag": "a"},
+                       {"name": "r", "x": 5.0, "ys": [], "ok": True, "tag": "a"}],
+               "new": [{"name": "r", "x": 1.0 + 4e-16, "ys": [2.0, 3.0 * (1 + 5e-13)],
+                        "ok": True, "tag": "a"},
+                       {"name": "r", "x": 5.0 - 5e-15, "ys": [], "ok": True, "tag": "a"}]}
+    for side, recs in records.items():
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "reports.json").write_text(json.dumps(recs), encoding="utf-8")
+    out = subprocess.run([sys.executable, str(script), "diff", str(tmp_path / "old"),
+                          str(tmp_path / "new")], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert out.stdout.splitlines() == [
+        "reports.json: differs; every verdict unchanged",
+        "  0 listed move(s) are round-off (old and new magnitudes below 1e-12)",
+        "  3 unlisted numeric move(s) of at most 1e-12 relative; "
+        "largest 5e-13 at r#0 ys[1]",
     ]
 
 
@@ -394,6 +435,9 @@ def test_compare_script_lists_moved_heights_of_a_levelwise_row_not_its_argmin(tm
         "check.jsonl: differs; every verdict unchanged",
         "  gen-bm#0 details.lhs[2]: 3.0 -> 3.5",
         "  0 listed move(s) are round-off (old and new magnitudes below 1e-12)",
+        # left/right are not compared, so their jump is not an unlisted move
+        "  2 unlisted numeric move(s) of at most 1e-12 relative; "
+        "largest 2.22e-16 at gen-bm#0 details.rhs[1]",
     ]
 
 

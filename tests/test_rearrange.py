@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcvx.bodies import ConvexBody, volume
-from qcvx.errors import DimensionMismatch
+from qcvx.bodies import ConvexBody, minkowski_sum, scale, volume
+from qcvx.errors import ArityMismatch, DimensionMismatch
 from qcvx.generators import random_polytope, random_stack
 from qcvx.profiles import GaussianProfile, exponential_profile
-from qcvx.qc import LevelStack, RadialQC, indicator, integral, mixed_integral
+from qcvx.qc import LevelStack, RadialQC, indicator, integral, mixed_integral, oplus
 from qcvx.rearrange import (
     SizeFunctional,
+    ball_radius,
     ball_rearrange,
     eval_body,
     eval_fn,
@@ -164,3 +165,67 @@ def test_generalized_rejects_non_homothetic_weights():
     rng = np.random.default_rng(2)
     with pytest.raises(ValueError):
         SizeFunctional(dim=2, degree=1, weights=(random_stack(rng, 2),))
+
+
+# -- sizes of sums by multilinearity -------------------------------------------
+
+def _functionals(rng, dim):
+    """vol, every W_k, and in the plane and space a weighted (generalized)
+    functional; in space also a degree-2 functional with a polytope
+    reference and a degree-1 one with two weights."""
+    out = [SizeFunctional.vol(dim)]
+    if dim >= 2:
+        out += [SizeFunctional.quermass(dim, k) for k in range(1, dim)]
+        weight = RadialQC(random_polytope(rng, dim, origin_interior=True),
+                          exponential_profile(1.5))
+        out.append(SizeFunctional(dim=dim, degree=dim - 1, weights=(weight,)))
+    if dim == 3:
+        out.append(SizeFunctional(dim=3, degree=2, references=(
+            random_polytope(rng, 3, origin_interior=True),)))
+        out.append(SizeFunctional(dim=3, degree=1, weights=tuple(
+            RadialQC(random_polytope(rng, 3, origin_interior=True), GaussianProfile(1.0))
+            for _ in range(2))))
+    return out
+
+
+@given(st.integers(0, 10_000), st.integers(1, 3),
+       st.sampled_from(["polytopes", "balls", "homothetic", "same"]), st.floats(-1.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_eval_sum_is_phi_of_the_hull_built_sum(seed, dim, pair, log_lam):
+    rng = np.random.default_rng(seed)
+    if pair == "balls":
+        k, l = (ConvexBody.ball(float(rng.uniform(0.1, 3.0)), dim) for _ in range(2))
+    else:
+        k = random_polytope(rng, dim, int(rng.integers(dim + 1, 12)))
+        l = {"polytopes": lambda: random_polytope(rng, dim, int(rng.integers(dim + 1, 12))),
+             "homothetic": lambda: scale(k, 10.0 ** log_lam),
+             "same": lambda: k}[pair]()
+    hulled = minkowski_sum(k, l)
+    for phi in _functionals(rng, dim):
+        expected = phi.eval_body(hulled)
+        assert phi.eval_sum([k, l]) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert ball_radius(phi, [k, l]) == pytest.approx(
+            ball_rearrange(phi, hulled).radius, rel=1e-12, abs=0.0)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 3))
+@settings(max_examples=20, deadline=None)
+def test_eval_sum_of_functions_is_phi_of_their_oplus(seed, dim):
+    rng = np.random.default_rng(seed)
+    f, g = random_stack(rng, dim), random_stack(rng, dim)
+    s = oplus(f, g)
+    assert SizeFunctional.vol(dim).eval_sum([f, g]) == pytest.approx(
+        integral(s), rel=1e-12, abs=0.0)
+    # the weights' quadrature runs on the same bands either way
+    for phi in _functionals(rng, dim):
+        assert phi.eval_sum([f, g]) == pytest.approx(phi.eval_fn(s), rel=1e-12, abs=0.0)
+
+
+def test_eval_sum_rejects_bad_parts():
+    phi = SizeFunctional.vol(2)
+    with pytest.raises(ArityMismatch):
+        phi.eval_sum([])
+    with pytest.raises(TypeError):
+        phi.eval_sum([UNIT_SQUARE, indicator(UNIT_SQUARE)])
+    with pytest.raises(DimensionMismatch):
+        phi.eval_sum([UNIT_SQUARE, ConvexBody.ball(1.0, 3)])
