@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import traceback
 from dataclasses import dataclass
@@ -68,8 +69,9 @@ class RunConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InputParse("trials must be at least 1")
-        if self.tol_exact <= 0 or self.tol_quad <= 0:
-            raise InputParse("tolerances must be positive")
+        for flag, tol in (("--tol-exact", self.tol_exact), ("--tol-quad", self.tol_quad)):
+            if not (math.isfinite(tol) and tol > 0.0):
+                raise InputParse(f"{flag} must be finite and positive, got {tol}")
         if self.dimension not in (1, 2, 3):
             raise InputParse("dimension must be 1, 2 or 3")
         if self.node_cap is not None and self.node_cap < 1:
@@ -241,9 +243,13 @@ def cmd_check(args, config: RunConfig) -> int:
     if args.name != "all":
         with parsing_input():
             _validate(args.name, config.dimension)
-    results = run_all(config.seed, config.trials, config.dimension, names, config.tolerances)
     out_prefix = args.out or "qcvx-check"
     jsonl, csv_path = Path(f"{out_prefix}.jsonl"), Path(f"{out_prefix}.csv")
+    # a run can take minutes: a bad --out is bad input, known before it starts
+    folder = jsonl.parent
+    if not folder.is_dir() or not os.access(folder, os.W_OK | os.X_OK):
+        raise InputParse(f"--out directory {folder} does not exist or is not writable")
+    results = run_all(config.seed, config.trials, config.dimension, names, config.tolerances)
     rows = _write_results(results, jsonl, csv_path)
     violations = sum(row["violations"] for row in rows)
     for row in rows:

@@ -8,13 +8,16 @@ body),
     V(K, ..., K)   = Vol(K)                                  (cached volume)
     V(K, L)        = 1/2 sum_{F of K} h_L(u_F) w_F           (plane)
     V(K, K, L)     = 1/3 sum_{F of K} h_L(u_F) w_F           (space)
-    V(K, L, M)     = 1/6 [sum_{K+L} - sum_K - sum_L] h_M(u_F) w_F,
+    V(K, L, M)     = 1/6 sum_{e of K, f of L crossing} h_M(+-e x f),
 
-so a distinct triple costs one Minkowski sum and nothing costs more.  A ball
-goes to the h slot, where h = r, so every ball mixture is exact: the
-quermassintegral patterns V(K, ..., K, B, ..., B) use closed forms
-(perimeter, surface area, edge exterior angles) and V(K, L, B(r)) is
-r/6 [S(K+L) - S(K) - S(L)].
+the last over the edges whose arcs on the Gauss images of K and L cross
+(``_crossing_terms``), so no tuple of solids costs a Minkowski sum.  Where a
+crossing is undecided at round-off (parallel edges, a facet normal on an
+arc) or K or L is not a solid, V(K, L, M) = 1/6 [sum_{K+L} - sum_K - sum_L]
+h_M(u_F) w_F costs one.  A ball goes to the h slot, where h = r, so every
+ball mixture is exact: the quermassintegral patterns V(K, ..., K, B, ..., B)
+use closed forms (perimeter, surface area, edge exterior angles) and
+V(K, L, B(r)) is r/6 sum |e x f| over the crossings.
 
 `minkowski_polynomial` recovers the same coefficients from a deterministic
 grid fit of Vol(sum eps_i K_i) and serves as an independent oracle: it reads
@@ -40,6 +43,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,12 +135,60 @@ def _resolve(body: ConvexBody) -> ConvexBody:
 # exact quermassintegrals of polytopes
 # ---------------------------------------------------------------------------
 
+class GaussArcs(NamedTuple):
+    """The edges of a full-dimensional 3-D polytope, one row each.
+
+    Edge e joins facets with outer unit normals n1, n2 and carries the arc
+    of the Gauss image from n1 to n2 (the edge's normal cone).  ``d`` is the
+    edge vector, oriented so that d . (n1 x n2) > 0; then a unit u _|_ d lies
+    on the arc iff u . p >= 0 and u . q >= 0 for p = d x n1 and q = n2 x d.
+    ``ends`` stacks n1 over -n2: since p x d = |d|^2 n1 and q x d = -|d|^2 n2,
+    the two signs of w = d x d' for an edge vector d' are those of
+    ``ends @ d'``, on rows e and E + e.
+    """
+
+    d: np.ndarray       # (E, 3) edge vectors
+    unit: np.ndarray    # (E, 3) d / |d|
+    ends: np.ndarray    # (2E, 3) n1 rows, then -n2 rows
+
+
+def _arc_index(body: ConvexBody) -> np.ndarray:
+    """(4, E) int32 rows (tail, head, facet of n1, facet of n2) into the
+    vertices and the ``convex_hull`` planes, one column per edge whose two
+    triangles have different planes; cached on the body, which keeps its
+    hull anyway.  Qhull gives the triangles of one facet identical planes,
+    so the seams of its triangulation drop out exactly."""
+    index = body.__dict__.get("_arc_index")
+    if index is None:
+        hull = convex_hull(body)
+        f, k = np.nonzero(hull.neighbors > np.arange(len(hull.neighbors))[:, None])
+        g = hull.neighbors[f, k]
+        ridge = np.any(hull.equations[f] != hull.equations[g], axis=1)
+        f, k, g = f[ridge], k[ridge], g[ridge]
+        ends = hull.simplices[f[:, None], (k[:, None] + [1, 2]) % 3]
+        d = body.vertices[ends[:, 1]] - body.vertices[ends[:, 0]]
+        flip = np.einsum("ij,ij->i", d, np.cross(hull.equations[f, :3], hull.equations[g, :3])) < 0
+        ends[flip] = ends[flip, ::-1]
+        index = np.stack([ends[:, 0], ends[:, 1], f, g]).astype(np.int32)
+        body.__dict__["_arc_index"] = index
+    return index
+
+
+def _gauss_arcs(body: ConvexBody) -> GaussArcs:
+    """The body's `GaussArcs`, from its cached ``_arc_index``."""
+    index = _arc_index(body)
+    d = np.take(body.vertices, index[1], axis=0) - np.take(body.vertices, index[0], axis=0)
+    ends = np.take(convex_hull(body).equations, index[2:].ravel(), axis=0)[:, :3]
+    ends[len(d):] *= -1.0
+    return GaussArcs(d, d / np.sqrt(np.einsum("ij,ij->i", d, d))[:, None], ends)
+
+
 def _edge_angle_sum_3d(body: ConvexBody) -> float:
     """Sum over edges of length * exterior angle (the edge's normal-cone angle).
 
-    Qhull triangulates coplanar facets; the seam edges have angle 0 and
-    contribute nothing, so the triangulated sum is already exact.  A flat
-    polygon's edges have exterior angle pi, a segment's 2 pi.
+    A solid sums over its `_gauss_arcs`, which leave out the seams of
+    Qhull's triangulation (angle 0).  A flat polygon's edges have exterior
+    angle pi, a segment's 2 pi.
     """
     rank = body.affine_rank()
     verts = body.vertices
@@ -148,17 +200,13 @@ def _edge_angle_sum_3d(body: ConvexBody) -> float:
         if rank == 1:
             return 2.0 * math.pi * float(coords.max() - coords.min())
         return math.pi * float(_polygon_edges(_ccw_order(coords))[1].sum())
-    hull = convex_hull(body)
-    f, k = np.nonzero(hull.neighbors > np.arange(len(hull.neighbors))[:, None])
-    g = hull.neighbors[f, k]
-    shared = hull.simplices[f[:, None], (k[:, None] + [1, 2]) % 3]
-    length = np.linalg.norm(verts[shared[:, 0]] - verts[shared[:, 1]], axis=1)
-    nf, ng = hull.equations[f, :3], hull.equations[g, :3]
-    # atan2 keeps the near-zero seam angles exact, where acos(dot) would
-    # turn one ulp of the dot product into an angle of 1.5e-8
-    angle = np.arctan2(np.linalg.norm(np.cross(nf, ng), axis=1),
-                       np.einsum("ij,ij->i", nf, ng))
-    return float(np.sum(length * angle))
+    arcs = _gauss_arcs(body)
+    n1, minus_n2 = np.split(arcs.ends, 2)
+    # atan2 keeps small angles exact, where acos(dot) would turn one ulp of
+    # the dot product into an angle of 1.5e-8
+    angle = np.arctan2(np.linalg.norm(np.cross(n1, minus_n2), axis=1),
+                       -np.einsum("ij,ij->i", n1, minus_n2))
+    return float(np.sum(np.linalg.norm(arcs.d, axis=1) * angle))
 
 
 def _quermass_exact(body: ConvexBody, i: int) -> float:
@@ -234,11 +282,52 @@ def _facet_terms(measured: ConvexBody, h_body: ConvexBody, coef: float) -> np.nd
     return coef * h * w
 
 
+# |ends @ unit| at most this is a sign lost to round-off: the two edges are
+# parallel or a facet normal of one lies on an arc of the other
+CROSSING_TOL = 1e-12
+
+
+def _crossing_terms(bodies):
+    """|w| h_M(w/|w|) / 6 over the crossings of the Gauss images of K and L,
+    or None where only the sum hull can settle V(K, L, M).
+
+    The atoms of the mixed area measure S(K, L; .) of two polytopes sit at
+    the crossings u of an arc of an edge e of K with an arc of an edge f of
+    L, u = +-w/|w| for w = e x f, each of mass |w|/2 (Schneider, *Convex
+    Bodies*, sections 4.2 and 5.1); V(K, L, M) = 1/3 sum h_M(u) S(K, L; {u}).
+    K and L are the two solids with the fewest edges and M, the h slot, is
+    the ball or the third body.  u = w/|w| lies on both arcs iff the four
+    signs below are positive, -w/|w| iff all are negative.  None where K or
+    L is not a solid, or a sign within ``CROSSING_TOL`` of 0 leaves a pair
+    undecided (parallel edges, a facet normal on an arc).
+    """
+    def edges(b):
+        return _arc_index(b).shape[1] if b.is_polytope and b.affine_rank() == 3 else math.inf
+
+    k, l, m = sorted(bodies, key=lambda b: (b.is_ball, edges(b)))
+    if edges(l) == math.inf:
+        return None
+    a, b = _gauss_arcs(k), _gauss_arcs(l)
+    ne, nf = len(a.d), len(b.d)
+    s = a.ends @ b.unit.T               # rows e, ne + e: the arc of e against f
+    t = np.negative(a.unit @ b.ends.T)  # columns f, nf + f: the arc of f against e
+    lo = np.minimum(np.minimum(s[:ne], s[ne:]), np.minimum(t[:, :nf], t[:, nf:]))
+    hi = np.maximum(np.maximum(s[:ne], s[ne:]), np.maximum(t[:, :nf], t[:, nf:]))
+    if np.any(np.abs(lo) <= CROSSING_TOL) or np.any(np.abs(hi) <= CROSSING_TOL):
+        return None
+    e, f = np.nonzero((lo > 0) | (hi < 0))
+    w = np.cross(a.d[e], b.d[f])
+    w[hi[e, f] < 0] *= -1.0
+    h = m.radius * np.linalg.norm(w, axis=1) if m.is_ball else np.max(w @ m.vertices.T, axis=1)
+    return [h / 6.0]
+
+
 def mixed_volume(bodies) -> float:
     """Mixed volume of exactly n bodies in dimension n (n = 1, 2, 3).
 
     Ball-quermassintegral patterns V(K, ..., K, B(r_1), ..., B(r_k)) take the
-    exact closed forms; every other tuple is a facet-measure sum (see the
+    exact closed forms; a distinct triple in space sums over the crossings of
+    two Gauss images, and every other tuple is a facet-measure sum (see the
     module docstring).
     """
     bodies = list(bodies)
@@ -268,6 +357,8 @@ def mixed_volume(bodies) -> float:
             (k, _), (l, _) = sorted(groups, key=lambda g: -g[1])
             terms = [_facet_terms(k, l, 1.0 / n)]
         else:
+            terms = _crossing_terms([g[0] for g in groups])
+        if terms is None:
             # the h slot takes the ball, else the body with most vertices, so
             # the one Minkowski sum is the smallest
             k, l, m = sorted((g[0] for g in groups),

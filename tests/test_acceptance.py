@@ -32,6 +32,7 @@ from qcvx.generators import (
     random_radial,
     random_stack,
     rng_for,
+    shared_draws,
 )
 from qcvx.grids import GridSpec
 from qcvx.mixed_volumes import minkowski_polynomial, mixed_volume
@@ -194,20 +195,25 @@ def test_criterion_06_sharp_isoperimetric():
 
 # -- 7 ------------------------------------------------------------------------
 
-def _crit7_run(label, trial_fn, equality_expected_on_invariant=True,
-               skip_random_equality_assert=False):
+def _crit7_run(checks):
+    """Run every (label, trial_fn) of ``checks`` trial-major: at each (dim,
+    trial) each check gets its own generator from the same seed, inside one
+    ``shared_draws`` block, so the checks that draw the same stacks build
+    them once, and the memo lives for one trial only."""
     for dim, trials in ((2, 500), (3, 100)):
         for trial in range(trials):
-            rng = rng_for(707, trial * 10 + dim)
-            rep = trial_fn(rng, dim, False)
-            assert rep.verdict != "violated", (label, dim, trial, rep.to_json())
-            if not skip_random_equality_assert:
-                assert rep.verdict == "holds", (label, dim, trial, rep.to_json())
+            with shared_draws():
+                for label, trial_fn in checks:
+                    rng = rng_for(707, trial * 10 + dim)
+                    rep = trial_fn(rng, dim, False)
+                    assert rep.verdict != "violated", (label, dim, trial, rep.to_json())
+                    assert rep.verdict == "holds", (label, dim, trial, rep.to_json())
         for trial in range(5):
-            rng = rng_for(708, trial * 10 + dim)
-            rep = trial_fn(rng, dim, True)
-            if equality_expected_on_invariant:
-                assert rep.verdict == "holds-with-equality", (label, dim, trial)
+            with shared_draws():
+                for label, trial_fn in checks:
+                    rng = rng_for(708, trial * 10 + dim)
+                    rep = trial_fn(rng, dim, True)
+                    assert rep.verdict == "holds-with-equality", (label, dim, trial)
 
 
 def test_criterion_07_rearrangement_inequalities():
@@ -218,14 +224,10 @@ def test_criterion_07_rearrangement_inequalities():
         g = random_stack(rng, dim, rotation_invariant=invariant)
         return check_bm_rearrangement(f, g)
 
-    _crit7_run("bm", bm)
-
     def gen_bm_vol(rng, dim, invariant):
         f = random_stack(rng, dim, rotation_invariant=invariant)
         g = random_stack(rng, dim, rotation_invariant=invariant)
         return check_gen_bm(SizeFunctional.vol(dim), f, g)
-
-    _crit7_run("gen-bm-vol", gen_bm_vol)
 
     def gen_bm_w1(rng, dim, invariant):
         f = random_stack(rng, dim, rotation_invariant=invariant)
@@ -251,8 +253,6 @@ def test_criterion_07_rearrangement_inequalities():
         f = random_stack(rng, dim, rotation_invariant=invariant)
         return check_alexandrov_rearrangement(f, i, j)
 
-    _crit7_run("alexandrov", alexandrov)
-
     def af(rng, dim, invariant):
         m = int(rng.integers(2, dim + 1))
         refs = tuple(random_polytope(rng, dim, origin_interior=True)
@@ -262,7 +262,8 @@ def test_criterion_07_rearrangement_inequalities():
               for _ in range(m)]
         return check_af(phi, fs)
 
-    _crit7_run("af", af)
+    _crit7_run([("bm", bm), ("gen-bm-vol", gen_bm_vol), ("alexandrov", alexandrov),
+                ("af", af)])
 
     _report(7, f"bm / gen-bm(Vol, W1) / alexandrov / af: 500 trials in n=2 and "
                f"100 in n=3 each, zero violations; equality fires exactly on "

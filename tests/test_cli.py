@@ -232,6 +232,34 @@ def test_zero_panels_exits_two(workdir, capsys):
             pass
 
 
+@pytest.mark.parametrize("flag", ["--tol-exact", "--tol-quad"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_a_tolerance_that_is_not_finite_and_positive_exits_two(workdir, capsys, flag, value):
+    assert main(["check", "gen-bm", "--trials", "1", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+    assert list(workdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("parent", ["missing", "a-file"])
+def test_check_into_a_missing_directory_exits_two_before_running(workdir, capsys,
+                                                                 monkeypatch, parent):
+    from qcvx import cli
+
+    (workdir / "a-file").write_text("", encoding="utf-8")
+    real, runs = cli.run_all, []
+    monkeypatch.setattr(cli, "run_all", lambda *args: runs.append(args) or real(*args))
+    out = str(workdir / parent / "run")
+    assert main(["check", "gen-bm", "--trials", "1", "--out", out]) == 2
+    assert runs == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--out" in captured.err
+    assert main(["check", "gen-bm", "--trials", "1", "--out", str(workdir / "run")]) == 0
+    assert len(runs) == 1 and (workdir / "run.jsonl").exists()
+
+
 def test_overflowing_mixed_volume_exits_one(workdir, capsys):
     bodies = _write(workdir / "bodies.json", [
         {"type": "polytope", "vertices": [[0, 0], [1e300, 0], [0, 1]]},

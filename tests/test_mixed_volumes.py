@@ -17,7 +17,10 @@ from qcvx.bodies import (
     volume,
 )
 from qcvx.errors import ArityMismatch, IndexOutOfRange
+from qcvx.generators import random_stack
 from qcvx.mixed_volumes import (
+    _crossing_terms,
+    _facet_terms,
     minkowski_polynomial,
     mixed_volume,
     quermassintegral_body,
@@ -222,6 +225,120 @@ def test_two_boxes_and_a_ball_in_space():
         exact = r / 6 * (box_area(sum_sides) - box_area(k_sides) - box_area(l_sides))
         value = mixed_volume([k, l, ConvexBody.ball(r, 3)])
         assert value == pytest.approx(exact, rel=1e-12)
+
+
+# -- V(K, L, M) from the crossings of two Gauss images -------------------------
+
+def sum_hull_value(bodies):
+    """The sum-hull formula 1/6 [sum_{K+L} - sum_K - sum_L] h_M(u) |F|, with
+    the h slot and the float arithmetic that `mixed_volume` used before the
+    crossing kernel (the ball, else the body with most vertices)."""
+    k, l, m = sorted(bodies, key=lambda b: math.inf if b.is_ball else len(b.vertices))
+    terms = [_facet_terms(minkowski_sum(k, l), m, 1.0 / 6.0),
+             _facet_terms(k, m, -1.0 / 6.0), _facet_terms(l, m, -1.0 / 6.0)]
+    return max(0.0, float(sum(t.sum() for t in terms)))
+
+
+def hull_polarization(points, radius=None):
+    """Independent oracle from scipy ``ConvexHull`` alone, on raw point sets:
+    1/6 sum_S (-1)^(3-|S|) Vol(sum_S) over the nonempty subsets of three
+    bodies, or r/6 [Area(K+L) - Area(K) - Area(L)] when the third is B(r)."""
+    from scipy.spatial import ConvexHull
+
+    def add(p, q):
+        pts = (p[:, None, :] + q[None, :, :]).reshape(-1, 3)
+        return pts[ConvexHull(pts).vertices]
+
+    if radius is not None:
+        k, l = points
+        return radius / 6.0 * (ConvexHull(add(k, l)).area
+                               - ConvexHull(k).area - ConvexHull(l).area)
+    total = 0.0
+    for r in (1, 2, 3):
+        for subset in itertools.combinations(points, r):
+            acc = subset[0]
+            for p in subset[1:]:
+                acc = add(acc, p)
+            total += (-1) ** (3 - r) * ConvexHull(acc).volume
+    return total / 6.0
+
+
+def _rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+@given(st.integers(0, 10_000), st.sampled_from([1e-3, 1.0, 1e3]), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_crossing_kernel_matches_sum_hull_and_hull_polarization(seed, extent, ball):
+    rng = np.random.default_rng(seed)
+    points = [extent * rng.uniform(-1, 1, (int(rng.integers(4, 41)), 3)) for _ in range(3)]
+    bodies = [ConvexBody.polytope(p) for p in points]
+    radius = None
+    if ball:
+        radius = extent * float(rng.uniform(0.1, 2.0))
+        bodies[2], points = ConvexBody.ball(radius, 3), points[:2]
+    assert _crossing_terms(bodies) is not None
+    value = mixed_volume(bodies)
+    assert value == pytest.approx(sum_hull_value(bodies), rel=1e-12)
+    assert value == pytest.approx(hull_polarization(points, radius), rel=1e-12)
+    rot = _rotation(rng)
+    turned = [b if b.is_ball else ConvexBody.polytope(b.vertices @ rot.T) for b in bodies]
+    for perm in itertools.permutations(range(3)):
+        assert mixed_volume([bodies[i] for i in perm]) == pytest.approx(value, rel=1e-12)
+        assert mixed_volume([turned[i] for i in perm]) == pytest.approx(value, rel=1e-12)
+
+
+def _sum_path_cases():
+    rng = np.random.default_rng(2113)
+    stack = random_stack(rng, 3, nlevels=3)
+    sphere = rng.normal(size=(60, 3))
+    many_edges = ConvexBody.polytope(sphere / np.linalg.norm(sphere, axis=1)[:, None])
+    flat = ConvexBody.polytope([[0, 0, 0.4], [1, 0, 0.4], [0, 2, 0.4], [1, 1, 0.4]])
+    k3 = random_polytope(rng, 3, 9)
+    return {
+        "aligned-boxes-and-ball": [ConvexBody.box([0, 0, 0], [1, 2, 3]),
+                                   ConvexBody.box([-1, 0.5, -2], [-0.5, 0.75, 2]),
+                                   ConvexBody.ball(0.37, 3)],
+        "aligned-boxes-and-body": [ConvexBody.box([0, 0, 0], [1, 2, 3]),
+                                   ConvexBody.box([-1, 0.5, -2], [-0.5, 0.75, 2]), k3],
+        "two-levels-of-one-stack": [stack.bodies[0], stack.bodies[1], many_edges],
+        "flat-polygon-and-ball": [flat, k3, ConvexBody.ball(0.7, 3)],
+        "flat-polygon-twice": [flat, scale(flat, 0.5), k3],
+    }
+
+
+SUM_PATH_CASES = _sum_path_cases()
+
+
+@pytest.mark.parametrize("name", sorted(SUM_PATH_CASES))
+def test_undecided_crossings_take_the_sum_hull_bit_for_bit(name, sum_calls):
+    """Parallel edges, a facet normal on an arc and a flat K or L leave the
+    crossing kernel undecided: V(K, L, M) is the sum-hull formula, float for
+    float."""
+    bodies = SUM_PATH_CASES[name]
+    assert _crossing_terms(bodies) is None
+    assert mixed_volume(bodies) == sum_hull_value(bodies)
+    assert len(sum_calls) == 1
+
+
+def test_a_round_in_space_builds_no_sum_inside_mixed_volumes(monkeypatch, sum_calls):
+    """`check all --dim 3 --seed 7 --trials 1` measures every distinct triple
+    by its crossings."""
+    from qcvx import mixed_volumes
+    from qcvx.checks import CHECKS, run_all
+
+    real, kernels = mixed_volumes._crossing_terms, []
+
+    def counted(bodies):
+        kernels.append(real(bodies))
+        return kernels[-1]
+
+    monkeypatch.setattr(mixed_volumes, "_crossing_terms", counted)
+    run_all(7, 1, 3, sorted(CHECKS))
+    assert len(kernels) >= 12
+    assert all(terms is not None for terms in kernels)
+    assert sum_calls == []
 
 
 # -- minkowski polynomial ----------------------------------------------------
