@@ -60,6 +60,9 @@
         that differs only below the threshold still says how far it moved.
         Neither line forgives anything: every move above the threshold is
         still listed and the exit code does not depend on them.
+        The last line sums up the run for the exact/consistent-rule gate:
+        how many files differ, how many verdicts changed and how many
+        listed moves are not tagged `(round-off)`.
         Exits 0 when every file is byte-identical and 1 otherwise.
 
 Typical use, parent commit against a working tree:
@@ -322,14 +325,14 @@ def _round_off(old, new) -> bool:
     return a is not None and b is not None and abs(a) < ROUND_OFF and abs(b) < ROUND_OFF
 
 
-def _diff_file(old: Path, new: Path) -> tuple[list[str], int, int, list]:
-    """(report lines, number of changed verdicts, number of round-off
-    moves, unlisted moves) for two differing files; an unlisted move is
-    (relative change, row, field) for a number that moved by at most
-    REL_TOL relative."""
+def _diff_file(old: Path, new: Path) -> tuple[list[str], int, int, int, list]:
+    """(report lines, number of changed verdicts, number of listed moves,
+    number of those that are round-off, unlisted moves) for two differing
+    files; an unlisted move is (relative change, row, field) for a number
+    that moved by at most REL_TOL relative."""
     old_rows, new_rows = _rows(old), _rows(new)
     lines = []
-    round_off = 0
+    listed = round_off = 0
     unlisted = []
     verdicts = abs(len(old_rows) - len(new_rows))
     if len(old_rows) != len(new_rows):
@@ -353,10 +356,11 @@ def _diff_file(old: Path, new: Path) -> tuple[list[str], int, int, list]:
                 lines.append(f"  {where} {key}: {va!r} -> {vb!r}"
                              + (" (round-off)" if tiny else ""))
                 verdicts += key in VERDICT_FIELDS
+                listed += 1
                 round_off += tiny
             elif rel:
                 unlisted.append((rel, where, key))
-    return lines, verdicts, round_off, unlisted
+    return lines, verdicts, listed, round_off, unlisted
 
 
 def diff(old_dir: Path, new_dir: Path) -> int:
@@ -365,17 +369,19 @@ def diff(old_dir: Path, new_dir: Path) -> int:
             print(f"not a directory: {d}", file=sys.stderr)
             return 2
     names = sorted({p.name for p in old_dir.iterdir()} | {p.name for p in new_dir.iterdir()})
-    same = True
+    differ = changed = significant = 0
     for name in names:
         old, new = old_dir / name, new_dir / name
         if not (old.is_file() and new.is_file()):
             print(f"{name}: only in {old_dir if old.is_file() else new_dir}")
-            same = False
+            differ += 1
         elif old.read_bytes() == new.read_bytes():
             print(f"{name}: byte-identical; every verdict unchanged")
         else:
-            same = False
-            lines, verdicts, round_off, unlisted = _diff_file(old, new)
+            differ += 1
+            lines, verdicts, listed, round_off, unlisted = _diff_file(old, new)
+            changed += verdicts
+            significant += listed - round_off
             print(f"{name}: differs; " + (f"{verdicts} verdict(s) changed" if verdicts
                                           else "every verdict unchanged"))
             for line in lines:
@@ -387,7 +393,9 @@ def diff(old_dir: Path, new_dir: Path) -> int:
                 rel, where, key = max(unlisted)
                 summary += f"; largest {rel:.3g} at {where} {key}"
             print(summary)
-    return 0 if same else 1
+    print(f"summary: {differ} file(s) differ, {changed} verdict(s) changed, "
+          f"{significant} listed move(s) not tagged round-off")
+    return 0 if differ == 0 else 1
 
 
 def main() -> int:

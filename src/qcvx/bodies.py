@@ -480,69 +480,81 @@ def facet_measure(body: ConvexBody):
 # operations
 # ---------------------------------------------------------------------------
 
-def _point_in_hull(verts: np.ndarray, x: np.ndarray, tol: float) -> bool:
-    """Membership of x in conv(verts) for a hull of affine rank at most 2,
-    by projecting onto its affine hull."""
+_BLOCK = 2 ** 14  # entries per block of ``affine_values``: temporaries the allocator reuses
+
+
+def affine_values(A: np.ndarray, x: np.ndarray, c: Optional[np.ndarray] = None) -> np.ndarray:
+    """A x + c at every row of x, laid out (rows of A, points).
+
+    Each entry is the coordinate sum ((a_0 x_0 + a_1 x_1) + a_2 x_2) + c_i,
+    one IEEE operation at a time, so a point gets the same floats alone as
+    in any batch and in any block of rows of A.
+    """
+    xt = np.ascontiguousarray(x.T)
+    out = np.empty((len(A), len(x)))
+    step = max(1, _BLOCK // max(1, len(x)))
+    for i in range(0, len(A), step):
+        block = out[i:i + step]
+        np.multiply(A[i:i + step, :1], xt[0], out=block)
+        for k in range(1, A.shape[1]):
+            block += A[i:i + step, k:k + 1] * xt[k]
+        if c is not None:
+            block += c[i:i + step, None]
+    return out
+
+
+def point_norms(x: np.ndarray) -> np.ndarray:
+    """|x| at every row of x from the coordinate sum of squares."""
+    return np.sqrt(sum(x[:, k] * x[:, k] for k in range(x.shape[1])))
+
+
+def _flat_margins(verts: np.ndarray, x: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """-1 where a row of x lies within its slack of conv(verts), a hull of
+    affine rank below n, else +1: every row projects onto one affine frame."""
     if len(verts) == 1:
-        return bool(np.max(np.abs(verts[0] - x)) <= tol)
+        return np.where(np.abs(x - verts[0]).max(axis=1) <= slack, -1.0, 1.0)
     origin, basis = _affine_frame(verts)
-    rank = basis.shape[1]
-    resid = (x - origin) - basis @ (basis.T @ (x - origin))
-    if np.linalg.norm(resid) > tol:
-        return False
-    if rank == 0:
-        return True
-    coords = (verts - origin) @ basis
-    px = basis.T @ (x - origin)
-    if rank == 1:
-        lo, hi = float(coords.min()), float(coords.max())
-        return lo - tol <= px[0] <= hi + tol
-    ring = _ccw_order(coords)
-    A, _ = _polygon_edges(ring)  # canonical vertices leave no zero-length edge
-    return bool(np.all(A @ px <= np.einsum("ij,ij->i", A, ring) + tol))
+    d = x - origin
+    coords = affine_values(basis.T, d)  # (rank, points)
+    inside = point_norms(d - affine_values(basis, coords.T).T) <= slack
+    ends = affine_values(basis.T, verts - origin).T
+    if basis.shape[1] == 1:
+        inside &= (ends.min() - slack <= coords[0]) & (coords[0] <= ends.max() + slack)
+    else:
+        ring = _ccw_order(ends)
+        A, _ = _polygon_edges(ring)  # canonical vertices leave no zero-length edge
+        inside &= affine_values(A, coords.T, -np.einsum("ij,ij->i", A, ring)).max(axis=0) <= slack
+    return np.where(inside, -1.0, 1.0)
 
 
 def membership_margin(body: ConvexBody, x, tol: float = 1e-9):
     """Signed slack of x against the body: at most 0 iff x lies in it
     (within tol), positive outside: the one membership rule.  An (m, n)
-    array x gets one margin per row.
+    array x gets one margin per row; a point is a one-row batch, so its
+    margin does not depend on the batch it comes in.
 
     A full-dimensional polytope gives ``max(A x - b) - tol * scale`` on its
     cached ``facets()``, with scale ``max(1, bounding radius, max|x_i|)``; a
     ball gives ``|x| - (r + tol * max(1, r))``; the empty body +inf.  A
-    lower-dimensional polytope projects onto its affine hull and gives only
-    the answer, as -1 inside and +1 outside.  BLAS may round a row of an
-    array differently from the same point alone.
+    lower-dimensional polytope gives -1 inside and +1 outside.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 2:
-        return _row_margins(body, x, tol)
+    rows = np.atleast_2d(x)
     if body.is_empty:
-        return math.inf
-    if body.is_ball:
-        return float(np.linalg.norm(x) - (body.radius + tol * max(1.0, body.radius)))
-    scale = max(1.0, body.bounding_radius(), float(np.max(np.abs(x))))
-    if body.affine_rank() == body.dim:
-        A, b = body.facets()
-        return float(np.max(A @ x - b) - tol * scale)
-    return -1.0 if _point_in_hull(body.vertices, x, tol * scale) else 1.0
-
-
-def _row_margins(body: ConvexBody, x: np.ndarray, tol: float) -> np.ndarray:
-    # the maxima per point reduce along axis 0, which numpy does several
-    # times faster than along axis 1; A @ x.T holds the floats of x @ A.T
-    if body.is_empty:
-        return np.full(len(x), math.inf)
-    if body.is_ball:
-        return np.linalg.norm(x, axis=1) - (body.radius + tol * max(1.0, body.radius))
-    scale = np.maximum(max(1.0, body.bounding_radius()), np.abs(x).T.copy().max(axis=0))
-    if body.affine_rank() == body.dim:
-        A, b = body.facets()
-        slack = A @ x.T
-        slack -= b[:, None]
-        return slack.max(axis=0) - tol * scale
-    return np.array([-1.0 if _point_in_hull(body.vertices, p, tol * s) else 1.0
-                     for p, s in zip(x, scale)])
+        margins = np.full(len(rows), math.inf)
+    elif body.is_ball:
+        margins = point_norms(rows) - (body.radius + tol * max(1.0, body.radius))
+    else:
+        # coordinates first: numpy reduces along axis 0 several times faster
+        # than along axis 1, and ``affine_values`` reads them without a copy
+        xt = np.ascontiguousarray(rows.T)
+        scale = np.maximum(max(1.0, body.bounding_radius()), np.abs(xt).max(axis=0))
+        if body.affine_rank() == body.dim:
+            A, b = body.facets()
+            margins = affine_values(A, xt.T, -b).max(axis=0) - tol * scale
+        else:
+            margins = _flat_margins(body.vertices, rows, tol * scale)
+    return float(margins[0]) if x.ndim == 1 else margins
 
 
 def contains_point(body: ConvexBody, x, tol: float = 1e-9) -> bool:

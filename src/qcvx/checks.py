@@ -25,8 +25,11 @@ import numpy as np
 from scipy.special import gamma
 
 from .bodies import ConvexBody, UNIT_BALL_VOLUME
+from .duality import polarity_sandwich_check, sandwich_check
 from .errors import IndexOutOfRange, NotLogConcave
 from .generators import (
+    conditioned_geom_convex_fn,
+    random_geom_convex_fn,
     random_polytope,
     random_radial,
     random_size_functional,
@@ -34,7 +37,8 @@ from .generators import (
     rng_for,
     shared_draws,
 )
-from .mixed_volumes import quermassintegral_body
+from .grids import GridSpec
+from .mixed_volumes import mixed_volume, quermassintegral_body
 from .profiles import Profile, PowerLawProfile, StretchedExponentialProfile
 from .qc import (
     LevelStack,
@@ -164,8 +168,9 @@ def check_gen_bm(phi: SizeFunctional, f: QCFunction, g: QCFunction,
 
     Phi(K_t + L_t) at each height comes from ``SizeFunctional.eval_sum``:
     mixed volumes of K_t and L_t, so vol and every degree-1 functional build
-    no sum; W_1 in space builds S(K_t + L_t) once per height, inside
-    ``mixed_volume``.
+    no sum.  W_1 in space takes V(K_t, L_t, B) from the crossings of the two
+    Gauss images and builds S(K_t + L_t) only where a crossing is undecided
+    at round-off.
     """
     heights, lhs, rhs = _levelwise_bm(phi, f, g)
     details = {
@@ -236,8 +241,6 @@ def check_af(phi: SizeFunctional, fs: Sequence[QCFunction],
 def check_af_bodies(phi: SizeFunctional, bodies: Sequence[ConvexBody],
                     tols: Tolerances = DEFAULT_TOLS) -> CheckReport:
     """Body form: V(A_1, ..., A_m, refs) >= prod Phi(A_i)^(1/m)."""
-    from .mixed_volumes import mixed_volume
-
     bodies = list(bodies)
     left = mixed_volume(bodies + list(phi.references))
     right = 1.0
@@ -440,10 +443,6 @@ def _trial_lc_isoperimetric(rng, dim, tols):
 
 
 def _trial_sandwich(rng, dim, tols):
-    from .duality import sandwich_check
-    from .generators import random_geom_convex_fn
-    from .grids import GridSpec
-
     dim = min(dim, 2)
     k = 2 if dim == 2 else int(rng.integers(2, 4))
     fns = [random_geom_convex_fn(rng, dim) for _ in range(k)]
@@ -453,9 +452,6 @@ def _trial_sandwich(rng, dim, tols):
 
 
 def _trial_polarity(rng, dim, tols):
-    from .duality import polarity_sandwich_check
-    from .generators import conditioned_geom_convex_fn
-
     dim = min(dim, 2)
     t = float(rng.choice([0.5, 1.0, 2.0]))
     return polarity_sandwich_check(conditioned_geom_convex_fn(rng, dim), t)

@@ -26,22 +26,25 @@ from typing import Optional
 import numpy as np
 
 from . import quadrature
-from .bodies import body_from_json
+from .bodies import ConvexBody, body_from_json
 from .checks import CHECKS, Tolerances, _validate, run_all, summarize
 from .duality import GeomConvexFn, polarity_sandwich_check
 from .errors import ArityMismatch, DimensionMismatch, InputParse, QcvxError, parsing_input
 from .grids import GridSpec
 from .mixed_volumes import minkowski_polynomial, mixed_volume
+from .profiles import exponential_profile
 from .qc import (
     LevelStack,
     RadialQC,
     as_stack,
+    epsilon_extension,
     fn_from_json,
     fn_to_json,
     integral,
     mixed_integral,
     oplus,
     quermassintegral_fn,
+    supmin_bracket,
 )
 from .rearrange import (
     SizeFunctional,
@@ -49,6 +52,7 @@ from .rearrange import (
     size_functional_from_json,
 )
 from .reshape import (
+    PhiProfile,
     dilate_to_exponential,
     dilation_nesting_report,
     rescaled_bm,
@@ -186,8 +190,6 @@ def cmd_oplus(args, config: RunConfig) -> int:
 
 
 def cmd_oracle_compare(args, config: RunConfig) -> int:
-    from .qc import supmin_bracket
-
     half = _half_width(args)
     f = fn_from_json(_load_json(args.f))
     g = fn_from_json(_load_json(args.g))
@@ -282,11 +284,6 @@ def cmd_dilate(args, config: RunConfig) -> int:
 
 
 def cmd_report(args, config: RunConfig) -> int:
-    from .profiles import exponential_profile
-    from .bodies import ConvexBody
-    from .qc import epsilon_extension
-    from .reshape import PhiProfile
-
     outdir = Path(args.out or "qcvx-report")
     outdir.mkdir(parents=True, exist_ok=True)
 

@@ -26,9 +26,11 @@ import numpy as np
 from .bodies import (
     ConvexBody,
     _dedupe_rows,
+    affine_values,
     contains_point,
     direction_net,
     membership_margin,
+    point_norms,
     polar,
     scale,
 )
@@ -84,7 +86,7 @@ class GeomConvexFn:
 
     def evaluate_many(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        vals = np.max(x @ self.slopes.T + self.offsets, axis=1)
+        vals = affine_values(self.slopes, x, self.offsets).max(axis=0)
         if self.domain is not None:
             vals = np.where(membership_margin(self.domain, x, 1e-12) <= 0.0, vals, np.inf)
         return vals
@@ -249,18 +251,19 @@ def _epigraph_vertices(phi: GeomConvexFn) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _slope_gauge(phi: GeomConvexFn, x: np.ndarray) -> np.ndarray:
-    """Exact gauge of conv(slopes) at the rows of x: +inf off its cone."""
+    """Exact gauge of conv(slopes) at the rows of x: +inf off its cone; the
+    ray term of ``a_transform_values``, and like it called by no package code."""
     basis, null = _span_split(phi.slopes)
     out = np.zeros(len(x))
     if basis.shape[1]:
         A, c = ConvexBody.polytope(phi.slopes @ basis).facets()
-        z = x @ basis
+        z = affine_values(basis.T, x).T
         flat = c <= 1e-12            # facets through 0, the zero slope
-        out = np.max(z @ A[~flat].T / c[~flat], axis=1, initial=0.0)
+        out = np.max(affine_values(A[~flat], z) / c[~flat, None], axis=0, initial=0.0)
         if flat.any():
-            out = np.where(np.any(z @ A[flat].T > 1e-12, axis=1), np.inf, out)
+            out = np.where(np.any(affine_values(A[flat], z) > 1e-12, axis=0), np.inf, out)
     if null.shape[1]:
-        out = np.where(np.linalg.norm(x @ null, axis=1) > 1e-12, np.inf, out)
+        out = np.where(point_norms(affine_values(null.T, x).T) > 1e-12, np.inf, out)
     return out
 
 
@@ -272,16 +275,18 @@ def a_transform_values(phi: GeomConvexFn, x: np.ndarray) -> np.ndarray:
     the max of the vertex quotients with phi(y_v) > 0; +inf when a vertex of
     the zero cell has <x, y_v> > 1; and the ray term, which is the gauge of
     conv(slopes) without a domain and 0 with one (y off the domain: a finite
-    numerator over +inf).
+    numerator over +inf).  No package code calls it; it stays as the paper's
+    pointwise transform, the tests' exact reference for ``a_transform_level_set``
+    and a name the benchmark's tracer binds.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     Y, vals = _epigraph_vertices(phi)
     pos = vals > 0
     out = np.full(len(x), -np.inf)
     if pos.any():
-        out = np.max((x @ Y[pos].T - 1.0) / vals[pos], axis=1)
+        out = np.max((affine_values(Y[pos], x) - 1.0) / vals[pos, None], axis=0)
     if not pos.all():
-        trigger = np.any(x @ Y[~pos].T > 1.0 + 1e-12, axis=1)
+        trigger = np.any(affine_values(Y[~pos], x) > 1.0 + 1e-12, axis=0)
         out = np.where(trigger, np.inf, out)
     if phi.domain is None:
         return np.maximum(out, _slope_gauge(phi, x))

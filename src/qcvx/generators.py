@@ -15,9 +15,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .bodies import ConvexBody, minkowski_sum
+from .bodies import ConvexBody, inradius, minkowski_sum
+from .duality import GeomConvexFn, lower_level_set
 from .profiles import PowerLawProfile, StretchedExponentialProfile
 from .qc import LevelStack, RadialQC
+from .rearrange import SizeFunctional
 
 
 _DRAWS: ContextVar[dict | None] = ContextVar("qcvx_shared_draws", default=None)
@@ -139,8 +141,6 @@ def random_radial(rng, dim: int, log_concave: bool = False,
 
 
 def random_size_functional(rng, dim: int, name: str | None = None):
-    from .rearrange import SizeFunctional
-
     if name == "vol" or dim == 1 or (name is None and rng.integers(2)):
         return SizeFunctional.vol(dim)
     if name in ("W1", "W2") or name is None:
@@ -151,8 +151,6 @@ def random_size_functional(rng, dim: int, name: str | None = None):
 
 def random_geom_convex_fn(rng, dim: int, npieces: int | None = None):
     """Coercive piecewise-affine geometric convex function."""
-    from .duality import GeomConvexFn
-
     npieces = int(npieces or rng.integers(2, 6))
     slopes = rng.normal(size=(npieces, dim)) * rng.uniform(0.5, 2.0)
     slopes = np.vstack([slopes, -slopes])  # symmetric slopes keep level sets bounded
@@ -168,9 +166,6 @@ def conditioned_geom_convex_fn(rng, dim: int, max_aspect: float = 12.0):
     its polar a sliver; polarity checks resample until the unit level set
     has bounded aspect ratio.
     """
-    from .bodies import inradius
-    from .duality import lower_level_set
-
     while True:
         phi = random_geom_convex_fn(rng, dim)
         try:

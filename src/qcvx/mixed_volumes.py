@@ -50,13 +50,16 @@ import numpy as np
 from .bodies import (
     ConvexBody,
     UNIT_BALL_VOLUME,
+    QhullError,
     _affine_frame,
     _ccw_order,
     _polygon_area,
     _polygon_edges,
+    approx_equal,
     convex_hull,
     facet_measure,
     minkowski_sum,
+    polar,
     scale,
     volume,
 )
@@ -115,8 +118,6 @@ def unit_ball_polytope(dim: int) -> ConvexBody:
             rho * np.stack([np.cos(ang_out), np.sin(ang_out)], axis=1))
         avg = minkowski_sum(scale(inscribed, 0.5), scale(circumscribed, 0.5))
         return scale(avg, (UNIT_BALL_VOLUME[2] / volume(avg)) ** 0.5)
-    from .bodies import polar
-
     inscribed = ConvexBody.polytope(_icosphere_points(SPHERE_FREQUENCY))
     avg = minkowski_sum(scale(inscribed, 0.5), scale(polar(inscribed), 0.5))
     return scale(avg, (UNIT_BALL_VOLUME[3] / volume(avg)) ** (1.0 / 3.0))
@@ -259,8 +260,6 @@ def _cached_sum_volume(reps, counts) -> float:
 
 def _group_distinct(bodies):
     """Collapse equal-by-identity/value bodies into (body, multiplicity) pairs."""
-    from .bodies import approx_equal
-
     groups: list[tuple[ConvexBody, int]] = []
     for body in bodies:
         for k, (rep, mult) in enumerate(groups):
@@ -495,8 +494,6 @@ def _tuple_volumes(bodies, n: int):
     sum |det| / 6 over those triangles, or the shoelace area of that ring,
     at the points sum eps_i V_i[tuple_i], measured from their centroid.
     """
-    from .bodies import QhullError
-
     if n == 1 or not all(b.is_polytope and b.affine_rank() == n for b in bodies):
         return None
     verts = [b.vertices for b in bodies]

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gamma
 
 from .errors import DivergentIntegral, NonpositiveScale, parsing_input
-from .quadrature import integrate_height, integrate_radial
+from .quadrature import integrate_height, integrate_interval, integrate_radial
 
 
 _EPS = math.ulp(1.0)
@@ -252,8 +252,6 @@ class TableProfile(Profile):
     def moment(self, p):
         if p <= -1:
             raise DivergentIntegral("moments need p > -1")
-        from .quadrature import integrate_interval
-
         return integrate_interval(lambda r: self.value(r) * np.power(r, p),
                                   0.0, float(self.knots[-1]), 1e-12)
 

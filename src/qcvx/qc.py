@@ -34,12 +34,14 @@ import numpy as np
 from .bodies import (
     VERTEX_TOL,
     ConvexBody,
+    affine_values,
     body_from_json,
     body_to_json,
     contains,
     inradius,
     membership_margin,
     minkowski_sum,
+    point_norms,
     scale,
     volume,
 )
@@ -231,10 +233,12 @@ class RadialQC(QCFunction):
     def evaluate_many(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.base.is_ball:
-            g = np.linalg.norm(x, axis=1) / self.base.radius
+            g = point_norms(x) / self.base.radius
         else:
             A, b = self.base.facets()
-            g = np.maximum(np.max((x @ A.T) / b, axis=1), 0.0)
+            g = affine_values(A, x)
+            g /= b[:, None]
+            g = np.maximum(g.max(axis=0), 0.0)
         return np.asarray(self.profile.value(g), dtype=float)
 
     def bands(self):

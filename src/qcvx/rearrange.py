@@ -24,13 +24,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import factorial, prod
 
 import numpy as np
 
-from .bodies import ConvexBody
+from .bodies import ConvexBody, body_from_json
 from .errors import ArityMismatch, DegenerateBody, DimensionMismatch, parsing_input
-from .mixed_volumes import mixed_volume
+from .mixed_volumes import _multiset_multiplicity, mixed_volume
 from .qc import LevelStack, QCFunction, RadialQC, indicator, mixed_integral, terms_at
 from .quadrature import integrate_height
 
@@ -135,7 +134,7 @@ class SizeFunctional:
             raise TypeError("the parts of a sum must be all bodies or all functions")
         total = 0.0
         for ms in itertools.combinations_with_replacement(range(len(parts)), self.degree):
-            ways = factorial(self.degree) // prod(factorial(ms.count(i)) for i in set(ms))
+            ways = _multiset_multiplicity(ms, self.degree)
             total += ways * measure([parts[i] for i in ms] + fixed)
         return total if const is None else const * total
 
@@ -202,8 +201,6 @@ def sdr(f: QCFunction) -> QCFunction:
 
 @parsing_input()
 def size_functional_from_json(obj: dict) -> SizeFunctional:
-    from .bodies import body_from_json
-
     return SizeFunctional(dim=int(obj["dim"]), degree=int(obj["degree"]),
                           references=tuple(body_from_json(b)
                                            for b in obj.get("references", [])),

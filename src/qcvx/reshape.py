@@ -41,6 +41,7 @@ from .qc import (
     _as_point_or_scaled,
     _band_at,
     band_terms,
+    certify_log_concave,
     indicator,
     integral,
     mixed_integral,
@@ -343,11 +344,7 @@ class DilatedQC(QCFunction):
         return self.source.is_rotation_invariant()
 
     def is_log_concave(self):
-        from .qc import certify_log_concave
         return certify_log_concave(self, heights=np.geomspace(0.9, 1e-3, 9))
-
-    def support_radius(self, t_min: float = 1e-3) -> float:
-        return self.level_set(t_min).bounding_radius()
 
 
 def dilate_to_exponential(phi: SizeFunctional, f: QCFunction) -> QCFunction:

@@ -16,7 +16,7 @@ from qcvx.bodies import (
     _ccw_order,
     _dedupe_rows,
     _merged_ring,
-    _point_in_hull,
+    _polygon_edges,
     _prune_convex_ring,
     _resolution,
     _sort_lex,
@@ -45,6 +45,7 @@ from qcvx.errors import (
     UnsupportedMix,
 )
 from qcvx.mixed_volumes import mixed_volume, quermassintegral_body
+from qcvx.qc import LevelStack, evaluate
 
 UNIT_SQUARE = ConvexBody.box([0, 0], [1, 1])
 SYM_SQUARE = ConvexBody.box([-1, -1], [1, 1])
@@ -352,18 +353,47 @@ def test_contains_point_degenerate():
     assert not contains_point(seg, [0.5, 0.6])
 
 
+def _dot(a, x):
+    """<a, x> written out as the coordinate sum ((a_0 x_0 + a_1 x_1) + a_2 x_2),
+    one rounding per operation: the membership rule's product."""
+    total = float(a[0]) * float(x[0])
+    for k in range(1, len(a)):
+        total += float(a[k]) * float(x[k])
+    return total
+
+
+def _reference_in_hull(verts, x, tol):
+    """x within tol of conv(verts), a hull of affine rank at most 2, one
+    point at a time: the projection onto its affine frame, every product
+    and norm a written-out coordinate sum."""
+    if len(verts) == 1:
+        return bool(np.max(np.abs(verts[0] - x)) <= tol)
+    origin, basis = _affine_frame(verts)
+    d = x - origin
+    coords = [_dot(u, d) for u in basis.T]
+    resid = [d[k] - _dot(basis[k], coords) for k in range(len(d))]
+    if math.sqrt(_dot(resid, resid)) > tol:
+        return False
+    ends = np.array([[_dot(u, v - origin) for u in basis.T] for v in verts])
+    if len(coords) == 1:
+        return ends.min() - tol <= coords[0] <= ends.max() + tol
+    ring = _ccw_order(ends)
+    A, _ = _polygon_edges(ring)
+    return all(_dot(a, coords) - off <= tol
+               for a, off in zip(A, np.einsum("ij,ij->i", A, ring)))
+
+
 def _reference_contains(body, x, tol):
     """Reference: the thresholded slacks, compared without a subtraction."""
     x = np.asarray(x, dtype=float)
     if body.is_empty:
         return False
     if body.is_ball:
-        return bool(np.linalg.norm(x) <= body.radius + tol * max(1.0, body.radius))
+        return math.sqrt(_dot(x, x)) <= body.radius + tol * max(1.0, body.radius)
     slack = tol * max(1.0, body.bounding_radius(), float(np.max(np.abs(x))))
     if body.affine_rank() == body.dim:
-        A, b = body.facets()
-        return bool(np.all(A @ x - b <= slack))
-    return _point_in_hull(body.vertices, x, slack)
+        return all(_dot(a, x) - off <= slack for a, off in zip(*body.facets()))
+    return _reference_in_hull(body.vertices, x, slack)
 
 
 def _knife_edges(x):
@@ -421,9 +451,9 @@ def _reference_contains_body(a, b, tol):
     V = b.vertices
     scales = np.maximum(max(1.0, a.bounding_radius()), np.max(np.abs(V), axis=1))
     if a.affine_rank() == a.dim:
-        A, off = a.facets()
-        return bool(np.all(V @ A.T - off <= (tol * scales)[:, None]))
-    return all(_point_in_hull(a.vertices, v, tol * s) for v, s in zip(V, scales))
+        return all(_dot(u, v) - off <= tol * s
+                   for v, s in zip(V, scales) for u, off in zip(*a.facets()))
+    return all(_reference_in_hull(a.vertices, v, tol * s) for v, s in zip(V, scales))
 
 
 @pytest.mark.parametrize("tol", [2.0 ** -20, 1e-9])
@@ -464,13 +494,82 @@ def test_contains_polytope_is_the_vertex_formula(tol):
     assert any(answers) and not all(answers)
 
 
+# batch sizes of the batch-free tests: the harness's lattices (41 x 41 and
+# 81 x 81 points) and one batch that takes a block of its own per facet row
+BATCH_SIZES = (1, 2, 7, 1681, 6561, bodies._BLOCK + 1)
+
+
+def _batch_free_bodies():
+    rng = np.random.default_rng(31)
+    flat = ConvexBody.polytope(rng.uniform(-1, 1, (6, 2)) @ [[1.0, 0.0, 0.5], [0.0, 1.0, -0.25]])
+    return {"polygon": random_polytope(rng, 2, 9, spread=3.0),
+            "solid": random_polytope(rng, 3, 12, spread=3.0),
+            "disc": ConvexBody.ball(0.5, 2),
+            "ball": ConvexBody.ball(4.0, 3),
+            "segment": ConvexBody.polytope([[-4.0, 0.0], [1.0, 0.0]]),
+            "flat-polygon": flat,
+            "point": ConvexBody.polytope([[0.25, -0.5]]),
+            "empty": ConvexBody.empty(2)}
+
+
+@pytest.mark.parametrize("name", list(_batch_free_bodies()))
+def test_membership_margin_of_a_point_does_not_depend_on_its_batch(name):
+    """Every row of every batch has, bitwise, the margin of the point alone.
+    The batches tile 97 distinct points (random ones, and points on the body
+    or its boundary, where flat bodies answer -1), so row i holds point
+    i mod 97."""
+    body = _batch_free_bodies()[name]
+    rng = np.random.default_rng(37)
+    if body.is_polytope:
+        near = rng.dirichlet(np.ones(len(body.vertices)), 48) @ body.vertices
+        near[::2] = body.vertices[np.arange(24) % len(body.vertices)]  # on the boundary
+    else:
+        near = rng.normal(size=(48, body.dim))
+        near *= max(body.radius, 1.0) * rng.uniform(0.9, 1.1, (48, 1)) / np.linalg.norm(
+            near, axis=1, keepdims=True)
+    points = np.vstack([near, rng.normal(0.0, 2.0, (49, body.dim))])
+    for tol in (1e-9, 2.0 ** -20):
+        alone = np.array([membership_margin(body, x, tol) for x in points])
+        if body.is_polytope and body.affine_rank() < body.dim:
+            assert set(alone) == {-1.0, 1.0}
+        for size in BATCH_SIZES:
+            rows = np.arange(size) % len(points)
+            got = membership_margin(body, points[rows], tol)
+            assert got.tobytes() == alone[rows].tobytes(), (name, tol, size)
+
+
+def test_planted_knife_edge_points_read_alike_alone_and_in_a_batch():
+    """Points planted on b + tol * scale of every facet of 40 random 9-gons,
+    and one ulp to either side along each axis, get the same margin and the
+    same stack value alone as in one batch: 0 disagreements."""
+    rng = np.random.default_rng(7)
+    disagree = total = 0
+    for _ in range(40):
+        body = random_polytope(rng, 2, 9, spread=3.0)
+        A, b = body.facets()
+        planted = []
+        for a, off in zip(A, b):
+            for w in np.linspace(0.0, 1.0, 5):
+                q = w * body.vertices[0] + (1.0 - w) * body.vertices[-1]
+                edge = q + (off + 1e-9 * max(1.0, body.bounding_radius()) - a @ q) * a
+                planted.extend(_knife_edges(edge))
+        X = np.array(planted)
+        stack = LevelStack([(1.0, body)])
+        margins, values = membership_margin(body, X), stack.evaluate_many(X)
+        for x, m, v in zip(X, margins, values):
+            total += 1
+            disagree += membership_margin(body, x) != m or evaluate(stack, x) != v
+    assert total > 4000
+    assert disagree == 0
+
+
 def _point_in_reference_hull(verts, x, tol):
     """x in conv(verts): a fresh Qhull build's planes when the hull is solid
     in 3-space, else the projection onto the affine hull."""
     if verts.shape[1] == 3 and _affine_frame(verts)[1].shape[1] == 3:
         A = ConvexHull(verts).equations
         return bool(np.all(A[:, :-1] @ x + A[:, -1] <= tol))
-    return _point_in_hull(verts, x, tol)
+    return _reference_in_hull(verts, x, tol)
 
 
 def _contains_per_vertex(a, b, tol=1e-9):

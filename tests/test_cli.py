@@ -413,6 +413,8 @@ def test_compare_script_tags_round_off_moves_without_forgiving_them(tmp_path):
         "  r#0 tiny: 4.7e-16 -> 4.3e-16 (round-off)",
         "  1 listed move(s) are round-off (old and new magnitudes below 1e-12)",
         "  0 unlisted numeric move(s) of at most 1e-12 relative",
+        "summary: 1 file(s) differ, 0 verdict(s) changed, "
+        "1 listed move(s) not tagged round-off",
     ]
 
 
@@ -436,6 +438,8 @@ def test_compare_script_names_the_largest_move_below_the_threshold(tmp_path):
         "  0 listed move(s) are round-off (old and new magnitudes below 1e-12)",
         "  3 unlisted numeric move(s) of at most 1e-12 relative; "
         "largest 5e-13 at r#0 ys[1]",
+        "summary: 1 file(s) differ, 0 verdict(s) changed, "
+        "0 listed move(s) not tagged round-off",
     ]
 
 
@@ -466,7 +470,27 @@ def test_compare_script_lists_moved_heights_of_a_levelwise_row_not_its_argmin(tm
         # left/right are not compared, so their jump is not an unlisted move
         "  2 unlisted numeric move(s) of at most 1e-12 relative; "
         "largest 2.22e-16 at gen-bm#0 details.rhs[1]",
+        "summary: 1 file(s) differ, 0 verdict(s) changed, "
+        "1 listed move(s) not tagged round-off",
     ]
+
+
+def test_compare_script_summary_counts_files_verdicts_and_listed_moves(tmp_path):
+    # one file changes a verdict and moves a value, one is only in the new
+    # run, one is byte-identical: the last line counts each kind once
+    script = Path(__file__).resolve().parents[1] / "scripts" / "compare_check_outputs.py"
+    rows = {"old": {"name": "c", "verdict": "holds", "margin": 0.5, "tiny": 1e-16},
+            "new": {"name": "c", "verdict": "violated", "margin": -0.5, "tiny": 2e-16}}
+    for side, row in rows.items():
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "check.jsonl").write_text(json.dumps(row) + "\n", encoding="utf-8")
+        (tmp_path / side / "same.json").write_text("[]", encoding="utf-8")
+    (tmp_path / "new" / "extra.json").write_text("[]", encoding="utf-8")
+    out = subprocess.run([sys.executable, str(script), "diff", str(tmp_path / "old"),
+                          str(tmp_path / "new")], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert out.stdout.splitlines()[-1] == (
+        "summary: 2 file(s) differ, 1 verdict(s) changed, 2 listed move(s) not tagged round-off")
 
 
 @pytest.mark.parametrize("case", ["absent", "broken"])

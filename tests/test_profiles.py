@@ -155,6 +155,10 @@ def test_log_concavity_flags():
     assert GaussianProfile(0.5).is_log_concave()
     assert not PowerLawProfile(3.0, 1.0).is_log_concave()
     assert ShiftedProfile(GaussianProfile(1.0), 0.3).is_log_concave()
+    # a sum profile has no flag of its own: the inherited midpoint test decides
+    assert "is_log_concave" not in vars(SumProfile)
+    assert SumProfile([exponential_profile(1.0), GaussianProfile(2.0)]).is_log_concave()
+    assert not SumProfile([PowerLawProfile(3.0, 1.0), exponential_profile(1.0)]).is_log_concave()
 
 
 def test_scaled_profile_homogeneity():

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.ndimage import maximum_filter, minimum_filter
 
-from qcvx.bodies import ConvexBody, approx_equal, contains_point, minkowski_sum, scale, volume
+from qcvx.bodies import (
+    _BLOCK,
+    ConvexBody,
+    approx_equal,
+    contains_point,
+    minkowski_sum,
+    scale,
+    volume,
+)
+from qcvx.duality import GeomConvexFn
 from qcvx.errors import (
     ArityMismatch,
     DimensionMismatch,
@@ -18,6 +27,7 @@ from qcvx.errors import (
     InputParse,
     NonpositiveScale,
 )
+from qcvx.generators import random_polytope as gen_polytope
 from qcvx.grids import GridSpec, lattice_convolution
 from qcvx.mixed_volumes import mixed_volume
 from qcvx.profiles import GaussianProfile, PowerLawProfile, Profile, exponential_profile
@@ -122,6 +132,53 @@ def test_evaluate_agrees_with_level_sets(seed):
         assert v == pytest.approx(max(ts) if ts else 0.0, abs=1e-12)
 
 
+# the harness's lattices (41 x 41 and 81 x 81 points) and one batch that
+# takes a block of its own per facet row in ``bodies.affine_values``
+BATCH_SIZES = (1, 2, 7, 1681, 6561, _BLOCK + 1)
+
+
+def _batch_free_functions():
+    rng = np.random.default_rng(43)
+    spread = rng.normal(0.0, 1.5, (97, 2))
+    # one point the height search must bracket, the peak, the rest past the support
+    far = rng.normal(size=(97, 2))
+    far *= 500.0 / np.linalg.norm(far, axis=1, keepdims=True)
+    far[:2] = [[0.7, -0.4], [0.0, 0.0]]
+    slopes = rng.normal(size=(5, 2))
+    domain = scale(gen_polytope(rng, 2, 7, origin_interior=True), 2.0)
+    phi = GeomConvexFn.from_pieces(slopes, -rng.uniform(0.0, 0.5, 5), domain)
+    radial = [RadialQC(gen_polytope(rng, 2, 8, origin_interior=True), exponential_profile(1.0))
+              for _ in range(2)]
+    return {
+        "stack-2d": (random_stack(rng), spread),
+        "stack-3d": (random_stack(rng, 3, 3, 8), rng.normal(0.0, 1.5, (97, 3))),
+        "radial-polygon": (radial[0], spread),
+        "radial-disc": (EXP_DISC, spread),
+        "radial-solid": (RadialQC(gen_polytope(rng, 3, 8, origin_interior=True),
+                                  GaussianProfile(1.0)), rng.normal(0.0, 1.5, (97, 3))),
+        "radial-ball": (RadialQC(ConvexBody.ball(1.5, 3), GaussianProfile(1.0)),
+                        rng.normal(0.0, 1.5, (97, 3))),
+        "sum": (oplus(*radial), far),
+        "geom-convex": (phi, spread),
+        "geom-convex-free": (GeomConvexFn.from_pieces(slopes), spread),
+    }
+
+
+@pytest.mark.parametrize("name", list(_batch_free_functions()))
+def test_value_of_a_point_does_not_depend_on_its_batch(name):
+    """``evaluate`` (``GeomConvexFn.__call__``) of a point alone equals, bitwise,
+    its row of ``evaluate_many`` in every batch; the batches tile 97
+    distinct points, so row i holds point i mod 97."""
+    f, points = _batch_free_functions()[name]
+    alone = f if isinstance(f, GeomConvexFn) else (lambda x: evaluate(f, x))
+    want = np.array([alone(x) for x in points])
+    if name == "sum":
+        assert isinstance(f, SumQC) and 0.0 < want[0] < 1.0 and want[1] == 1.0
+    for size in BATCH_SIZES:
+        rows = np.arange(size) % len(points)
+        assert f.evaluate_many(points[rows]).tobytes() == want[rows].tobytes(), size
+
+
 def _point_in(f, t, p):
     from qcvx.bodies import contains_point
     return contains_point(level_set(f, t), p)
@@ -191,6 +248,18 @@ def test_integral_homogeneous_under_odot(seed, lam):
     rng = np.random.default_rng(seed)
     f = random_stack(rng)
     assert integral(odot(lam, f)) == pytest.approx(lam ** 2 * integral(f), rel=1e-9)
+
+
+def test_sum_of_radial_functions_rotation_invariance_and_support_radius():
+    discs = oplus(EXP_DISC, RadialQC(ConvexBody.ball(2.0, 2), GaussianProfile(1.0)))
+    assert isinstance(discs, SumQC) and discs.is_rotation_invariant()
+    # r(1e-3) = log 1e3 on the unit disc plus 2 sqrt(log 1e3) on the disc of radius 2
+    reach = math.log(1e3) + 2.0 * math.sqrt(math.log(1e3))
+    assert discs.support_radius() == pytest.approx(reach, rel=1e-12)
+    assert discs.support_radius() == pytest.approx(
+        discs.level_set(1e-3).bounding_radius(), rel=1e-12)
+    square = oplus(EXP_DISC, RadialQC(ConvexBody.box([-1, -1], [1, 1]), GaussianProfile(1.0)))
+    assert isinstance(square, SumQC) and not square.is_rotation_invariant()
 
 
 def test_oplus_dimension_mismatch():
