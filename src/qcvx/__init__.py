@@ -58,7 +58,7 @@ from .qc import (
     supmin_bracket,
     surface_area_fn,
 )
-from .rearrange import SizeFunctional, ball_rearrange, eval_fn, phi_rearrange, sdr
+from .rearrange import SizeFunctional, ball_rearrange, phi_rearrange, sdr
 from .report import CheckReport
 from .reshape import (
     ParabolicCapQC,

@@ -4,10 +4,11 @@ Exit codes: 0 on success with every verdict in {holds, holds-with-equality},
 1 when any check is violated or the program fails, 2 on malformed input only
 (``InputParse``, raised at the JSON boundary by ``errors.parsing_input``).
 Identical seed and configuration produce byte-identical output files (keys
-sorted, no timestamps).  Every flag applies to its own call only: handlers
-read the validated ``RunConfig``, the tolerances travel into the checks as
-arguments and ``--panels`` caps quadrature inside a ``quadrature.node_cap``
-block.
+sorted, no timestamps).  Each subcommand takes only the flags its handler
+reads, so any other flag is an argparse error (exit 2).  Every flag applies
+to its own call only: handlers read the validated ``RunConfig``, the
+tolerances travel into the checks as arguments and ``--panels`` caps
+quadrature inside a ``quadrature.node_cap`` block.
 """
 
 from __future__ import annotations
@@ -87,9 +88,12 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        return cls(seed=args.seed, trials=args.trials, dimension=args.dim,
-                   node_cap=args.panels, tol_exact=args.tol_exact,
-                   tol_quad=args.tol_quad)
+        """The fields whose flags the subcommand takes; the rest keep their
+        defaults."""
+        flags = {"seed": "seed", "trials": "trials", "dimension": "dim",
+                 "node_cap": "panels", "tol_exact": "tol_exact", "tol_quad": "tol_quad"}
+        return cls(**{field: getattr(args, flag) for field, flag in flags.items()
+                      if hasattr(args, flag)})
 
 
 def _load_json(path: str):
@@ -112,12 +116,12 @@ def _flatten(payload, prefix=""):
 
 
 def _emit(payload, args) -> None:
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         lines = ["key,value"] + [f"{k},{v}" for k, v in _flatten(payload)]
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
@@ -297,10 +301,10 @@ def cmd_report(args, config: RunConfig) -> int:
     with (outdir / "phi_profile.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "phi_vol", "phi_W1"])
-        vol = PhiProfile(SizeFunctional.vol(2), f)
-        w1 = PhiProfile(SizeFunctional.quermass(2, 1), f)
-        for t in ts:
-            writer.writerow([f"{t:.12g}", f"{vol.value(t):.12g}", f"{w1.value(t):.12g}"])
+        vol = PhiProfile(SizeFunctional.vol(2), f).value(ts)
+        w1 = PhiProfile(SizeFunctional.quermass(2, 1), f).value(ts)
+        for row in zip(ts, vol, w1):
+            writer.writerow([f"{x:.12g}" for x in row])
 
     # epsilon-extension table: eps vs integral of f_eps
     with (outdir / "epsilon_integral.csv").open("w", encoding="utf-8", newline="") as fh:
@@ -318,99 +322,85 @@ def cmd_report(args, config: RunConfig) -> int:
 # -- parser ------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    defaults = {"seed": 0, "trials": 100, "dim": 2, "panels": None,
-                "tol_exact": RunConfig.tol_exact, "tol_quad": RunConfig.tol_quad,
-                "format": "json", "out": None}
-
-    def add_common(target):
-        # SUPPRESS keeps subcommand flags from clobbering top-level values
-        target.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-        target.add_argument("--trials", type=int, default=argparse.SUPPRESS)
-        target.add_argument("--dim", type=int, choices=(1, 2, 3),
-                            default=argparse.SUPPRESS)
-        target.add_argument("--panels", type=int, default=argparse.SUPPRESS,
-                            help="cap on quadrature nodes (default 2^14)")
-        target.add_argument("--tol-exact", type=float, default=argparse.SUPPRESS)
-        target.add_argument("--tol-quad", type=float, default=argparse.SUPPRESS)
-        target.add_argument("--format", choices=("json", "csv"),
-                            default=argparse.SUPPRESS)
-        target.add_argument("--out", type=str, default=argparse.SUPPRESS)
-
     parser = argparse.ArgumentParser(
         prog="qcvx",
         description="level-set calculus for quasi-concave functions: mixed "
                     "integrals, rearrangements, and inequality checks")
-    parser.set_defaults(**defaults)
-    add_common(parser)
     sub = parser.add_subparsers(dest="command", required=True)
-    _plain_add = sub.add_parser
 
-    def add_parser(name, **kwargs):
-        p = _plain_add(name, **kwargs)
-        add_common(p)
+    def command(name, handler, text, *, emits=True, panels=False, runs=False):
+        """A subcommand with the flags its handler reads: --format where it
+        prints through ``_emit``, --panels where it can reach quadrature,
+        the seed, trial, dimension and tolerance flags where it runs checks."""
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler)
+        p.add_argument("--out", type=str, default=None)
+        if emits:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+        if panels:
+            p.add_argument("--panels", type=int, default=None,
+                           help="cap on quadrature nodes (default 2^14)")
+        if runs:
+            p.add_argument("--seed", type=int, default=RunConfig.seed)
+            p.add_argument("--trials", type=int, default=RunConfig.trials)
+            p.add_argument("--dim", type=int, choices=(1, 2, 3), default=RunConfig.dimension)
+            p.add_argument("--tol-exact", type=float, default=RunConfig.tol_exact)
+            p.add_argument("--tol-quad", type=float, default=RunConfig.tol_quad)
         return p
-    sub.add_parser = add_parser
 
-    p = sub.add_parser("mixed-volume", help="mixed volume of a JSON list of bodies")
+    p = command("mixed-volume", cmd_mixed_volume, "mixed volume of a JSON list of bodies")
     p.add_argument("bodies")
-    p.set_defaults(handler=cmd_mixed_volume)
 
-    p = sub.add_parser("integral", help="Lebesgue integral of a function")
+    p = command("integral", cmd_integral, "Lebesgue integral of a function", panels=True)
     p.add_argument("fn")
-    p.set_defaults(handler=cmd_integral)
 
-    p = sub.add_parser("mixed-integral", help="mixed integral of n functions")
+    p = command("mixed-integral", cmd_mixed_integral, "mixed integral of n functions",
+                panels=True)
     p.add_argument("fns")
-    p.set_defaults(handler=cmd_mixed_integral)
 
-    p = sub.add_parser("quermass", help="quermassintegral W_k of a function")
+    p = command("quermass", cmd_quermass, "quermassintegral W_k of a function",
+                panels=True)
     p.add_argument("fn")
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=cmd_quermass)
 
-    p = sub.add_parser("oplus", help="level-set sum of two functions")
+    p = command("oplus", cmd_oplus, "level-set sum of two functions")
     p.add_argument("f")
     p.add_argument("g")
     p.add_argument("--emit-levels", action="store_true")
-    p.set_defaults(handler=cmd_oplus)
 
-    p = sub.add_parser("oracle-compare",
-                       help="level-set oplus vs brute-force sup-min lattice oracle")
+    p = command("oracle-compare", cmd_oracle_compare,
+                "level-set oplus vs brute-force sup-min lattice oracle")
     p.add_argument("f")
     p.add_argument("g")
     p.add_argument("--grid-size", type=int, default=41)
     p.add_argument("--half-width", type=float, default=None)
-    p.set_defaults(handler=cmd_oracle_compare)
 
-    p = sub.add_parser("rearrange", help="ball rearrangement under a size functional")
+    p = command("rearrange", cmd_rearrange, "ball rearrangement under a size functional")
     p.add_argument("fn")
     p.add_argument("--functional", default="vol",
                    help="vol | W1 | W2 | path to a functional JSON")
-    p.set_defaults(handler=cmd_rearrange)
 
-    p = sub.add_parser("duality-check", help="level-set polarity sandwich checks")
+    p = command("duality-check", cmd_duality_check, "level-set polarity sandwich checks")
     p.add_argument("phi", help="JSON with slopes/offsets/domain")
     p.add_argument("--t-values", default="0.5,1,2")
-    p.set_defaults(handler=cmd_duality_check)
 
-    p = sub.add_parser("check", help="run a named inequality check (or 'all')")
+    p = command("check", cmd_check, "run a named inequality check (or 'all')",
+                emits=False, panels=True, runs=True)
     p.add_argument("name")
-    p.set_defaults(handler=cmd_check)
 
-    p = sub.add_parser("rescale", help="rescale a function to match another's size profile")
+    p = command("rescale", cmd_rescale, "rescale a function to match another's size profile",
+                panels=True)
     p.add_argument("fn")
     p.add_argument("--match", required=True)
     p.add_argument("--phi", default="vol")
     p.add_argument("--normalize", choices=("phi", "integral"), default=None)
-    p.set_defaults(handler=cmd_rescale)
 
-    p = sub.add_parser("dilate", help="dilate a log-concave function to the exponential law")
+    p = command("dilate", cmd_dilate, "dilate a log-concave function to the exponential law")
     p.add_argument("fn")
     p.add_argument("--phi", default="vol")
-    p.set_defaults(handler=cmd_dilate)
 
-    p = sub.add_parser("report", help="full verification bundle: checks + plot tables")
-    p.set_defaults(handler=cmd_report)
+    command("report", cmd_report, "full verification bundle: checks + plot tables",
+            emits=False, panels=True, runs=True)
 
     return parser
 

@@ -246,7 +246,7 @@ def _epigraph_vertices(phi: GeomConvexFn) -> tuple[np.ndarray, np.ndarray]:
     slack = 1e-9 * np.maximum(1.0, np.max(np.abs(sol), axis=1, initial=0.0))
     sol = sol[np.all(sol @ R.T - r <= slack[:, None] * np.max(np.abs(R)), axis=1)]
     Y = _dedupe_rows(sol, 1e-9)[:, :phi.dim]
-    vals = np.max(Y @ phi.slopes.T + phi.offsets, axis=1)
+    vals = affine_values(phi.slopes, Y, phi.offsets).max(axis=0)
     return Y, np.where(vals > 1e-12, vals, 0.0)
 
 

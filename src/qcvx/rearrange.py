@@ -147,14 +147,6 @@ class SizeFunctional:
         return self.eval_sum([f])
 
 
-def eval_body(phi: SizeFunctional, a: ConvexBody) -> float:
-    return phi.eval_body(a)
-
-
-def eval_fn(phi: SizeFunctional, f: QCFunction) -> float:
-    return phi.eval_fn(f)
-
-
 def ball_radius(phi: SizeFunctional, parts) -> float:
     """Radius of the centered ball whose Phi-size is Phi(P_1 + ... + P_k)
     for bodies P_i, the size taken by ``eval_sum`` and the sum never built.

@@ -27,6 +27,7 @@ import numpy as np
 from .bodies import ConvexBody, contains, scale, volume
 from .errors import (
     DegenerateBody,
+    HeightOutOfRange,
     NonInvertibleProfile,
     NotLogConcave,
     NotRegular,
@@ -39,13 +40,11 @@ from .qc import (
     RadialQC,
     SumQC,
     _as_point_or_scaled,
-    _band_at,
     band_terms,
     certify_log_concave,
     indicator,
     integral,
     mixed_integral,
-    oplus,
     search_heights,
     terms_at,
 )
@@ -78,7 +77,8 @@ class PhiProfile:
     Phi(K_t) = C * V(K_t, ..., K_t, refs) is multilinear in the radii of
     the parts of f's one band, so the band is expanded (``band_terms``) the
     first time a height is asked for and the expansion kept on the instance;
-    every height after that only inverts the band's distinct profiles.
+    after that an array of heights costs one inversion per distinct profile
+    of the band.
     """
 
     phi: SizeFunctional
@@ -92,14 +92,19 @@ class PhiProfile:
                 "strictly decreasing, vanishing profile); step functions have a "
                 "step profile, use the dilation instead")
 
-    def value(self, t: float) -> float:
-        t = float(t)
-        band = _band_at(self.f.bands(), t)
+    def value(self, t):
+        """Phi of the level set at a height in (0, 1], or at each of an array
+        of heights (every entry the float the height gives alone)."""
+        ts = np.asarray(t, dtype=float)
+        if not np.all((ts > 0.0) & (ts <= 1.0)):
+            raise HeightOutOfRange(f"height must lie in (0, 1], got {t}")
         if self._expansion is None:
-            self._expansion = band_terms([band.parts] * self.phi.degree
+            self._expansion = band_terms([self.f.bands()[0].parts] * self.phi.degree
                                          + [((1.0, ref),) for ref in self.phi.references])
         const, profiles, terms = self._expansion
-        return self.phi.weight_constant * float(const + terms_at(profiles, terms, t))
+        if ts.ndim == 0:
+            return self.phi.weight_constant * float(const + terms_at(profiles, terms, float(ts)))
+        return self.phi.weight_constant * (const + terms_at(profiles, terms, ts))
 
     def inverse(self, v: float) -> float:
         """The height at which the profile equals v."""
@@ -125,7 +130,7 @@ class PhiProfile:
         if heights is None:
             heights = np.geomspace(1.0 - 1e-12, 1e-6, PROFILE_GRID)
         heights = np.asarray(heights, dtype=float)
-        return heights, np.array([self.value(t) for t in heights])
+        return heights, self.value(heights)
 
     def certify_monotone(self, heights: Optional[Sequence[float]] = None) -> bool:
         hs, vals = self.sample(heights)
@@ -190,9 +195,7 @@ def rescale_to_match(phi: SizeFunctional, f: QCFunction, g: QCFunction,
         base_vol = volume(f.base)
 
         def scaled_vol(ts):
-            ts = np.atleast_1d(ts)
-            return np.array([base_vol * (pg.value(float(t)) / base_phi) ** (n / m)
-                             for t in ts])
+            return base_vol * (pg.value(ts) / base_phi) ** (n / m)
 
         ref_integral = integrate_height(scaled_vol, rel_tol=1e-11)
         c = (integral(f) / ref_integral) ** (1.0 / n)
@@ -231,12 +234,45 @@ def match_residual(phi: SizeFunctional, fa: QCFunction, fb: QCFunction,
     (both functions regular)."""
     if heights is None:
         heights = np.geomspace(0.999, 1e-4, 64)
-    pa, pb = PhiProfile(phi, fa), PhiProfile(phi, fb)
-    worst = 0.0
-    for t in heights:
-        va, vb = pa.value(t), pb.value(t)
-        worst = max(worst, abs(va - vb) / max(abs(vb), 1e-300))
-    return worst
+    va, vb = PhiProfile(phi, fa).value(heights), PhiProfile(phi, fb).value(heights)
+    return float(np.max(np.abs(va - vb) / np.maximum(np.abs(vb), 1e-300), initial=0.0))
+
+
+def _bm_check(name: str, reshaping: str, phi: SizeFunctional, ft: QCFunction,
+              gt: QCFunction, details: dict) -> CheckReport:
+    """The Brunn-Minkowski conclusion for a reshaped pair,
+    Phi(f~ oplus g~)^(1/m) >= Phi(f~)^(1/m) + Phi(g~)^(1/m), the left side
+    expanded by ``eval_sum`` without building the sum."""
+    m = phi.degree
+    left = phi.eval_sum([ft, gt]) ** (1.0 / m)
+    right = phi.eval_fn(ft) ** (1.0 / m) + phi.eval_fn(gt) ** (1.0 / m)
+    return judge(
+        name, f"{reshaping}, Phi(f oplus g)^(1/m) >= Phi(f)^(1/m) + Phi(g)^(1/m)",
+        left, right, left - right, MATCH_TOL, scale=pair_scale(left, right),
+        details=details)
+
+
+def _af_check(name: str, reshaping: str, reference_bodies: Sequence[ConvexBody],
+              fs: Sequence[QCFunction], reshape, extra=None) -> CheckReport:
+    """The Alexandrov-Fenchel conclusion for reshaped operands: with
+    f~_i = reshape(phi, f_i) under phi = V(., ..., ., refs) of degree m,
+    V(f~_1, ..., f~_m, refs)^m >= prod_i V(f~_i, ..., f~_i, refs).
+    ``extra(phi, tilde)`` adds details."""
+    fs = list(fs)
+    refs = list(reference_bodies)
+    n = fs[0].dim
+    m = len(fs)
+    if len(refs) != n - m:
+        raise ValueError(f"need {n - m} reference bodies for {m} functions")
+    phi = SizeFunctional(dim=n, degree=m, references=tuple(refs))
+    tilde = [reshape(phi, f) for f in fs]
+    ref_inds = [indicator(r) for r in refs]
+    left = mixed_integral(tilde + ref_inds) ** m
+    right = math.prod(mixed_integral([ft] * m + ref_inds) for ft in tilde)
+    return judge(
+        name, f"{reshaping}, V(f_1, ..., f_m, refs)^m >= prod_i V(f_i, ..., f_i, refs)",
+        left, right, left - right, MATCH_TOL, scale=pair_scale(left, right),
+        details={"m": m, "n": n, **(extra(phi, tilde) if extra else {})})
 
 
 def rescaled_bm(phi: SizeFunctional, f: QCFunction, g: QCFunction,
@@ -244,17 +280,9 @@ def rescaled_bm(phi: SizeFunctional, f: QCFunction, g: QCFunction,
     """Rescale f against g, then verify the Brunn-Minkowski conclusion
     Phi(f~ oplus g)^(1/m) >= Phi(f~)^(1/m) + Phi(g)^(1/m)."""
     ft = rescale_to_match(phi, f, g, normalize=normalize)
-    m = phi.degree
-    left = phi.eval_fn(oplus(ft, g)) ** (1.0 / m)
-    right = phi.eval_fn(ft) ** (1.0 / m) + phi.eval_fn(g) ** (1.0 / m)
-    report = judge(
-        "rescaled-bm",
-        "after matching the size profiles, Phi(f oplus g)^(1/m) >= "
-        "Phi(f)^(1/m) + Phi(g)^(1/m)",
-        left, right, left - right, MATCH_TOL, scale=pair_scale(left, right),
-        details={"match_residual": match_residual(phi, ft, g),
-                 "normalize": normalize})
-    return ft, report
+    return ft, _bm_check("rescaled-bm", "after matching the size profiles", phi, ft, g,
+                         {"match_residual": match_residual(phi, ft, g),
+                          "normalize": normalize})
 
 
 GAUSS_ANCHOR_PROFILE = StretchedExponentialProfile(1.0, 2.0)
@@ -273,34 +301,18 @@ def rescaled_af(reference_bodies: Sequence[ConvexBody],
     for m = n also the corollary V(f~_1, ..., f~_n) >= (prod int f~_i)^(1/n).
     """
     fs = list(fs)
-    refs = list(reference_bodies)
-    n = fs[0].dim
-    m = len(fs)
-    if len(refs) != n - m:
-        raise ValueError(f"need {n - m} reference bodies for {m} functions")
-    phi = SizeFunctional(dim=n, degree=m, references=tuple(refs))
-    anchor = universal_anchor(n)
-    tilde = [rescale_to_match(phi, f, anchor) for f in fs]
-    ref_inds = [indicator(r) for r in refs]
-    left = mixed_integral(tilde + ref_inds) ** m
-    right = 1.0
-    for ft in tilde:
-        right *= mixed_integral([ft] * m + ref_inds)
-    details = {"m": m, "n": n,
-               "match_residuals": [match_residual(phi, ft, anchor) for ft in tilde]}
-    if m == n:
-        corollary_left = mixed_integral(tilde)
-        prod = 1.0
-        for ft in tilde:
-            prod *= integral(ft)
-        details["corollary_left"] = corollary_left
-        details["corollary_right"] = prod ** (1.0 / n)
-    return judge(
-        "rescaled-af",
-        "after rescaling every operand to the universal anchor, "
-        "V(f_1, ..., f_m, refs)^m >= prod_i V(f_i, ..., f_i, refs)",
-        left, right, left - right, MATCH_TOL, scale=pair_scale(left, right),
-        details=details)
+    anchor = universal_anchor(fs[0].dim)
+
+    def extra(phi, tilde):
+        details = {"match_residuals": [match_residual(phi, ft, anchor) for ft in tilde]}
+        if len(tilde) == phi.dim:
+            details["corollary_left"] = mixed_integral(tilde)
+            details["corollary_right"] = math.prod(integral(ft) for ft in tilde) ** (1.0 / phi.dim)
+        return details
+
+    return _af_check("rescaled-af", "after rescaling every operand to the universal anchor",
+                     reference_bodies, fs,
+                     lambda phi, f: rescale_to_match(phi, f, anchor), extra)
 
 
 # ---------------------------------------------------------------------------
@@ -397,41 +409,17 @@ def dilated_checks(phi: SizeFunctional, f: QCFunction, g: QCFunction) -> CheckRe
     conclusion for the dilated pair."""
     ft = dilate_to_exponential(phi, f)
     gt = dilate_to_exponential(phi, g)
-    m = phi.degree
-    left = phi.eval_fn(oplus(ft, gt)) ** (1.0 / m)
-    right = phi.eval_fn(ft) ** (1.0 / m) + phi.eval_fn(gt) ** (1.0 / m)
-    return judge(
-        "dilated-bm",
-        "after dilating both operands to the exponential law, "
-        "Phi(f oplus g)^(1/m) >= Phi(f)^(1/m) + Phi(g)^(1/m)",
-        left, right, left - right, MATCH_TOL, scale=pair_scale(left, right),
-        details={"nesting_f": dilation_nesting_report(ft).ok,
-                 "nesting_g": dilation_nesting_report(gt).ok})
+    return _bm_check("dilated-bm", "after dilating both operands to the exponential law",
+                     phi, ft, gt, {"nesting_f": dilation_nesting_report(ft).ok,
+                                   "nesting_g": dilation_nesting_report(gt).ok})
 
 
 def dilated_af(reference_bodies: Sequence[ConvexBody],
                fs: Sequence[QCFunction]) -> CheckReport:
     """Dilated Alexandrov-Fenchel: dilate each f_i, then
     V(f~_1, ..., f~_m, refs)^m >= prod_i V(f~_i, ..., f~_i, refs)."""
-    fs = list(fs)
-    refs = list(reference_bodies)
-    n = fs[0].dim
-    m = len(fs)
-    if len(refs) != n - m:
-        raise ValueError(f"need {n - m} reference bodies for {m} functions")
-    phi = SizeFunctional(dim=n, degree=m, references=tuple(refs))
-    tilde = [dilate_to_exponential(phi, f) for f in fs]
-    ref_inds = [indicator(r) for r in refs]
-    left = mixed_integral(tilde + ref_inds) ** m
-    right = 1.0
-    for ft in tilde:
-        right *= mixed_integral([ft] * m + ref_inds)
-    return judge(
-        "dilated-af",
-        "after dilating every operand to the exponential law, "
-        "V(f_1, ..., f_m, refs)^m >= prod_i V(f_i, ..., f_i, refs)",
-        left, right, left - right, MATCH_TOL, scale=pair_scale(left, right),
-        details={"m": m, "n": n})
+    return _af_check("dilated-af", "after dilating every operand to the exponential law",
+                     reference_bodies, fs, dilate_to_exponential)
 
 
 # ---------------------------------------------------------------------------

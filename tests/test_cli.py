@@ -12,7 +12,7 @@ import pytest
 
 import qcvx
 from qcvx import quadrature
-from qcvx.cli import main
+from qcvx.cli import RunConfig, build_parser, main
 
 SQUARE = {"type": "polytope", "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]}
 EXP_DISC = {"type": "radial", "base": {"type": "ball", "radius": 1.0, "dim": 2},
@@ -365,6 +365,53 @@ def test_a_positive_half_width_is_the_lattice_box(workdir, capsys):
     f = _write(workdir / "f.json", stack)
     assert main(["oracle-compare", f, f, "--half-width", "2.5", "--grid-size", "21"]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    # bench/worker.py
+    ["check", "all", "--dim", "3", "--seed", "1", "--trials", "2", "--out", "run"],
+    # scripts/compare_check_outputs.py, with and without its tolerance flags
+    ["check", "all", "--dim", "3", "--trials", "2", "--seed", "1", "--out", "run"],
+    ["check", "all", "--dim", "3", "--trials", "2", "--seed", "1", "--out", "run",
+     "--tol-exact", "1e-7", "--tol-quad", "1e-4"],
+    # scripts/run_verification.py
+    ["report", "--seed", "1", "--trials", "2", "--dim", "3", "--out", "run"],
+])
+def test_the_scripted_argv_forms_parse_into_the_run_config(argv):
+    args = build_parser().parse_args(argv)
+    config = RunConfig.from_args(args)
+    assert (config.seed, config.trials, config.dimension, args.out) == (1, 2, 3, "run")
+    flagged = "--tol-exact" in argv
+    assert (config.tol_exact, config.tol_quad) == ((1e-7, 1e-4) if flagged else (1e-9, 1e-6))
+
+
+@pytest.mark.parametrize("argv", [
+    ["integral", "f.json", "--trials", "0"],      # read by no handler but check/report
+    ["integral", "f.json", "--dim", "3"],
+    ["duality-check", "phi.json", "--seed", "1"],
+    ["oplus", "f.json", "f.json", "--panels", "8"],  # oplus never reaches quadrature
+    ["oracle-compare", "f.json", "f.json", "--panels", "8"],
+    ["check", "all", "--format", "csv"],          # check writes JSONL and CSV itself
+    ["report", "--format", "csv"],
+    ["--seed", "1", "check", "all"],              # no flag lives above the subcommand
+])
+def test_a_flag_its_subcommand_does_not_read_is_an_argparse_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_the_traced_benchmark_binds_every_name_it_traces(tmp_path):
+    """``Tracer.install`` raises when a function it traces is bound nowhere in
+    the package, so renaming or folding one breaks the traced benchmark."""
+    root = Path(__file__).resolve().parents[1]
+    script = "from tracer import Tracer\nTracer().install()\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "bench"), str(root / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 def test_workloads_leave_the_heavy_scipy_subpackages_unloaded(tmp_path):

@@ -17,6 +17,7 @@ from qcvx.bodies import (
 )
 from qcvx.duality import (
     GeomConvexFn,
+    _epigraph_vertices,
     a_transform_level_set,
     a_transform_values,
     inf_convolution,
@@ -367,6 +368,16 @@ def test_polarity_margins_on_criterion_9_instances():
         # the relative margin is the smaller of the two support slacks
         assert rep.margin >= -1e-9, (trial, rep.to_json())
         assert rep.details["right_margin"] > 0.0  # factor 2 is never tight here
+
+
+def test_epigraph_vertex_values_are_the_pointwise_values():
+    """phi at the epigraph vertices is what ``evaluate_many`` gives at them,
+    snapped at 1e-12 the same way, bitwise: one evaluation rule."""
+    for trial in range(40):
+        phi = conditioned_geom_convex_fn(rng_for(910, trial), 2)
+        Y, vals = _epigraph_vertices(phi)
+        direct = phi.evaluate_many(Y)
+        assert vals.tobytes() == np.where(direct > 1e-12, direct, 0.0).tobytes(), trial
 
 
 def test_polarity_sandwich_with_domain():

@@ -15,8 +15,6 @@ from qcvx.rearrange import (
     SizeFunctional,
     ball_radius,
     ball_rearrange,
-    eval_body,
-    eval_fn,
     phi_rearrange,
     sdr,
 )
@@ -37,9 +35,9 @@ def test_functional_construction_guards():
 
 
 def test_eval_body_examples():
-    assert eval_body(SizeFunctional.vol(2), UNIT_SQUARE) == pytest.approx(1.0)
+    assert SizeFunctional.vol(2).eval_body(UNIT_SQUARE) == pytest.approx(1.0)
     w1 = SizeFunctional.quermass(2, 1)
-    assert eval_body(w1, UNIT_SQUARE) == pytest.approx(2.0, rel=1e-12)
+    assert w1.eval_body(UNIT_SQUARE) == pytest.approx(2.0, rel=1e-12)
 
 
 @given(st.integers(0, 10_000), st.floats(0.3, 3.0))
@@ -49,8 +47,8 @@ def test_eval_body_homogeneity(seed, lam):
     phi = SizeFunctional.quermass(2, 1)
     a = random_polytope(rng, 2)
     from qcvx.bodies import scale
-    assert eval_body(phi, scale(a, lam)) == pytest.approx(
-        lam ** phi.degree * eval_body(phi, a), rel=1e-9)
+    assert phi.eval_body(scale(a, lam)) == pytest.approx(
+        lam ** phi.degree * phi.eval_body(a), rel=1e-9)
 
 
 def test_ball_rearrange_examples():
@@ -70,7 +68,7 @@ def test_ball_rearrange_preserves_value(seed):
     phi = SizeFunctional.quermass(2, 1) if seed % 2 else SizeFunctional.vol(2)
     a = random_polytope(rng, 2)
     b = ball_rearrange(phi, a)
-    assert eval_body(phi, b) == pytest.approx(eval_body(phi, a), rel=1e-10)
+    assert phi.eval_body(b) == pytest.approx(phi.eval_body(a), rel=1e-10)
 
 
 def test_sdr_examples():
@@ -105,8 +103,8 @@ def test_phi_rearrange_preserves_eval_fn(seed):
     rng = np.random.default_rng(seed)
     phi = SizeFunctional.quermass(2, 1)
     f = random_stack(rng, 2)
-    assert eval_fn(phi, phi_rearrange(phi, f)) == pytest.approx(
-        eval_fn(phi, f), rel=1e-10)
+    assert phi.eval_fn(phi_rearrange(phi, f)) == pytest.approx(
+        phi.eval_fn(f), rel=1e-10)
 
 
 def test_phi_rearrange_levelwise_preservation_and_idempotence():
@@ -115,8 +113,8 @@ def test_phi_rearrange_levelwise_preservation_and_idempotence():
     f = random_stack(rng, 2)
     g = phi_rearrange(phi, f)
     for t, body in zip(f.heights, f.bodies):
-        assert eval_body(phi, g.level_set(float(t))) == pytest.approx(
-            eval_body(phi, body), rel=1e-10)
+        assert phi.eval_body(g.level_set(float(t))) == pytest.approx(
+            phi.eval_body(body), rel=1e-10)
     gg = phi_rearrange(phi, g)
     for a, b in zip(g.bodies, gg.bodies):
         assert a.radius == pytest.approx(b.radius, rel=1e-12)
@@ -138,8 +136,8 @@ def test_phi_rearrange_keeps_log_concavity():
 
 def test_eval_fn_examples():
     f = RadialQC(ConvexBody.ball(1.0, 2), exponential_profile(1.0))
-    assert eval_fn(SizeFunctional.vol(2), f) == pytest.approx(integral(f), rel=1e-12)
-    assert eval_fn(SizeFunctional.quermass(2, 1), f) == pytest.approx(
+    assert SizeFunctional.vol(2).eval_fn(f) == pytest.approx(integral(f), rel=1e-12)
+    assert SizeFunctional.quermass(2, 1).eval_fn(f) == pytest.approx(
         math.pi, rel=1e-12)
 
 
@@ -152,9 +150,9 @@ def test_generalized_functional_reduces_to_constant_times_plain():
     assert c == pytest.approx(0.5, rel=1e-10)  # integral of log(1/t)/2 dt
     for _ in range(5):
         a = random_polytope(rng, 2)
-        assert eval_body(gen, a) == pytest.approx(c * eval_body(plain, a), rel=1e-10)
+        assert gen.eval_body(a) == pytest.approx(c * plain.eval_body(a), rel=1e-10)
         # definitional route through the mixed integral agrees
-        assert eval_body(gen, a) == pytest.approx(
+        assert gen.eval_body(a) == pytest.approx(
             mixed_integral([indicator(a), w]), rel=1e-9)
         # and the rearrangements coincide
         assert ball_rearrange(gen, a).radius == pytest.approx(

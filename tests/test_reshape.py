@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from qcvx.bodies import ConvexBody, minkowski_sum, volume
-from qcvx.errors import NonInvertibleProfile, NotLogConcave, NotRegular
+from qcvx import quadrature
+from qcvx.errors import HeightOutOfRange, NonInvertibleProfile, NotLogConcave, NotRegular
 from qcvx.generators import random_radial, rng_for
 from qcvx.profiles import GaussianProfile, exponential_profile
 from qcvx import reshape
@@ -146,6 +147,25 @@ def test_phi_profile_expands_its_band_once(band_terms_calls):
             assert v.tobytes() == np.float64(ref).tobytes()
 
 
+def test_phi_profile_takes_a_whole_array_of_heights_in_one_pass(monkeypatch):
+    """Sampling 128 heights inverts the band's profiles once, not per height;
+    a height outside (0, 1] raises, alone or in an array."""
+    calls = []
+
+    def counting(profiles, terms, t):
+        calls.append(np.ndim(t))
+        return terms_at(profiles, terms, t)
+
+    monkeypatch.setattr(reshape, "terms_at", counting)
+    hs, values = PhiProfile(VOL2, GAUSS2).sample()
+    assert len(hs) == len(values) == 128
+    assert calls == [1]
+    prof = PhiProfile(VOL2, M2)
+    for bad in (0.0, 1.5, -0.5, math.nan, [0.5, 0.0], [1.0, 2.0]):
+        with pytest.raises(HeightOutOfRange):
+            prof.value(bad)
+
+
 def test_report_profile_table_expands_each_band_once(tmp_path, band_terms_calls):
     # the table holds one radial function under Vol and W1: one band each
     main(["report", "--dim", "2", "--trials", "1", "--out", str(tmp_path)])
@@ -265,6 +285,17 @@ def test_dilated_bm_gaussian_vs_diamond_exponential():
     f = RadialQC(diamond, exponential_profile(1.0))
     rep = dilated_checks(VOL2, GAUSS2, f)
     assert rep.ok, rep.to_json()
+
+
+def test_dilated_bm_on_the_worked_example():
+    """The dilation of exp(-(|x| + y^2)) has no bands, so its sum with a
+    dilated radial function is never built: Phi of the sum is expanded into
+    mixed integrals of the two dilations."""
+    exp_disc = RadialQC(ConvexBody.ball(1.0, 2), exponential_profile(1.0))
+    with quadrature.node_cap(512):
+        rep = dilated_checks(VOL2, ParabolicCapQC(16), exp_disc)
+    assert rep.verdict == "holds", rep.to_json()
+    assert rep.details == {"nesting_f": True, "nesting_g": True}
 
 
 def test_dilated_af_mixed_3d():
