@@ -29,7 +29,7 @@ import numpy as np
 from . import quadrature
 from .bodies import ConvexBody, body_from_json
 from .checks import CHECKS, Tolerances, _validate, run_all, summarize
-from .duality import GeomConvexFn, polarity_sandwich_check
+from .duality import GeomConvexFn, lower_level_set, polarity_sandwich_check
 from .errors import ArityMismatch, DimensionMismatch, InputParse, QcvxError, parsing_input
 from .grids import GridSpec
 from .mixed_volumes import minkowski_polynomial, mixed_volume
@@ -223,6 +223,9 @@ def cmd_duality_check(args, config: RunConfig) -> int:
         domain = body_from_json(spec["domain"]) if spec.get("domain") else None
         phi = GeomConvexFn.from_pieces(spec["slopes"], spec.get("offsets"), domain)
         t_values = [float(t) for t in args.t_values.split(",")]
+        if not all(math.isfinite(t) and t > 0.0 for t in t_values):
+            raise ValueError(f"--t-values must be finite and positive, got {args.t_values}")
+        lower_level_set(phi, 1.0)  # raises unless phi is coercive
     reports = [polarity_sandwich_check(phi, t) for t in t_values]
     _emit([json.loads(r.to_json()) for r in reports], args)
     return 0 if all(r.ok for r in reports) else 1

@@ -61,7 +61,12 @@ class GeomConvexFn:
         offsets = np.append(np.minimum(offsets, 0.0), 0.0)
         object.__setattr__(self, "slopes", slopes)
         object.__setattr__(self, "offsets", offsets)
-        if self.domain is not None and not contains_point(self.domain, np.zeros(self.dim)):
+        if self.domain is None:
+            return
+        # level sets cut the domain by its facets
+        if not (self.domain.is_polytope and self.domain.affine_rank() == self.dim):
+            raise ValueError(f"domain must be a full-dimensional polytope, got {self.domain!r}")
+        if not contains_point(self.domain, np.zeros(self.dim)):
             raise ValueError("domain must contain the origin (phi(0) = 0)")
 
     @property

@@ -39,7 +39,7 @@ def margin_root(margin, lo: float, hi: float, m_lo: float, m_hi: float) -> float
     """The sign change of a rising ``margin`` in (lo, hi], given
     margin(lo) = m_lo <= 0 < m_hi = margin(hi): a safeguarded secant search
     in u = log t, finished by geometric bisection.  Every height search of
-    the package runs it: sums, dilations, radius sums and size profiles.
+    the package runs it: sums, dilations and size profiles.
 
     Each step is the Illinois regula falsi point in u, taken from the end
     whose margin is nearer 0 and kept 4 ulps of t (of u below t = 1/e)
@@ -230,23 +230,18 @@ class TableProfile(Profile):
         return np.clip(out, 0.0, 1.0)
 
     def inv(self, t):
+        """80 halvings of the knot interval holding t, for all heights at once."""
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        out = np.empty_like(t)
-        for k, ti in enumerate(t):
-            if ti <= self.values[-1]:
-                out[k] = self.knots[-1]
-                continue
-            lo_i = int(np.searchsorted(-self.values, -ti, side="right")) - 1
-            lo, hi = self.knots[lo_i], self.knots[min(lo_i + 1, len(self.knots) - 1)]
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if float(self._interp(mid)) >= ti:
-                    lo = mid
-                else:
-                    hi = mid
-            out[k] = lo
+        lo_i = np.searchsorted(-self.values, -t, side="right") - 1
+        lo = self.knots[lo_i]
+        hi = self.knots[np.minimum(lo_i + 1, len(self.knots) - 1)]
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            above = self._interp(mid) >= t
+            lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        out = np.where(t <= self.values[-1], self.knots[-1], lo)
         return float(out[0]) if scalar else out
 
     def moment(self, p):
@@ -290,83 +285,6 @@ class ScaledProfile(Profile):
         if lam <= 0:
             raise NonpositiveScale(f"scale factor must be positive, got {lam}")
         return ScaledProfile(self.inner, self.lam * lam)
-
-
-@dataclass(frozen=True)
-class ShiftedProfile(Profile):
-    """Epsilon-extension profile h(r) = inner(max(r - eps, 0))."""
-
-    inner: Profile
-    eps: float
-
-    def value(self, r):
-        return self.inner.value(np.maximum(np.asarray(r, dtype=float) - self.eps, 0.0))
-
-    def inv(self, t):
-        return self.inner.inv(t) + self.eps
-
-    def moment(self, p):
-        if float(p).is_integer() and p >= 0:
-            p = int(p)
-            total = self.eps ** (p + 1) / (p + 1)
-            for j in range(p + 1):
-                total += math.comb(p, j) * self.eps ** (p - j) * self.inner.moment(j)
-            return total
-        return super().moment(p)
-
-    def is_log_concave(self):
-        return self.inner.is_log_concave()
-
-    def is_regular(self):
-        return False  # constant on [0, eps]
-
-
-class SumProfile(Profile):
-    """Levelwise radius sum: r(t) = sum_i r_i(t); h recovered by ``margin_root``."""
-
-    def __init__(self, parts: Sequence[Profile]):
-        flat: list[Profile] = []
-        for part in parts:
-            if isinstance(part, SumProfile):
-                flat.extend(part.parts)
-            else:
-                flat.append(part)
-        self.parts = tuple(flat)
-
-    def inv(self, t):
-        total = self.parts[0].inv(t)
-        for part in self.parts[1:]:
-            total = total + part.inv(t)
-        return total
-
-    def value(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.array([self._height(rk) for rk in r.ravel().tolist()]).reshape(r.shape)
-        return float(out) if r.ndim == 0 else out
-
-    def _height(self, r: float) -> float:
-        """sup{t : r(t) >= r} on [1e-300, 1], where r - r(t) changes sign."""
-        m_lo, m_hi = r - float(self.inv(1e-300)), r - float(self.inv(1.0))
-        if m_hi <= 0.0:
-            return 1.0
-        return 1e-300 if m_lo > 0.0 else \
-            margin_root(lambda t: r - float(self.inv(t)), 1e-300, 1.0, m_lo, m_hi)
-
-    def moment(self, p):
-        return self.height_integral(p + 1.0) / (p + 1.0)
-
-    def height_integral(self, p):
-        if p == 0:
-            return 1.0
-        return integrate_height(lambda t: self.inv(t) ** p)
-
-    def is_regular(self):
-        return all(part.is_regular() for part in self.parts)
-
-    def scaled(self, lam):
-        if lam <= 0:
-            raise NonpositiveScale(f"scale factor must be positive, got {lam}")
-        return SumProfile([part.scaled(lam) for part in self.parts])
 
 
 class RescaledProfile(Profile):

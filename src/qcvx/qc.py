@@ -10,7 +10,7 @@ rest:
   1 = t_1 > ... > t_m > 0 with nested bodies K_1 <= ... <= K_m.
 * ``RadialQC`` -- homothetic level sets r(t) * base for a decreasing profile.
 * ``SumQC`` -- any function given by its bands: levelwise sums of the leaves
-  and of each other, and dilated stacks.
+  and of each other, their epsilon-extensions, rearrangements and dilations.
 
 All functions are geometric (max f = f(0) = 1), enforced at construction.
 The levelwise sum ``oplus`` realizes the sup-min convolution exactly on these
@@ -35,6 +35,7 @@ from .bodies import (
     VERTEX_TOL,
     ConvexBody,
     affine_values,
+    approx_equal,
     body_from_json,
     body_to_json,
     contains,
@@ -58,14 +59,7 @@ from .errors import (
 )
 from .grids import GridSpec, SampledField, lattice_convolution
 from .mixed_volumes import mixed_volume, quermassintegral_body
-from .profiles import (
-    Profile,
-    ShiftedProfile,
-    SumProfile,
-    margin_root,
-    profile_from_json,
-    profile_to_json,
-)
+from .profiles import Profile, margin_root, profile_from_json, profile_to_json
 from .quadrature import integrate_height, integrate_interval
 
 HEIGHT_TOL = 1e-12
@@ -80,6 +74,21 @@ class Band:
     lo: float
     hi: float
     parts: tuple  # of (coef: float | Profile, base: ConvexBody)
+
+    def homothetic_base(self) -> Optional[ConvexBody]:
+        """A body B of which every base is a multiple, so that the level set
+        is (sum of the radii) * B up to the bases' factors: the largest ball
+        when the bases are all balls, the one polytope when they are all
+        equal (by identity or within 1e-12, the grouping of mixed volumes);
+        None when the band mixes shapes."""
+        bases = [base for _, base in self.parts]
+        if all(b.is_ball for b in bases):
+            return max(bases, key=lambda b: b.radius)
+        first = bases[0]
+        if first.is_polytope and all(b is first or approx_equal(first, b, 1e-12)
+                                     for b in bases[1:]):
+            return first
+        return None
 
 
 def _coef_at(coef, t) -> float:
@@ -97,14 +106,10 @@ def _band_at(bands: Sequence[Band], t: float) -> Band:
 def _merge_bands(views: Sequence[Sequence[Band]]) -> list:
     """Common refinement of banded decompositions, top first: one
     (lo, hi, [parts of each view on (lo, hi]]) per band of the union of the
-    band edges."""
-    edges = {1.0}
-    for v in views:
-        for band in v:
-            if band.lo > 0.0:
-                edges.add(band.lo)
-            if band.hi < 1.0:
-                edges.add(band.hi)
+    band edges.  The top is the highest band top, 1 but for a stack whose
+    top height rounds below it."""
+    edges = {band.hi for v in views for band in v}
+    edges.update(band.lo for v in views for band in v if band.lo > 0.0)
     tops = np.sort(np.array(list(edges)))[::-1]
     lows = np.append(tops[1:], 0.0)
     return [(lo, hi, [_band_at(v, hi).parts for v in views])
@@ -261,7 +266,7 @@ class SumQC(QCFunction):
     """Banded function: on each band (lo, hi] the level set is the Minkowski
     sum of coef(t) * base over the band's parts.  The bands run top first and
     cover (0, 1]; ``oplus`` builds them for every pair of operands that is
-    not a pair of stacks or of radial functions over one base."""
+    not a pair of stacks."""
 
     def __init__(self, bands: Sequence[Band]):
         if not bands:
@@ -300,9 +305,11 @@ class SumQC(QCFunction):
                    for band in self._bands for _, base in band.parts)
 
     def is_log_concave(self):
-        if len(self._bands) == 1 and all(isinstance(c, Profile) and c.is_log_concave()
+        # oplus preserves log-concavity levelwise, and a constant part is a
+        # log-concave indicator
+        if len(self._bands) == 1 and all(not isinstance(c, Profile) or c.is_log_concave()
                                          for c, _ in self._bands[0].parts):
-            return True  # oplus preserves log-concavity levelwise
+            return True
         return certify_log_concave(self)
 
     def support_radius(self, t_min: float = 1e-3) -> float:
@@ -382,8 +389,6 @@ def oplus(f: QCFunction, g: QCFunction) -> QCFunction:
         return LevelStack(
             [(float(t), minkowski_sum(f.level_set(float(t)), g.level_set(float(t)))) for t in hs],
             validate=False)
-    if isinstance(f, RadialQC) and isinstance(g, RadialQC) and f.base is g.base:
-        return RadialQC(f.base, SumProfile([f.profile, g.profile]))
     fb, gb = f.bands(), g.bands()
     if fb is None or gb is None:
         raise TypeError(f"cannot oplus {type(f).__name__} and {type(g).__name__}")
@@ -399,11 +404,8 @@ def odot(lam: float, f: QCFunction) -> QCFunction:
 
 
 def integral(f: QCFunction) -> float:
-    """Lebesgue integral via the layer-cake formula."""
-    if isinstance(f, LevelStack):
-        lows = np.append(f.heights[1:], 0.0)
-        return float(sum((hi - lo) * volume(body)
-                         for hi, lo, body in zip(f.heights, lows, f.bodies)))
+    """Lebesgue integral via the layer-cake formula: the mixed integral
+    V(f, ..., f), with a closed form for radial functions."""
     if isinstance(f, RadialQC):
         return volume(f.base) * f.profile.height_integral(f.dim)
     return mixed_integral([f] * f.dim)
@@ -499,7 +501,7 @@ def mixed_integral(fs: Sequence[QCFunction]) -> float:
                 total += integrate_height(integrand, 0.0, hi)
             else:
                 total += integrate_interval(integrand, lo, hi)
-    return total
+    return float(total)
 
 
 def quermassintegral_fn(f: QCFunction, k: int) -> float:
@@ -530,17 +532,14 @@ def generalized_surface_area(f: QCFunction, g: QCFunction) -> float:
 def epsilon_extension(f: QCFunction, eps: float) -> QCFunction:
     """f_eps = f oplus (eps . 1_D): every level set grows by eps * D.
 
-    Exact for every banded function: a radial function over a ball shifts
-    its profile by eps / radius, and every other one, stacks included,
-    gains a part eps * D in every band, whose mixed volumes take the exact
-    ball closed forms.
+    Exact for every banded function, stacks and radial functions over
+    balls included: every band gains a part eps * D, whose mixed volumes
+    take the exact ball closed forms.
     """
     if eps < 0:
         raise NonpositiveScale("extension radius must be nonnegative")
     if eps == 0:
         return f
-    if isinstance(f, RadialQC) and f.base.is_ball:
-        return RadialQC(f.base, ShiftedProfile(f.profile, eps / f.base.radius))
     bands = f.bands()
     if bands is None:
         raise TypeError(f"cannot extend {type(f).__name__}")

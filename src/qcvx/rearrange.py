@@ -30,7 +30,16 @@ import numpy as np
 from .bodies import ConvexBody, body_from_json
 from .errors import ArityMismatch, DegenerateBody, DimensionMismatch, parsing_input
 from .mixed_volumes import _multiset_multiplicity, mixed_volume
-from .qc import LevelStack, QCFunction, RadialQC, indicator, mixed_integral, terms_at
+from .qc import (
+    Band,
+    LevelStack,
+    QCFunction,
+    RadialQC,
+    SumQC,
+    indicator,
+    mixed_integral,
+    terms_at,
+)
 from .quadrature import integrate_height
 
 
@@ -172,15 +181,24 @@ def ball_rearrange(phi: SizeFunctional, a: ConvexBody) -> ConvexBody:
 
 
 def phi_rearrange(phi: SizeFunctional, f: QCFunction) -> QCFunction:
-    """Levelwise ball rearrangement f^Phi (rotation invariant, same Phi-size)."""
+    """Levelwise ball rearrangement f^Phi (rotation invariant, same Phi-size).
+
+    Exact wherever every band is homothetic (``Band.homothetic_base``):
+    Phi(sum_k c_k B) = (sum_k c_k)^m Phi(B), so each base goes to its
+    Phi-ball and the coefficients stay.  A band that mixes shapes is
+    sampled at 64 heights into a stack.
+    """
     if isinstance(f, LevelStack):
         return LevelStack(
             [(float(t), ball_rearrange(phi, b)) for t, b in zip(f.heights, f.bodies)],
             validate=False)
     if isinstance(f, RadialQC):
-        # levelwise: Phi(r * base) = r^m Phi(base), so the rearranged function
-        # is radial over the ball matched to the base
         return RadialQC(ConvexBody.ball(ball_radius(phi, [f.base]), f.dim), f.profile)
+    bands = f.bands()
+    if bands is not None and all(b.homothetic_base() is not None for b in bands):
+        return SumQC([Band(b.lo, b.hi, tuple((c, ball_rearrange(phi, base))
+                                             for c, base in b.parts))
+                      for b in bands])
     heights = np.geomspace(1.0, 1e-3, 64)
     return LevelStack([(float(t), ball_rearrange(phi, f.level_set(float(t))))
                        for t in heights], validate=False)

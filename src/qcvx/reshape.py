@@ -35,7 +35,6 @@ from .errors import (
 from .profiles import Profile, RescaledProfile, StretchedExponentialProfile, margin_root
 from .qc import (
     Band,
-    LevelStack,
     QCFunction,
     RadialQC,
     SumQC,
@@ -319,17 +318,6 @@ def rescaled_af(reference_bodies: Sequence[ConvexBody],
 # dilations to the exponential law
 # ---------------------------------------------------------------------------
 
-class DilatedStack(SumQC):
-    """Dilation of a step function: on the band below height t_i the level
-    set is c_i * log(1/t) * K_i, with c_i = (Phi(D)/Phi(K_i))^(1/m)."""
-
-    def __init__(self, stack: LevelStack, scales: Sequence[float]):
-        # exp(-r / c) has the level radius c * log(1/t)
-        super().__init__([
-            Band(band.lo, band.hi, ((StretchedExponentialProfile(1.0 / float(c), 1.0), body),))
-            for band, body, c in zip(stack.bands(), stack.bodies, scales)])
-
-
 class DilatedQC(QCFunction):
     """Lazy dilation of an arbitrary geometric log-concave function:
     each level set rescaled so its Phi-size follows the exponential law."""
@@ -364,7 +352,10 @@ def dilate_to_exponential(phi: SizeFunctional, f: QCFunction) -> QCFunction:
 
     Requires geometric log-concave f (the nesting of the dilated level sets
     rests on log-concavity); the output keeps the homothety class of every
-    level set but need not stay log-concave.
+    level set but need not stay log-concave.  Exact wherever every band is
+    homothetic (``Band.homothetic_base``, stacks included): a band over B
+    becomes the one part c * log(1/t) * B with c = (Phi(D)/Phi(B))^(1/m).
+    Any other function is dilated lazily, level set by level set.
     """
     if not f.is_log_concave():
         raise NotLogConcave("dilations to the exponential law need log-concave input")
@@ -372,15 +363,20 @@ def dilate_to_exponential(phi: SizeFunctional, f: QCFunction) -> QCFunction:
         base_size = phi.eval_body(f.base)
         c = (phi.ball_value() / base_size) ** (1.0 / phi.degree)
         return RadialQC(scale(f.base, c), StretchedExponentialProfile(1.0, 1.0))
-    if isinstance(f, LevelStack):
-        scales = []
-        for body in f.bodies:
-            size = phi.eval_body(body)
-            if size <= 0.0:
-                raise DegenerateBody("dilation needs full-dimensional level sets")
-            scales.append((phi.ball_value() / size) ** (1.0 / phi.degree))
-        return DilatedStack(f, scales)
-    return DilatedQC(f, phi)
+    bands = f.bands()
+    bases = [b.homothetic_base() for b in bands] if bands is not None else [None]
+    if any(base is None for base in bases):
+        return DilatedQC(f, phi)
+    dilated = []
+    for band, base in zip(bands, bases):
+        size = phi.eval_body(base)
+        if size <= 0.0:
+            raise DegenerateBody("dilation needs full-dimensional level sets")
+        c = (phi.ball_value() / size) ** (1.0 / phi.degree)
+        # exp(-r / c) has the level radius c * log(1/t)
+        dilated.append(Band(band.lo, band.hi,
+                            ((StretchedExponentialProfile(1.0 / c, 1.0), base),)))
+    return SumQC(dilated)
 
 
 def dilation_nesting_report(f_tilde: QCFunction,

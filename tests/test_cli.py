@@ -1,5 +1,6 @@
 """CLI: subcommand dispatch, JSON contracts, exit codes, determinism."""
 
+import csv
 import json
 import math
 import os
@@ -194,6 +195,40 @@ def test_malformed_specs_and_values_exit_two_with_their_message(workdir, capsys)
     assert "unknown function type 'cone'" in capsys.readouterr().err
     assert main(["check", "no-such-check", "--trials", "1"]) == 2
     assert "unknown check 'no-such-check'" in capsys.readouterr().err
+
+
+def test_report_epsilon_table_is_the_steiner_polynomial(workdir, capsys):
+    # exp(-|x|) over the unit disc grows by eps D: int f_eps = 2pi + 2pi eps + pi eps^2
+    assert main(["report", "--trials", "1", "--seed", "7", "--out", "run"]) == 0
+    with (workdir / "run" / "epsilon_integral.csv").open(encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 41
+    for row in rows:
+        eps = float(row["eps"])
+        steiner = 2 * math.pi + 2 * math.pi * eps + math.pi * eps ** 2
+        assert float(row["integral"]) == pytest.approx(steiner, rel=1e-10, abs=0.0), row
+
+
+CROSS_SLOPES = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+
+
+@pytest.mark.parametrize("spec,t_values,message", [
+    ({"slopes": CROSS_SLOPES, "domain": {"type": "polytope", "vertices": [[-1, 0], [1, 0]]}},
+     "1", "full-dimensional polytope"),
+    ({"slopes": CROSS_SLOPES, "domain": {"type": "ball", "radius": 1.0, "dim": 2}},
+     "1", "full-dimensional polytope"),
+    ({"slopes": [[1.0, 0.0], [0.0, 1.0]]}, "1", "not coercive"),
+    ({"slopes": CROSS_SLOPES}, "0", "finite and positive"),
+    ({"slopes": CROSS_SLOPES}, "0.5,-1", "finite and positive"),
+    ({"slopes": CROSS_SLOPES}, "inf", "finite and positive"),
+    ({"slopes": CROSS_SLOPES}, "nan", "finite and positive"),
+])
+def test_duality_check_rejects_bad_input_with_exit_two(workdir, capsys, spec, t_values,
+                                                       message):
+    phi = _write(workdir / "phi.json", spec)
+    assert main(["duality-check", phi, "--t-values", t_values]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
 
 
 def test_an_internal_value_error_exits_one(workdir, capsys, monkeypatch):

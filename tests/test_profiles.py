@@ -11,9 +11,7 @@ from qcvx.errors import DivergentIntegral
 from qcvx.profiles import (
     GaussianProfile,
     PowerLawProfile,
-    ShiftedProfile,
     StretchedExponentialProfile,
-    SumProfile,
     TableProfile,
     exponential_profile,
 )
@@ -103,62 +101,10 @@ def test_inverse_round_trip(c, t):
         assert prof.value(prof.inv(t)) == pytest.approx(t, rel=1e-10)
 
 
-def test_shifted_profile_moments_binomial():
-    prof = ShiftedProfile(exponential_profile(1.0), 0.5)
-    # integral (r in [0, .5]) r dr + integral (rho + .5) e^-rho
-    expected = 0.125 + (1.0 + 0.5)
-    assert prof.moment(1) == pytest.approx(expected, rel=1e-12)
-    assert prof.inv(1.0) == pytest.approx(0.5)
-
-
-def test_sum_profile_value_inverse_consistency():
-    s = SumProfile([exponential_profile(1.0), GaussianProfile(2.0)])
-    for t in (0.9, 0.5, 0.1, 0.01):
-        r = s.inv(t)
-        assert s.value(r) == pytest.approx(t, rel=1e-9)
-    assert s.is_regular()
-
-
-def _count_calls(obj, name):
-    """Count the calls of obj.name made from now on."""
-    calls = [0]
-    fn = getattr(obj, name)
-
-    def counted(*args):
-        calls[0] += 1
-        return fn(*args)
-
-    setattr(obj, name, counted)
-    return calls
-
-
-def test_sum_profile_value_matches_the_closed_form():
-    """Exponential parts add radii log(1/t)/c_i, so h(r) = exp(-r / sum 1/c_i);
-    h is 1 up to r(1) = 0 and stays at the search floor 1e-300 past
-    r(1e-300), and each point takes at most 30 evaluations of r(t)."""
-    s = SumProfile([exponential_profile(1.0), exponential_profile(2.5),
-                    exponential_profile(0.4)])
-    k = 1.0 + 1.0 / 2.5 + 1.0 / 0.4
-    r = np.geomspace(1e-6, 600.0 * k, 41)
-    np.testing.assert_allclose(s.value(r), np.exp(-r / k), rtol=1e-12, atol=0.0)
-    assert s.value(0.0) == 1.0 and s.value(-2.0) == 1.0
-    assert s.value(1.01 * s.inv(1e-300)) == 1e-300
-    calls = _count_calls(s, "inv")
-    for rk in r:
-        calls[0] = 0
-        s.value(rk)
-        assert calls[0] <= 30
-
-
 def test_log_concavity_flags():
     assert exponential_profile(2.0).is_log_concave()
     assert GaussianProfile(0.5).is_log_concave()
     assert not PowerLawProfile(3.0, 1.0).is_log_concave()
-    assert ShiftedProfile(GaussianProfile(1.0), 0.3).is_log_concave()
-    # a sum profile has no flag of its own: the inherited midpoint test decides
-    assert "is_log_concave" not in vars(SumProfile)
-    assert SumProfile([exponential_profile(1.0), GaussianProfile(2.0)]).is_log_concave()
-    assert not SumProfile([PowerLawProfile(3.0, 1.0), exponential_profile(1.0)]).is_log_concave()
 
 
 def test_scaled_profile_homogeneity():
@@ -166,6 +112,35 @@ def test_scaled_profile_homogeneity():
     assert prof.inv(0.5) == pytest.approx(2.0 * math.log(2.0) / 1.5, rel=1e-12)
     assert prof.moment(1) == pytest.approx(4.0 * exponential_profile(1.5).moment(1),
                                            rel=1e-12)
+
+
+def _table_inv_one_height(prof, t):
+    """The generalized inverse of a table at one height, written out: 80
+    halvings of the knot interval holding t, the interpolant taken at one
+    radius at a time."""
+    if t <= prof.values[-1]:
+        return float(prof.knots[-1])
+    lo_i = int(np.searchsorted(-prof.values, -t, side="right")) - 1
+    lo, hi = prof.knots[lo_i], prof.knots[min(lo_i + 1, len(prof.knots) - 1)]
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if float(prof._interp(mid)) >= t:
+            lo = mid
+        else:
+            hi = mid
+    return float(lo)
+
+
+def test_table_inverse_of_an_array_is_the_inverse_of_each_height():
+    rng = np.random.default_rng(11)
+    knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, 12))])
+    values = np.concatenate([[1.0], np.sort(rng.uniform(0.01, 1.0, 12))[::-1]])
+    prof = TableProfile(knots, values)
+    # knot values, the tail value and below it, and heights in between
+    heights = np.concatenate([values, [0.5 * values[-1]], np.linspace(1e-3, 1.0, 200)])
+    expected = np.array([_table_inv_one_height(prof, float(t)) for t in heights])
+    assert prof.inv(heights).tobytes() == expected.tobytes()
+    assert all(prof.inv(float(t)) == e for t, e in zip(heights, expected))
 
 
 def test_table_profile_validation():

@@ -27,6 +27,7 @@ from qcvx.errors import (
     InputParse,
     NonpositiveScale,
 )
+from qcvx import qc
 from qcvx.generators import random_polytope as gen_polytope
 from qcvx.grids import GridSpec, lattice_convolution
 from qcvx.mixed_volumes import mixed_volume
@@ -274,6 +275,13 @@ def test_integral_examples():
     assert integral(EXP_DISC) == pytest.approx(2 * math.pi, rel=1e-12)
     pl = RadialQC(ConvexBody.ball(1.0, 2), PowerLawProfile(3.0, math.sqrt(2.0)))
     assert integral(pl) == pytest.approx(2 * math.pi, rel=1e-10)
+
+
+def test_integral_of_a_stack_whose_top_rounds_below_one():
+    # the top height may sit within HEIGHT_TOL of 1; the layer cake stops there
+    top = 1.0 - 1e-13
+    f = LevelStack([(top, SQUARE), (0.5, scale(SQUARE, 2.0))])
+    assert integral(f) == pytest.approx((top - 0.5) * 1.0 + 0.5 * 4.0, rel=1e-15)
 
 
 def test_divergent_integral():
@@ -652,6 +660,17 @@ def test_sum_preserves_log_concavity_flag():
     s = oplus(EXP_DISC, g2)
     assert isinstance(s, SumQC) or isinstance(s, RadialQC)
     assert s.is_log_concave()
+
+
+def test_epsilon_extension_over_a_ball_is_flagged_log_concave(monkeypatch):
+    # the constant part eps * D is a log-concave indicator, so the one-band
+    # rule decides without the sampled certificate
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify_log_concave called")
+
+    monkeypatch.setattr(qc, "certify_log_concave", refuse)
+    fe = epsilon_extension(EXP_DISC, 0.5)
+    assert isinstance(fe, SumQC) and fe.is_log_concave()
 
 
 # -- sampling ------------------------------------------------------------------

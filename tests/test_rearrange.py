@@ -18,6 +18,7 @@ from qcvx.rearrange import (
     phi_rearrange,
     sdr,
 )
+from qcvx.reshape import dilate_to_exponential
 
 UNIT_SQUARE = ConvexBody.box([0, 0], [1, 1])
 
@@ -227,3 +228,21 @@ def test_eval_sum_rejects_bad_parts():
         phi.eval_sum([UNIT_SQUARE, indicator(UNIT_SQUARE)])
     with pytest.raises(DimensionMismatch):
         phi.eval_sum([UNIT_SQUARE, ConvexBody.ball(1.0, 3)])
+
+
+def test_a_shared_base_and_an_equal_copy_give_one_sum():
+    """oplus of two radial functions over one polygon builds the same bands
+    whether the operands share the base object or hold equal copies: the
+    integral and the rearrangements agree bit for bit, the rearrangement
+    keeps the integral, and both sums dilate to bands."""
+    base = random_polytope(np.random.default_rng(8), 2, 8, origin_interior=True)
+    copy = ConvexBody.polytope(base.vertices.copy())
+    f = RadialQC(base, exponential_profile(1.0))
+    w1 = SizeFunctional.quermass(2, 1)
+    sums = [oplus(f, RadialQC(other, exponential_profile(2.5))) for other in (base, copy)]
+    results = [(integral(s), integral(sdr(s)), integral(phi_rearrange(w1, s))) for s in sums]
+    assert results[0] == results[1]
+    total, rearranged, _ = results[0]
+    assert rearranged == pytest.approx(total, rel=1e-12, abs=0.0)
+    for s in sums:
+        assert dilate_to_exponential(SizeFunctional.vol(2), s).bands() is not None

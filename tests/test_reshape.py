@@ -12,10 +12,9 @@ from qcvx.generators import random_radial, rng_for
 from qcvx.profiles import GaussianProfile, exponential_profile
 from qcvx import reshape
 from qcvx.cli import main
-from qcvx.qc import RadialQC, band_terms, indicator, integral, oplus, terms_at
+from qcvx.qc import RadialQC, SumQC, band_terms, indicator, integral, oplus, terms_at
 from qcvx.rearrange import SizeFunctional
 from qcvx.reshape import (
-    DilatedStack,
     PhiProfile,
     ParabolicCapQC,
     dilate_to_exponential,
@@ -254,7 +253,7 @@ def test_dilate_stack_nested_and_on_law():
     square = ConvexBody.box([-1, -1], [1, 1])
     f = indicator(square)
     ft = dilate_to_exponential(VOL2, f)
-    assert isinstance(ft, DilatedStack)
+    assert isinstance(ft, SumQC)
     rep = dilation_nesting_report(ft)
     # nested level sets hold with margin 0; nesting never reports equality
     assert rep.ok and rep.margin == 0.0
