@@ -5,8 +5,10 @@
         Writes one JSONL and one CSV file per run into OUTDIR:
         `--dim 3 --trials 1` at seeds 7, 1, 2, 3 and 11, `--dim 3 --trials 3`
         at seed 7 (checks at trials after the first share draws in space
-        too), `--dim 2 --trials 2` at seeds 7, 1 and 2, and once more at
-        seed 7 with `--tol-exact 1e-7 --tol-quad 1e-4`.  It also writes
+        too), `--dim 2 --trials 2` at seeds 7, 1 and 2, once more at seed 7
+        with `--tol-exact 1e-7 --tol-quad 1e-4`, and `--dim 1 --trials 3`
+        at seed 7, whose `sandwich` trials draw 3, 3 and 2 functions, so
+        the pairwise fold of the exact sums is covered.  It also writes
         `dilation.json`, the worked example of `scripts/dilation_example.py`
         in full-precision floats: the vertices of the `ParabolicCapQC(64)`
         level sets at that script's heights and the volume-law dilation's
@@ -85,7 +87,8 @@ from pathlib import Path
 STANDARD_RUNS = [(3, 1, seed, "") for seed in (7, 1, 2, 3, 11)] + \
                 [(3, 3, 7, "")] + \
                 [(2, 2, seed, "") for seed in (7, 1, 2)] + \
-                [(2, 2, 7, "-tol")]
+                [(2, 2, 7, "-tol")] + \
+                [(1, 3, 7, "")]
 TOL_FLAGS = ["--tol-exact", "1e-7", "--tol-quad", "1e-4"]
 REL_TOL = 1e-12
 ROUND_OFF = 1e-12

@@ -20,7 +20,7 @@ from .bodies import (
     volume,
 )
 from .checks import run_all, run_check, summarize
-from .duality import GeomConvexFn, inf_convolution, oplus_cvx, star_dual
+from .duality import GeomConvexFn, star_dual
 from .grids import GridSpec, SampledField
 from .mixed_volumes import (
     MinkowskiPolynomial,

@@ -64,7 +64,10 @@ def _dedupe_rows(points: np.ndarray, tol: float) -> np.ndarray:
     of tol instead, keeping the first row of each match.
     """
     if len(points) <= 48:
-        close = np.abs(points[:, None, :] - points[None, :, :]).max(axis=2) <= tol
+        close = np.abs(points[:, None, 0] - points[None, :, 0])
+        for k in range(1, points.shape[1]):
+            np.maximum(close, np.abs(points[:, None, k] - points[None, :, k]), out=close)
+        close = close <= tol
         if np.count_nonzero(close) == len(points):  # the diagonal alone
             return points.copy()
         close = np.tril(close, k=-1)

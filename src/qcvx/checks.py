@@ -500,8 +500,8 @@ def run_check(name: str, seed: int = 0, trials: int = 100, dim: int = 2,
     """Run seeded trials of one named check; deterministic in (seed, trials, dim).
 
     Every trial is called as ``CHECKS[name](rng_for(seed, trial), dim,
-    tols)``; the sandwich and polarity checks keep their own lattice and 1e-9
-    tolerances."""
+    tols)``; the sandwich and polarity checks are exact and keep their own
+    1e-9 tolerance, whatever ``tols`` says."""
     _validate(name, dim)
     return _run_trials([name], seed, trials, dim, tols)[name]
 

@@ -4,9 +4,12 @@ ratio transform phi -> sup_y (<x,y> - 1)/phi(y), and level-set polarity.
 Functions are finite maxima of affine pieces max_j (<a_j, x> + b_j) with
 phi(0) = 0 and phi >= 0 (a zero piece is always included), optionally
 restricted to a polytope domain (value +inf outside), which covers convex
-indicators.  The ratio transform is exact: its values and its level sets
-(exact polytopes) are built from the vertices of phi's epigraph.  Only the
-convolutions, the inf-convolution and the inf-max sum, are lattice fields.
+indicators.  Everything is exact.  The ratio transform's values and level
+sets (exact polytopes) are built from the vertices of phi's epigraph.  The
+inf-convolution and the inf-max sum of two functions without a domain are
+maxima of affine pieces read off the subdivisions of conv(slopes) that the
+offsets induce: the first by Fenchel conjugacy, (f box g)^* = f^* + g^*, the
+second by LP duality (Rockafellar, Convex Analysis, section 16).
 
 Convention for the ratio transform at phi(y) = 0: the quotient counts as
 +inf when <x, y> > 1 and is skipped otherwise (the lower-semicontinuous
@@ -17,7 +20,6 @@ slope ratio <x, u> / slope(u), whose sup over u is the gauge of conv(slopes).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -34,9 +36,13 @@ from .bodies import (
     polar,
     scale,
 )
-from .errors import DimensionMismatch, GridTooCoarse
-from .grids import GridSpec, SampledField, lattice_convolution
+from .errors import DimensionMismatch
+from .grids import GridSpec
 from .report import CheckReport, judge
+
+# Largest temporary one evaluation of a max of pieces allocates, in bytes:
+# 9 pieces at the 81^2 points of a doubled 41^2 lattice.
+_BLOCK_BYTES = 512 << 10
 
 
 @dataclass(frozen=True)
@@ -91,7 +97,12 @@ class GeomConvexFn:
 
     def evaluate_many(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        vals = affine_values(self.slopes, x, self.offsets).max(axis=0)
+        # the max folds over blocks of pieces, each at most _BLOCK_BYTES
+        step = max(1, _BLOCK_BYTES // (8 * max(1, len(x))))
+        vals = np.full(len(x), -np.inf)
+        for i in range(0, len(self.slopes), step):
+            np.maximum(vals, affine_values(self.slopes[i:i + step], x,
+                                           self.offsets[i:i + step]).max(axis=0), out=vals)
         if self.domain is not None:
             vals = np.where(membership_margin(self.domain, x, 1e-12) <= 0.0, vals, np.inf)
         return vals
@@ -108,9 +119,6 @@ class GeomConvexFn:
         """(lam . phi)(x) = phi(x / lam): scaled slopes, same offsets."""
         dom = None if self.domain is None else scale(self.domain, lam)
         return GeomConvexFn(self.slopes / lam, self.offsets, dom)
-
-    def max_slope(self) -> float:
-        return float(np.max(np.linalg.norm(self.slopes, axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -144,75 +152,222 @@ def _subset_solutions(R: np.ndarray, r: np.ndarray) -> np.ndarray:
     if len(R) < k:
         return np.zeros((0, k))
     subsets = np.array(list(itertools.combinations(range(len(R)), k)))
-    M = R[subsets]
+    return _regular_solutions(R[subsets], r[subsets])[0]
+
+
+def _regular_solutions(M: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(solutions, mask) of the square systems M[i] y = r[i] whose
+    determinant exceeds 1e-12 times the product of their row norms."""
     regular = np.abs(np.linalg.det(M)) > 1e-12 * np.prod(np.linalg.norm(M, axis=2), axis=1)
-    return np.linalg.solve(M[regular], r[subsets[regular]][..., None])[..., 0]
+    return np.linalg.solve(M[regular], r[regular][..., None])[..., 0], regular
 
 
 # ---------------------------------------------------------------------------
-# lattice convolutions
+# the two sums, exact: maxima of affine pieces read off the dual subdivisions
 # ---------------------------------------------------------------------------
 
-def _sampled(phi: GeomConvexFn, grid: GridSpec) -> np.ndarray:
-    return phi.evaluate_many(grid.points()).reshape((grid.npts,) * grid.dim)
+@dataclass(frozen=True)
+class _DualView:
+    """What the exact sums read of one function f without a domain: the
+    pieces that are vertices of the subdivision of conv(slopes) that the
+    offsets induce, the edges of that subdivision (in the plane), the
+    vertices (y_v, f(y_v)) of f's epigraph, whence f* = max_v (<y_v, .> -
+    f(y_v)) on conv(slopes), and the facets A nu <= c of conv(slopes)."""
+
+    slopes: np.ndarray
+    offsets: np.ndarray
+    Y: np.ndarray
+    vals: np.ndarray
+    edges: np.ndarray           # (E, 2) indices into slopes
+    A: np.ndarray
+    c: np.ndarray
+
+    @classmethod
+    def of(cls, phi: GeomConvexFn) -> "_DualView":
+        if _span_split(phi.slopes)[1].shape[1]:
+            raise ValueError("the slopes of a sandwich function must span R^n")
+        Y, vals = _epigraph_vertices(phi)
+        at = affine_values(phi.slopes, Y, phi.offsets)
+        active = at >= vals - 1e-9 * max(1.0, float(np.max(np.abs(at))))
+        if phi.dim == 1:
+            live, s = active.any(axis=1), phi.slopes[:, 0]
+            return cls(phi.slopes[live], phi.offsets[live], Y, vals, np.zeros((0, 2), dtype=int),
+                       np.array([[1.0], [-1.0]]), np.array([s.max(), -s.min()]))
+        edges, A, c = _subdivision(phi.slopes, active)
+        live = np.zeros(len(phi.slopes), dtype=bool)
+        live[edges.ravel()] = True  # the vertices of the cells
+        return cls(phi.slopes[live], phi.offsets[live], Y, vals,
+                   np.cumsum(live)[edges] - 1, A, c)
+
+    def epi_scaled(self, lam: float) -> "_DualView":
+        """The view of lam * f(x / lam): vertices and offsets scale."""
+        return _DualView(self.slopes, lam * self.offsets, lam * self.Y, lam * self.vals,
+                         self.edges, self.A, self.c)
+
+    def arg_scaled(self, lam: float) -> "_DualView":
+        """The view of f(x / lam): vertices scale, slopes shrink."""
+        return _DualView(self.slopes / lam, self.offsets, lam * self.Y, self.vals,
+                         self.edges, self.A, self.c / lam)
+
+    def conjugate(self, nu: np.ndarray) -> np.ndarray:
+        """f* at the rows of nu, which lie in conv(slopes)."""
+        return affine_values(self.Y, nu, -self.vals).max(axis=0)
+
+    def in_hull(self, nu: np.ndarray) -> np.ndarray:
+        """Which rows of nu lie in conv(slopes), to 1e-12 relative."""
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(self.c))))
+        return np.all(affine_values(self.A, nu) <= self.c[:, None] + tol, axis=0)
 
 
-def _iterated_lattice(op, phis: Sequence[GeomConvexFn], grid: GridSpec) -> SampledField:
-    if grid.dim not in (1, 2):
-        raise GridTooCoarse("lattice convolutions support n <= 2")
-    acc = _sampled(phis[0], grid)
-    cur = grid
-    for phi in phis[1:]:
-        acc = lattice_convolution(acc, _sampled(phi, cur), op, np.minimum, np.inf)
-        cur = cur.doubled()
-    return SampledField(cur, acc)
+def _subdivision(slopes: np.ndarray, active: np.ndarray):
+    """(edges, A, c) in the plane, from which pieces are active at which
+    epigraph vertex.
+
+    Each vertex has a cell, the hull of the slopes active there, and the
+    cells tile conv(slopes).  The edges are the pairs (j, k) active at one
+    vertex whose line leaves every slope active there on one side: the cell
+    edges.  Those that leave every slope on one side are the edges of
+    conv(slopes), whose facets are A nu <= c with unit outer normals.
+    """
+    act = active.astype(float)
+    pairs = np.argwhere(np.triu(act @ act.T > 0.0, k=1))
+    a, d = slopes[pairs[:, 0]], np.diff(slopes[pairs], axis=1)[:, 0]
+    size = max(1.0, float(np.max(np.abs(slopes))))
+    keep = np.abs(d).max(axis=1) > 1e-12 * size
+    pairs, a, d = pairs[keep], a[keep], d[keep]
+    rel = slopes[None] - a[:, None]
+    cross = d[:, None, 0] * rel[..., 1] - d[:, None, 1] * rel[..., 0]
+    left, right = cross > 1e-12 * size ** 2, cross < -1e-12 * size ** 2
+    both = active[pairs[:, 0]] & active[pairs[:, 1]]
+    one_side = (left.astype(float) @ act == 0.0) | (right.astype(float) @ act == 0.0)
+    outer = ~left.any(axis=1) | ~right.any(axis=1)
+    normals = np.stack([d[:, 1], -d[:, 0]], axis=1) / np.linalg.norm(d, axis=1)[:, None]
+    normals = np.where(right.any(axis=1)[:, None], -normals, normals)[outer]
+    c = np.einsum("ij,ij->i", normals, a[outer])
+    return pairs[np.any(both & one_side, axis=1)], normals, c
 
 
-def inf_convolution(phi: GeomConvexFn, psi: GeomConvexFn,
-                    grid: GridSpec) -> SampledField:
-    """Discrete min-plus convolution; output on the doubled lattice."""
-    return _iterated_lattice(np.add, [phi, psi], grid)
+def _as_fn(slopes: np.ndarray, offsets: np.ndarray) -> GeomConvexFn:
+    """The max of the pieces, one per distinct slope (to 1e-12 relative, the
+    largest offset), offsets clamped at 0 since the sums vanish at 0."""
+    order = np.argsort(-offsets, kind="stable")
+    q = 1e-12 * max(1.0, float(np.max(np.abs(slopes), initial=0.0)))
+    _, first = np.unique(np.round(slopes[order] / q), axis=0, return_index=True)
+    keep = order[np.sort(first)]
+    return GeomConvexFn(slopes[keep], np.minimum(offsets[keep], 0.0))
 
 
-def oplus_cvx(phi: GeomConvexFn, psi: GeomConvexFn, grid: GridSpec) -> SampledField:
-    """Discrete inf-max convolution (the level-set sum on convex functions)."""
-    return _iterated_lattice(np.maximum, [phi, psi], grid)
+def _inf_convolution(f: _DualView, g: _DualView) -> GeomConvexFn:
+    """f box g, the max of <nu, x> - f*(nu) - g*(nu) over the vertices nu of
+    the overlay of the two dual subdivisions on conv(f slopes) cap conv(g
+    slopes): slopes of one in the hull of the other and, in the plane, the
+    crossings of a dual edge of f with one of g."""
+    nus = [f.slopes, g.slopes]
+    if f.slopes.shape[1] == 2:
+        p0, d = f.slopes[f.edges[:, 0]], np.diff(f.slopes[f.edges], axis=1)[:, 0]
+        q0, e = g.slopes[g.edges[:, 0]], np.diff(g.slopes[g.edges], axis=1)[:, 0]
+        # p0 + s d = q0 + u e, one 2 x 2 system per pair of edges
+        M = np.stack(np.broadcast_arrays(d[:, None], -e[None]), axis=-1).reshape(-1, 2, 2)
+        r = (q0[None] - p0[:, None]).reshape(-1, 2)
+        su, regular = _regular_solutions(M, r)
+        inside = np.all((su >= -1e-9) & (su <= 1.0 + 1e-9), axis=1)
+        pair = np.flatnonzero(regular)[inside] // len(e)
+        nus.append(p0[pair] + su[inside, :1] * d[pair])
+    nu = np.vstack(nus)
+    nu = nu[f.in_hull(nu) & g.in_hull(nu)]
+    return _as_fn(nu, -(f.conjugate(nu) + g.conjugate(nu)))
+
+
+def _inf_max(f: _DualView, g: _DualView) -> GeomConvexFn:
+    """inf over x1 + x2 = x of max(f(x1), g(x2)), exactly.
+
+    With f's pieces (p_j, c_j) and g's (q_l, d_l), LP duality makes it the
+    max of <nu, x> + sum mu c + sum rho d over mu, rho >= 0 with sum mu +
+    sum rho = 1 and sum mu p = sum rho q = nu.  A vertex has n + 1 nonzero
+    weights, and at an optimum those of one side sit on pieces active at
+    one point: a face of one subdivision, so a slope of one side and an
+    edge (plane) or a slope (line) of the other.  Weights on one side alone
+    give nu = 0, which the zero piece covers.  Each support is one
+    (n+1) x (n+1) solve; the feasible ones are the pieces.
+    """
+    n, m = f.slopes.shape[1], len(f.slopes)
+    f_faces = [np.arange(m)[:, None], f.edges]
+    g_faces = [m + np.arange(len(g.slopes))[:, None], m + g.edges]
+    supports = np.vstack([np.hstack([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))])
+                          for a, b in zip(f_faces[:n], g_faces[n - 1::-1])])
+    cols = np.vstack([f.slopes, -g.slopes])
+    M = np.hstack([np.ones((len(cols), 1)), cols])[supports].transpose(0, 2, 1)
+    rhs = np.zeros((len(M), n + 1))
+    rhs[:, 0] = 1.0
+    w, regular = _regular_solutions(M, rhs)
+    feasible = np.all(w >= -1e-12, axis=1)
+    w, supports = w[feasible], supports[regular][feasible]
+    nu_cols = np.vstack([f.slopes, np.zeros_like(g.slopes)])
+    nu = np.einsum("si,sik->sk", w, nu_cols[supports])
+    cost = np.einsum("si,si->s", w, np.concatenate([f.offsets, g.offsets])[supports])
+    return _as_fn(nu, cost)
+
+
+def _folded(op, views: Sequence[_DualView]) -> GeomConvexFn:
+    """op folded left over two or more views; both sums are associative."""
+    out = op(views[0], views[1])
+    for view in views[2:]:
+        out = op(_DualView.of(out), view)
+    return out
 
 
 def sandwich_check(phis: Sequence[GeomConvexFn], lambdas: Sequence[float],
-                   grid: GridSpec, tol: Optional[float] = None) -> CheckReport:
-    """Verify (sum lam)^(-1) g1 <= g2 <= (min lam)^(-1) g1 on the lattice,
-    where g1 is the inf-convolution and g2 the inf-max sum of the scaled pieces.
+                   grid: GridSpec, tol: float = 1e-9) -> CheckReport:
+    """Verify (sum lam)^(-1) g1 <= g2 <= (min lam)^(-1) g1, where g1 is the
+    inf-convolution of the lam_i phi_i(. / lam_i) and g2 the inf-max sum of
+    the phi_i(. / lam_i).
+
+    Both sums are exact maxima of affine pieces (``_inf_convolution``,
+    ``_inf_max``, folded pairwise), evaluated at the points of ``grid``
+    doubled once per function after the first.  The margins are the worst
+    slacks off the common zero set {g1 = g2 = 0}, judged at ``tol`` relative
+    to max(1, max g2).  Functions with a domain are not supported.
     """
     lambdas = [float(l) for l in lambdas]
     if len(phis) != len(lambdas) or not phis:
         raise ValueError("need one positive weight per function")
     if any(l <= 0 for l in lambdas):
         raise ValueError("weights must be positive")
-    g1 = _iterated_lattice(np.add, [p.epi_scaled(l) for p, l in zip(phis, lambdas)], grid)
-    g2 = _iterated_lattice(np.maximum, [p.arg_scaled(l) for p, l in zip(phis, lambdas)], grid)
-    if tol is None:
-        step = float(np.max(grid.step))
-        lip = max(p.max_slope() for p in phis) * max(1.0, 1.0 / min(lambdas))
-        tol = 4.0 * step * lip * math.sqrt(grid.dim)
+    for phi in phis:
+        if phi.domain is not None:
+            raise ValueError(f"sandwich_check takes functions without a domain, "
+                             f"got one restricted to {phi.domain!r}")
+        if phi.dim != grid.dim:
+            raise DimensionMismatch(f"a {phi.dim}-D function on a {grid.dim}-D lattice")
+    if len(phis) == 1:
+        g1, g2 = phis[0].epi_scaled(lambdas[0]), phis[0].arg_scaled(lambdas[0])
+    else:
+        views = [_DualView.of(phi) for phi in phis]
+        g1 = _folded(_inf_convolution, [v.epi_scaled(l) for v, l in zip(views, lambdas)])
+        g2 = _folded(_inf_max, [v.arg_scaled(l) for v, l in zip(views, lambdas)])
+    for _ in phis[1:]:
+        grid = grid.doubled()
+    x = grid.points()
+    v1, v2 = g1.evaluate_many(x), g2.evaluate_many(x)
 
-    lo_slack = g2.values - g1.values / sum(lambdas)
-    hi_slack = g1.values / min(lambdas) - g2.values
-    finite = np.isfinite(g1.values) & np.isfinite(g2.values)
-    lower_margin = float(np.min(lo_slack[finite]))
-    upper_margin = float(np.min(hi_slack[finite]))
+    lo_slack = v2 - v1 / sum(lambdas)
+    hi_slack = v1 / min(lambdas) - v2
+    judged = (v1 != 0.0) | (v2 != 0.0)
+    lower_margin = upper_margin = 0.0
+    if judged.any():
+        lower_margin, upper_margin = float(np.min(lo_slack[judged])), float(np.min(hi_slack[judged]))
     margin = min(lower_margin, upper_margin)
     # equality means one of the two bounds is tight at every lattice point
-    tightness = float(np.max(np.minimum(lo_slack, hi_slack)[finite]))
-    scale_val = max(1.0, float(np.max(np.abs(g2.values[finite]))) if finite.any() else 1.0)
+    tightness = float(np.max(np.minimum(lo_slack, hi_slack)))
+    scale_val = max(1.0, float(np.max(np.abs(v2))))
     return judge(
         "sandwich",
         "inf-convolution and inf-max sum agree within the weight "
         "bounds: (sum lam)^-1 * box <= oplus <= (min lam)^-1 * box",
-        lower_margin, 0.0, margin / scale_val, tol / scale_val,
+        lower_margin, 0.0, margin / scale_val, tol,
         equality=tightness / scale_val <= 1e-9,
         details={"lower_margin": lower_margin, "upper_margin": upper_margin,
-                 "lattice_tol": tol, "finite_points": int(finite.sum())})
+                 "finite_points": len(x)})
 
 
 # ---------------------------------------------------------------------------

@@ -79,10 +79,10 @@ def lattice_convolution(F: np.ndarray, G: np.ndarray, op, reduce, identity: floa
     """out[i] = reduce over j of op(F[j], G[i - j]), starting from identity, on
     the lattice of pairwise sums (shape ``F.shape + G.shape - 1``).
 
-    The one kernel behind the min-plus and inf-max convolutions (reduce
-    ``np.minimum``, identity +inf) and the sup-min oracle (reduce
-    ``np.maximum``, op ``np.minimum``, identity 0), on two 1-D or two 2-D
-    arrays; anything else raises GridTooCoarse.  Entries ``F[j] ==
+    The one kernel behind the sup-min oracle (reduce ``np.maximum``, op
+    ``np.minimum``, identity 0) and the tests' min-plus and inf-max
+    lattice oracles (reduce ``np.minimum``, identity +inf), on two 1-D or
+    two 2-D arrays; anything else raises GridTooCoarse.  Entries ``F[j] ==
     identity`` are skipped: op(identity, g) is +inf or at most 0 there,
     which never moves an accumulator that starts at identity.
 

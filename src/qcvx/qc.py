@@ -106,8 +106,8 @@ def _band_at(bands: Sequence[Band], t: float) -> Band:
 def _merge_bands(views: Sequence[Sequence[Band]]) -> list:
     """Common refinement of banded decompositions, top first: one
     (lo, hi, [parts of each view on (lo, hi]]) per band of the union of the
-    band edges.  The top is the highest band top, 1 but for a stack whose
-    top height rounds below it."""
+    band edges.  The top is the highest band top, 1 for every validated
+    function."""
     edges = {band.hi for v in views for band in v}
     edges.update(band.lo for v in views for band in v if band.lo > 0.0)
     tops = np.sort(np.array(list(edges)))[::-1]
@@ -161,6 +161,7 @@ class LevelStack(QCFunction):
         if validate:
             if abs(heights[0] - 1.0) > HEIGHT_TOL:
                 raise ValueError("geometric normalization requires the top height to be 1")
+            heights[0] = 1.0  # a top that rounds off 1 would leave a band edge below it
             if np.any(np.diff(heights) >= 0) or heights[-1] <= 0:
                 raise ValueError("heights must strictly decrease inside (0, 1]")
             if bodies[0].is_empty:
@@ -485,7 +486,8 @@ def mixed_integral(fs: Sequence[QCFunction]) -> float:
     if any(f.dim != n for f in fs):
         raise DimensionMismatch("all functions must share the ambient dimension")
 
-    views = [f.bands() for f in fs]
+    bands = {id(f): f.bands() for f in fs}  # integral(f) passes f in every slot
+    views = [bands[id(f)] for f in fs]
     if any(v is None for v in views):
         def integrand(ts):
             return np.array([mixed_volume([f.level_set(float(t)) for f in fs]) for t in ts])

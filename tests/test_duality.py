@@ -17,21 +17,51 @@ from qcvx.bodies import (
 )
 from qcvx.duality import (
     GeomConvexFn,
+    _DualView,
     _epigraph_vertices,
+    _folded,
+    _inf_convolution,
+    _inf_max,
     a_transform_level_set,
     a_transform_values,
-    inf_convolution,
     lower_level_set,
-    oplus_cvx,
     polarity_sandwich_check,
     sandwich_check,
     star_dual,
 )
 from qcvx.errors import OriginNotInterior
 from qcvx.generators import conditioned_geom_convex_fn, random_geom_convex_fn, rng_for
-from qcvx.grids import GridSpec
+from qcvx.grids import GridSpec, SampledField, lattice_convolution
 
 ABS = GeomConvexFn.abs_value()
+
+
+# -- the lattice oracle for the two sums ------------------------------------------
+
+def _sampled(phi, grid):
+    return phi.evaluate_many(grid.points()).reshape((grid.npts,) * grid.dim)
+
+
+def _iterated_lattice(op, phis, grid):
+    """op-convolution of the sampled functions, reduced by min, on the lattice
+    doubled once per function after the first: an inf over the lattice
+    decompositions x = x_1 + ... + x_k, so never below the exact sum."""
+    acc = _sampled(phis[0], grid)
+    cur = grid
+    for phi in phis[1:]:
+        acc = lattice_convolution(acc, _sampled(phi, cur), op, np.minimum, np.inf)
+        cur = cur.doubled()
+    return SampledField(cur, acc)
+
+
+def inf_convolution(phi, psi, grid):
+    """Discrete min-plus convolution; output on the doubled lattice."""
+    return _iterated_lattice(np.add, [phi, psi], grid)
+
+
+def oplus_cvx(phi, psi, grid):
+    """Discrete inf-max convolution (the level-set sum on convex functions)."""
+    return _iterated_lattice(np.maximum, [phi, psi], grid)
 
 
 def net_a_transform(phi, x, y_halfwidth=8.0, y_npts=97, ndirs=64):
@@ -160,7 +190,8 @@ def test_oplus_cvx_midpoint_convex():
     phi, psi = random_geom_convex_fn(rng, 1), random_geom_convex_fn(rng, 1)
     field = oplus_cvx(phi, psi, GridSpec.cube(4.0, 1, 161))
     v = field.values
-    step_bound = 4 * float(np.max(field.grid.step)) * max(phi.max_slope(), psi.max_slope())
+    lip = max(float(np.max(np.linalg.norm(f.slopes, axis=1))) for f in (phi, psi))
+    step_bound = 4 * float(np.max(field.grid.step)) * lip
     mid = 0.5 * (v[:-2] + v[2:]) - v[1:-1]
     assert np.min(mid) > -step_bound
 
@@ -201,6 +232,82 @@ def test_sandwich_random_triples(seed):
     lams = rng.uniform(0.5, 2.0, 3).tolist()
     rep = sandwich_check(fns, lams, GridSpec.cube(4.0, 1, 81))
     assert rep.ok, rep.to_json()
+
+
+def _lp_sum(fns, x, combine):
+    """inf over x_1 + ... + x_k = x of the sum (combine "sum") or the max
+    (combine "max") of the f_i(x_i), as one LP in x_1 .. x_{k-1} and the
+    epigraph heights."""
+    from scipy.optimize import linprog
+
+    k, n = len(fns), len(x)
+    heights = k if combine == "sum" else 1
+    nvar = (k - 1) * n + heights
+    rows, rhs = [], []
+    for i, f in enumerate(fns):
+        for a, b in zip(f.slopes, f.offsets):
+            row, bound = np.zeros(nvar), -b
+            if i < k - 1:
+                row[i * n:(i + 1) * n] = a
+            else:  # x_k = x - x_1 - ... - x_{k-1}
+                for j in range(k - 1):
+                    row[j * n:(j + 1) * n] = -a
+                bound -= a @ x
+            row[(k - 1) * n + (i if combine == "sum" else 0)] = -1.0
+            rows.append(row)
+            rhs.append(bound)
+    cost = np.zeros(nvar)
+    cost[(k - 1) * n:] = 1.0
+    res = linprog(cost, A_ub=np.array(rows), b_ub=np.array(rhs),
+                  bounds=[(None, None)] * nvar, method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def _exact_sums(fns, lams):
+    views = [_DualView.of(f) for f in fns]
+    return (_folded(_inf_convolution, [v.epi_scaled(l) for v, l in zip(views, lams)]),
+            _folded(_inf_max, [v.arg_scaled(l) for v, l in zip(views, lams)]))
+
+
+def _sandwich_draws(seed):
+    """Seeded sandwich inputs: 2-D pairs at even seeds, 1-D triples at odd."""
+    rng = rng_for(2525, seed)
+    dim, k = (2, 2) if seed % 2 == 0 else (1, 3)
+    fns = [random_geom_convex_fn(rng, dim) for _ in range(k)]
+    return fns, rng.uniform(0.5, 2.0, k).tolist(), rng
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exact_sums_match_linprog(seed):
+    fns, lams, rng = _sandwich_draws(seed)
+    g1, g2 = _exact_sums(fns, lams)
+    pts = rng.uniform(-4.0 * len(fns), 4.0 * len(fns), (12, fns[0].dim))
+    lp1 = [_lp_sum([f.epi_scaled(l) for f, l in zip(fns, lams)], p, "sum") for p in pts]
+    lp2 = [_lp_sum([f.arg_scaled(l) for f, l in zip(fns, lams)], p, "max") for p in pts]
+    for g, lp in ((g1, lp1), (g2, lp2)):
+        scale_val = max(1.0, float(np.max(np.abs(lp))))
+        assert np.max(np.abs(g.evaluate_many(pts) - lp)) <= 1e-12 * scale_val
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_sums_never_above_the_lattice_oracle(seed):
+    # the lattice takes its inf over fewer decompositions than the exact sum
+    fns, lams, _ = _sandwich_draws(seed)
+    g1, g2 = _exact_sums(fns, lams)
+    grid = GridSpec.cube(4.0, fns[0].dim, 81 if fns[0].dim == 1 else 21)
+    for op, g, scaled in ((np.add, g1, [f.epi_scaled(l) for f, l in zip(fns, lams)]),
+                          (np.maximum, g2, [f.arg_scaled(l) for f, l in zip(fns, lams)])):
+        field = _iterated_lattice(op, scaled, grid)
+        lattice = field.values.ravel()
+        exact = g.evaluate_many(field.grid.points())
+        assert np.all(exact <= lattice + 1e-12 * max(1.0, float(np.max(np.abs(lattice)))))
+
+
+def test_sandwich_rejects_a_domain():
+    boxed = GeomConvexFn.from_pieces([[1.0], [-1.0]], domain=ConvexBody.interval(-2, 2))
+    with pytest.raises(ValueError, match="domain"):
+        sandwich_check([ABS, boxed], [1.0, 1.0], GridSpec.cube(3.0, 1, 41))
 
 
 # -- ratio transform ------------------------------------------------------------

@@ -278,10 +278,20 @@ def test_integral_examples():
 
 
 def test_integral_of_a_stack_whose_top_rounds_below_one():
-    # the top height may sit within HEIGHT_TOL of 1; the layer cake stops there
-    top = 1.0 - 1e-13
-    f = LevelStack([(top, SQUARE), (0.5, scale(SQUARE, 2.0))])
-    assert integral(f) == pytest.approx((top - 0.5) * 1.0 + 0.5 * 4.0, rel=1e-15)
+    # a top height within HEIGHT_TOL of 1 is stored as 1
+    f = LevelStack([(1.0 - 1e-13, SQUARE), (0.5, scale(SQUARE, 2.0))])
+    assert f.heights[0] == 1.0
+    assert integral(f) == pytest.approx(0.5 * 1.0 + 0.5 * 4.0, rel=1e-15)
+
+
+def test_mixed_integrals_with_a_stack_whose_top_rounds_below_one():
+    # with its top stored as 1, the stack covers every band up to 1
+    square = ConvexBody.box([-1, -1], [1, 1])
+    stack = LevelStack([(1.0 - 1e-13, square)])
+    assert mixed_integral([stack, indicator(square)]) == pytest.approx(4.0, abs=1e-12)
+    # the disc's radius is log(1/t), so the integral is 4 + 8 * 1 + pi * 2
+    f = oplus(stack, RadialQC(ConvexBody.ball(1.0, 2), exponential_profile(1.0)))
+    assert integral(f) == pytest.approx(12.0 + 2.0 * math.pi, abs=1e-12)
 
 
 def test_divergent_integral():
