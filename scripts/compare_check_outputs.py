@@ -35,7 +35,11 @@
         total (`surface`), W1 and W2, one record with V(K, L, M) of the
         first three polytopes, and one with the full-precision coefficients
         of their `minkowski_polynomial` grid fit, keyed by multiset ("0,1,2"
-        is V(K, L, M)).  The qcvx package is the one Python imports, so set
+        is V(K, L, M)), then one record per seeded planar set that is not
+        in strictly convex position (interior points, duplicates, joints
+        turning near the flat-joint threshold either way, points collinear
+        with the mean) with its full-precision vertices, affine rank and
+        area.  The qcvx package is the one Python imports, so set
         PYTHONPATH to pick a checkout; when qcvx does not import, it writes
         nothing and exits 2 with a message that names PYTHONPATH.
 
@@ -263,6 +267,51 @@ def _kernel_records() -> list[dict]:
     fit = minkowski_polynomial(polys[:3]).coefficients
     records.append({"name": "minkowski_polynomial",
                     "coefficients": {",".join(map(str, ms)): c for ms, c in fit.items()}})
+    return records + _planar_records()
+
+
+PLANAR_KINDS = ("interior", "duplicates", "joint-out", "joint-in", "mean-collinear")
+
+
+def _planar_records() -> list[dict]:
+    """Vertices, affine rank and area of seeded planar sets that are not in
+    strictly convex position: a convex polygon at a scale from 1e-3 to 1e6,
+    some far from the origin, plus interior points, exact and near
+    duplicates, a joint turning 0.5, 1 or 2 times dist * e out or in (the
+    flat-joint rule of ``bodies._resolution``), or points on the rays from
+    the mean through vertices; rows permuted."""
+    import numpy as np
+
+    from qcvx.bodies import ConvexBody, _resolution, volume
+
+    rng = np.random.default_rng(1226)
+    records = []
+    for kind in PLANAR_KINDS:
+        for k in range(6):
+            m = int(rng.integers(3, 10))
+            ang = 2.0 * np.pi * (np.arange(m) + rng.uniform(0.1, 0.9, m)) / m
+            size = 10.0 ** rng.uniform(-3, 6)
+            pts = size * np.stack([np.cos(ang), np.sin(ang)], axis=1) * rng.uniform(0.3, 1.5, 2)
+            pts = pts + size * rng.uniform(-1, 1, 2) * (1e3 if k % 3 == 2 else float(k % 3))
+            dist, e = _resolution(pts)
+            at = rng.integers(0, m, 3)
+            if kind == "interior":
+                pts = np.vstack([pts, rng.dirichlet(np.ones(m), 3) @ pts])
+            elif kind == "duplicates":
+                near = rng.uniform(-1, 1, (3, 2)) * dist * np.array([[0.0], [0.5], [0.99]])
+                pts = np.vstack([pts, pts[at] + near])
+            elif kind == "mean-collinear":
+                c = pts.mean(axis=0)
+                t = rng.uniform(0.05, 0.95, (3, 1))
+                pts = np.vstack([pts, c + t * (pts[at] - c), c - t * (pts[at] - c)])
+            else:
+                a, b = pts[at[0]], pts[(at[0] + 1) % m]
+                normal = np.array([b[1] - a[1], a[0] - b[0]]) / np.linalg.norm(b - a)
+                turn = (0.5, 1.0, 2.0)[k % 3] * (1.0 if kind == "joint-out" else -1.0)
+                pts = np.vstack([pts, 0.5 * (a + b) + turn * dist * e / np.linalg.norm(b - a) * normal])
+            body = ConvexBody.polytope(pts[rng.permutation(len(pts))])
+            records.append({"name": f"planar {kind} {k}", "vertices": body.vertices.tolist(),
+                            "rank": body.affine_rank(), "area": volume(body)})
     return records
 
 

@@ -13,7 +13,10 @@ pairs would keep, and only rings the merge cannot settle fall back to that
 hull.  A polygon's ccw ring and a polytope's affine rank are cached on the
 body; the rank is decided at construction when the vertices are the input
 rows, is 2 for a merged sum and is carried by ``scale``, since the rule scales
-with the body, else it takes one SVD when first needed.
+with the body, else it is decided when first needed: in the plane by a 2x2
+Gram certificate (``_certified_full_rank``) where that is beyond doubt, else
+by one SVD.  A planar set takes Qhull only where a flat joint or a near
+duplicate is left once its reflex joints are dropped.
 
 In space a body takes one Qhull build.  ``polytope`` canonicalizes through
 Qhull and keeps that hull's facet planes, neighbours and triangles, indexed
@@ -115,6 +118,20 @@ def _is_strict_ring(ring: np.ndarray, dist: float, e: float) -> bool:
             and len(_dedupe_rows(ring, dist)) == len(ring))
 
 
+def _drop_reflex_joints(ring: np.ndarray, dist: float, e: float) -> np.ndarray:
+    """A ring sorted by angle about its set's mean less every joint turning
+    below -dist * e, repeated until none is left.  The mean is interior to
+    the hull of a full-rank set, so a reflex joint lies in the triangle of
+    the mean and its neighbours and is no vertex (Graham's rule); the hull
+    of what remains is the hull of the set."""
+    while len(ring) > 3:
+        keep = _turns(ring) >= -dist * e
+        if keep.all():
+            break
+        ring = ring[keep]
+    return ring
+
+
 def _drop_flat_joints(ring: np.ndarray, flat: float) -> np.ndarray:
     """The ccw ring without its flat joints (turn at most ``flat``), dropped
     flattest first, each drop turning its neighbours anew; a triangle stays."""
@@ -123,9 +140,27 @@ def _drop_flat_joints(ring: np.ndarray, flat: float) -> np.ndarray:
     return ring
 
 
+def _certified_full_rank(points: np.ndarray, dist: float, e: float) -> bool:
+    """True when a planar set has rank 2 under the rule of ``_resolution``
+    beyond doubt, so no SVD need count its singular values: the smallest
+    eigenvalue of the centred 2x2 Gram matrix, in closed form on the
+    coordinates over e (which cannot overflow), clears (10 * dist / e)^2 by
+    more than the rounding of that closed form and of the SVD it stands in
+    for.  False decides nothing."""
+    if not 0.0 < e < math.inf:
+        return False
+    y = (points - points.mean(axis=0)) / e
+    (a, b), (_, c) = (y.T @ y).tolist()
+    t = 10.0 * dist / e
+    least = 0.5 * (a + c) - math.hypot(0.5 * (a - c), b)
+    return least > t * t + 2.0 ** -44 * (len(points) + 8) * (a + c)
+
+
 def _affine_frame(points: np.ndarray, dist: Optional[float] = None):
     """(origin, orthonormal basis U) of the affine hull; its rank U.shape[1]
-    counts singular values above 10 * dist, by default the points' own."""
+    counts singular values above 10 * dist, by default the points' own.
+    Callers that need only a planar set's rank ask ``_certified_full_rank``
+    first and take this SVD where it cannot decide."""
     if dist is None:
         dist = _resolution(points)[0]
     origin = points.mean(axis=0)
@@ -150,20 +185,28 @@ def _extreme_points(pts: np.ndarray, tol: float):
     order, the affine rank of pts, and what the body may keep.
 
     One ``_resolution`` of pts decides the rank, the near duplicates and the
-    flat joints.  A planar set in strictly convex position (sorted by angle,
-    no flat joint, no near duplicate) is its own vertex list and keeps its
-    ``_ccw_order`` as ``_ring``.  Any other full-rank set takes one Qhull
-    build, joggled (``QJ``) where plain Qhull refuses it.  A polygon (in
-    space, in its frame coordinates) keeps Qhull's vertices less near
-    duplicates, the lexicographically first surviving, and drops their flat
-    joints flattest first; Qhull's ring starts elsewhere, so facet sums would
-    add in another order, and is not kept.  A solid keeps its ``_hull`` when
+    flat joints; a set in the plane takes the rank from
+    ``_certified_full_rank`` where it decides, else from one SVD.  A rank-2
+    set is sorted by angle about its mean (``_ccw_order``) and loses its
+    reflex joints (``_drop_reflex_joints``), which are no vertices.  Where
+    what remains is in strictly convex position (no flat joint, no near
+    duplicate) it is the vertex list that Qhull and the rule below would
+    give; a set that lost no point keeps its ring as ``_ring``.  Any other
+    full-rank set takes one Qhull build, joggled (``QJ``) where plain Qhull
+    refuses it.  A polygon (in space, in its frame coordinates) keeps
+    Qhull's vertices less near duplicates, the lexicographically first
+    surviving, and drops their flat joints flattest first; Qhull's ring
+    starts elsewhere, so facet sums would add in another order, and is not
+    kept.  A solid keeps its ``_hull`` when
     every Qhull vertex survives ``_dedupe_rows``.
     """
     dim = pts.shape[1]
     dist, e = _resolution(pts, tol)
-    origin, basis = _affine_frame(pts, dist)
-    rank = basis.shape[1]
+    if dim == 2 and _certified_full_rank(pts, dist, e):
+        rank = 2
+    else:
+        origin, basis = _affine_frame(pts, dist)
+        rank = basis.shape[1]
     if rank == 0:
         return pts[:1].copy(), 0, {}
     if rank == 1:
@@ -173,8 +216,10 @@ def _extreme_points(pts: np.ndarray, tol: float):
     # a polygon in space is settled in its frame coordinates
     coords = pts if rank == dim else (pts - origin) @ basis
     work = _sort_lex(coords) if rank == 2 else pts
-    if rank == 2 and _is_strict_ring(ring := _ccw_order(work), dist, e):
-        verts, cache = work, {"_ring": ring}
+    if rank == 2 and _is_strict_ring(ring := _drop_reflex_joints(_ccw_order(work), dist, e),
+                                     dist, e):
+        # these are Qhull's vertices; a ring that lost points is not kept, as below
+        verts, cache = (work, {"_ring": ring}) if len(ring) == len(work) else (_sort_lex(ring), {})
     else:
         try:
             hull, joggled = ConvexHull(work), False
@@ -353,7 +398,11 @@ class ConvexBody:
             return 0
         cached = self.__dict__.get("_affine_rank")
         if cached is None:
-            cached = _affine_frame(self.vertices)[1].shape[1]
+            dist, e = _resolution(self.vertices)
+            if self.dim == 2 and _certified_full_rank(self.vertices, dist, e):
+                cached = 2
+            else:
+                cached = _affine_frame(self.vertices, dist)[1].shape[1]
             self.__dict__["_affine_rank"] = cached
         return cached
 

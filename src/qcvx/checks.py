@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import gamma
 
-from .bodies import ConvexBody, UNIT_BALL_VOLUME
+from .bodies import ConvexBody, UNIT_BALL_VOLUME, body_to_json
 from .duality import polarity_sandwich_check, sandwich_check
 from .errors import IndexOutOfRange, NotLogConcave
 from .generators import (
@@ -95,20 +95,20 @@ def _levelwise(heights, lhs, rhs, tol: float, details: dict) -> dict:
                         "lhs": lhs.tolist(), "rhs": rhs.tolist(), **details}}
 
 
-def _witness(**objs) -> dict:
-    out = {}
-    for key, val in objs.items():
-        try:
-            if isinstance(val, QCFunction):
-                out[key] = fn_to_json(val)
-            elif isinstance(val, ConvexBody):
-                from .bodies import body_to_json
-                out[key] = body_to_json(val)
-            else:
-                out[key] = val
-        except ValueError:
-            out[key] = repr(val)
-    return out
+def _serialized(val):
+    try:
+        if isinstance(val, QCFunction):
+            return fn_to_json(val)
+        if isinstance(val, ConvexBody):
+            return body_to_json(val)
+        return val
+    except ValueError:
+        return repr(val)
+
+
+def _witness(**objs) -> Callable[[], dict]:
+    """The serialized inputs, built only when ``judge`` finds a violation."""
+    return lambda: {key: _serialized(val) for key, val in objs.items()}
 
 
 def _levelwise_bm(phi: SizeFunctional, f: QCFunction, g: QCFunction):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import NumericalFailure
 
@@ -61,14 +61,16 @@ def pair_scale(left: float, right: float) -> float:
 
 def judge(name: str, statement: str, left: float, right: float, margin: float,
           tol: float, *, scale: float = 1.0, equality: Optional[bool] = None,
-          details: Optional[dict] = None, witness: Optional[dict] = None) -> CheckReport:
+          details: Optional[dict] = None,
+          witness: Optional[Callable[[], dict]] = None) -> CheckReport:
     """Decide a verdict and build its report; every check comes through here.
 
     The relative margin is ``margin / scale``.  The verdict is ``violated``
     iff it is below ``-tol``, ``holds-with-equality`` iff the caller's
     ``equality`` test passed (by default: the relative margin is within
-    ``tol`` of 0), and ``holds`` otherwise.  The witness is kept only on a
-    violation.  A margin that is not finite raises ``NumericalFailure``.
+    ``tol`` of 0), and ``holds`` otherwise.  ``witness`` builds the record
+    of the inputs and is called only on a violation.  A margin that is not
+    finite raises ``NumericalFailure``.
     """
     rel = margin / scale
     if not math.isfinite(rel):
@@ -76,6 +78,7 @@ def judge(name: str, statement: str, left: float, right: float, margin: float,
     if equality is None:
         equality = abs(rel) <= tol
     verdict = "violated" if rel < -tol else "holds-with-equality" if equality else "holds"
+    kept = witness() if verdict == "violated" and witness is not None else None
     return CheckReport(name=name, statement=statement, left=left, right=right,
                        margin=margin, verdict=verdict, tol=tol, details=details or {},
-                       witness=witness if verdict == "violated" else None)
+                       witness=kept)

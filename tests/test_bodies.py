@@ -798,6 +798,98 @@ def test_cached_rank_matches_a_fresh_frame(seed, log_size, log_width, log_lam):
             assert b.affine_rank() == fresh
 
 
+def _planar_set(rng, case):
+    """A seeded planar set of one kind: a convex polygon at a scale from 1e-3
+    to 1e6, maybe far from the origin, plus points that are no vertices
+    (interior, collinear with the mean, duplicates) or a joint turning 0.5,
+    1 or 2 times dist * e either way, rows permuted."""
+    size = 10.0 ** rng.uniform(-3, 6)
+    pts = sector_polygon(rng, int(rng.integers(3, 12)), size)
+    pts = pts + rng.uniform(-1, 1, 2) * size * rng.choice([0.0, 1.0, 1e3])
+    m = len(pts)
+    dist, e = _resolution(pts, VERTEX_TOL)
+    k = rng.integers(0, m, 3)
+    if case == "interior":
+        weights = rng.dirichlet(np.ones(m), int(rng.integers(1, 6)))
+        pts = np.vstack([pts, weights @ pts])
+    elif case == "mean-collinear":
+        # pairs symmetric about the mean keep it, so each lies on the ray
+        # from the mean through a vertex, or on its opposite
+        c = pts.mean(axis=0)
+        t = rng.uniform(0.05, 0.95, (3, 1))
+        pts = np.vstack([pts, c + t * (pts[k] - c), c - t * (pts[k] - c)])
+    elif case == "duplicates":
+        jitter = rng.uniform(-1, 1, (3, 2)) * dist * rng.choice([0.0, 0.5, 0.99], (3, 1))
+        pts = np.vstack([pts, pts[k] + jitter])
+    else:
+        a, b = pts[k[0]], pts[(k[0] + 1) % m]
+        normal = np.array([b[1] - a[1], a[0] - b[0]])
+        normal /= np.linalg.norm(normal)
+        factor = float(rng.choice([0.5, 1.0, 2.0]) * (1.0 if case == "joint-out" else -1.0))
+        pts = np.vstack([pts, 0.5 * (a + b) + factor * dist * e / np.linalg.norm(b - a) * normal])
+    return pts[rng.permutation(len(pts))]
+
+
+def _construction(pts):
+    """Vertices, cached keys and ring at construction, then the affine rank."""
+    body = ConvexBody.polytope(pts)
+    keys, ring = sorted(body.__dict__), body.__dict__.get("_ring")
+    return body.vertices, keys, ring, body.affine_rank()
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["interior", "mean-collinear", "duplicates",
+                                                "joint-out", "joint-in"]))
+@settings(max_examples=150, deadline=None)
+def test_reflex_pass_and_rank_certificate_match_qhull_and_the_svd(seed, case):
+    """The reflex pass and the Gram rank certificate skip only work whose
+    answer is decided: with both switched off, so every set that is not in
+    strictly convex position takes Qhull and every rank an SVD, construction
+    gives bitwise the same vertices, cached keys, ring and rank."""
+    pts = _planar_set(np.random.default_rng(seed), case)
+    fast = _construction(pts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bodies, "_drop_reflex_joints", lambda ring, dist, e: ring)
+        mp.setattr(bodies, "_certified_full_rank", lambda points, dist, e: False)
+        slow = _construction(pts)
+    _assert_bitwise(fast[0], slow[0])
+    assert fast[1] == slow[1] and fast[3] == slow[3]
+    if fast[2] is not None:
+        _assert_bitwise(fast[2], slow[2])
+
+
+@given(st.integers(0, 10_000), st.floats(1.0, 20.0), st.floats(-3, 6), st.floats(0, 7))
+@settings(max_examples=150, deadline=None)
+def test_rank_certificate_never_widens_a_sliver(seed, width, log_size, log_shift):
+    """On slivers 1 to 20 times dist wide, where the SVD rule answers rank 1
+    or 2, the certificate answers rank 2 only where the SVD does."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(3, 40))
+    size = 10.0 ** log_size
+    # dist is tol * e plus 64 ulps of max|x|; e is about the half length
+    dist = VERTEX_TOL * size + 2.0 ** -46 * (size + 10.0 ** log_shift)
+    local = np.stack([rng.uniform(-size, size, m), rng.uniform(-0.5, 0.5, m) * width * dist], axis=1)
+    theta = rng.uniform(0.0, np.pi)
+    rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    pts = local @ rot.T + rng.uniform(-1, 1, 2) * 10.0 ** log_shift
+    dist, e = _resolution(pts, VERTEX_TOL)
+    if bodies._certified_full_rank(pts, dist, e):
+        assert _affine_frame(pts, dist)[1].shape[1] == 2
+
+
+def test_rank_certificate_decides_round_sets_and_defers_on_degenerate_ones():
+    # coordinates near the largest float are measured over e, so none overflows
+    for pts in (UNIT_SQUARE.vertices, np.array([[-1e308, 0.0], [1e308, 0.0], [0.0, 1e308]])):
+        with np.errstate(all="raise"):
+            assert bodies._certified_full_rank(pts, *_resolution(pts, VERTEX_TOL))
+    # a point, a segment, a 1e300-long sliver and a set whose mean overflows
+    for pts in (np.zeros((3, 2)), np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]),
+                np.array([[0.0, 0.0], [1e300, 0.0], [0.0, 1.0]]),
+                np.array([[-1.5e308, 0.0], [1.5e308, 0.0], [1.5e308, 1.0], [1.5e308, 2.0]])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist, e = _resolution(pts, VERTEX_TOL)
+        assert not bodies._certified_full_rank(pts, dist, e)
+
+
 # -- the 3-D hull kept from canonicalization ----------------------------------
 
 def _kept_hull_bodies():
@@ -942,15 +1034,30 @@ def test_check_all_in_space_builds_each_hull_once(monkeypatch, tmp_path, capsys)
     assert builds and set(builds) == {"_extreme_points"}
 
 
-def test_check_all_in_the_plane_builds_hulls_only_to_canonicalize(monkeypatch, tmp_path, capsys):
+def test_check_all_in_the_plane_builds_no_hull_and_takes_no_rank_svd(monkeypatch, tmp_path,
+                                                                     capsys):
     from qcvx.cli import main
 
     builds = _count_hull_builds(monkeypatch)
+    frames = []
+    real_frame = bodies._affine_frame
+
+    def counted_frame(points, *args):
+        frames.append(sys._getframe(1).f_code.co_name)
+        return real_frame(points, *args)
+
+    monkeypatch.setattr(bodies, "_affine_frame", counted_frame)
     assert main(["check", "all", "--dim", "2", "--trials", "4", "--seed", "7",
                  "--out", str(tmp_path / "run")]) == 0
-    # Qhull finds the vertices of sets not in strictly convex position; rings,
-    # facets and areas are the polygon's own and need no hull
-    assert builds and set(builds) == {"_extreme_points"}
+    # the reflex pass settles every set of this round that is not in strictly
+    # convex position, and the Gram certificate every rank
+    assert builds == [] and frames == []
+    # an exact duplicate and a point mid-edge turn 0, which the pass leaves
+    # to Qhull
+    square = [[0, 0], [1, 0], [1, 1], [0, 1]]
+    for extra in ([1, 1], [0.5, 0]):
+        assert ConvexBody.polytope(square + [extra]).vertices.tolist() == sorted(square)
+    assert builds == ["_extreme_points"] * 2
 
 
 # -- approximate equality ----------------------------------------------------

@@ -352,8 +352,11 @@ def test_violated_verdict_carries_witness():
     assert rep.verdict == "violated"
     assert rep.margin == -0.75 and (rep.left, rep.right) == (0.5, 2.0)
     assert rep.witness is not None and "f" in rep.witness
-    held = judge("fake", "left >= right", 2.0, 0.5, 0.75, tol, witness=_witness(f=EXP_DISC))
-    assert held.verdict == "holds" and held.witness is None
+    # a verdict that holds never builds its witness
+    built = []
+    held = judge("fake", "left >= right", 2.0, 0.5, 0.75, tol,
+                 witness=lambda: built.append(1) or _witness(f=EXP_DISC)())
+    assert held.verdict == "holds" and held.witness is None and built == []
 
 
 def test_judge_equality_is_the_callers_test():
