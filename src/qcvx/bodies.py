@@ -45,10 +45,10 @@ from scipy.spatial import ConvexHull, QhullError
 from .errors import (
     DimensionMismatch,
     EmptyBody,
-    NonpositiveScale,
     NumericalFailure,
     OriginNotInterior,
     UnsupportedMix,
+    check_scale,
     parsing_input,
 )
 
@@ -180,12 +180,12 @@ class Hull(NamedTuple):
     simplices: np.ndarray
 
 
-def _extreme_points(pts: np.ndarray, tol: float):
+def _extreme_points(pts: np.ndarray):
     """(extreme points, rank, cache) of conv(pts): rows of pts in lexicographic
     order, the affine rank of pts, and what the body may keep.
 
-    One ``_resolution`` of pts decides the rank, the near duplicates and the
-    flat joints; a set in the plane takes the rank from
+    One ``_resolution`` of pts at ``VERTEX_TOL`` decides the rank, the near
+    duplicates and the flat joints; a set in the plane takes the rank from
     ``_certified_full_rank`` where it decides, else from one SVD.  A rank-2
     set is sorted by angle about its mean (``_ccw_order``) and loses its
     reflex joints (``_drop_reflex_joints``), which are no vertices.  Where
@@ -201,7 +201,7 @@ def _extreme_points(pts: np.ndarray, tol: float):
     every Qhull vertex survives ``_dedupe_rows``.
     """
     dim = pts.shape[1]
-    dist, e = _resolution(pts, tol)
+    dist, e = _resolution(pts)
     if dim == 2 and _certified_full_rank(pts, dist, e):
         rank = 2
     else:
@@ -334,7 +334,7 @@ class ConvexBody:
         bad = pts[~np.isfinite(pts)]
         if bad.size:
             raise ValueError(f"polytope vertex coordinates must be finite, got {bad[0]}")
-        verts, rank, cache = _extreme_points(pts, VERTEX_TOL)
+        verts, rank, cache = _extreme_points(pts)
         body = cls(dim=pts.shape[1], kind="polytope", vertices=verts)
         if len(verts) == len(pts):
             # the vertices are the input rows, whose rank is decided already
@@ -648,10 +648,7 @@ def minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
 
 def scale(a: ConvexBody, lam: float) -> ConvexBody:
     """Homothet lam * a, lam > 0."""
-    if not math.isfinite(lam):
-        raise ValueError(f"scale factor must be finite, got {lam}")
-    if lam <= 0:
-        raise NonpositiveScale(f"scale factor must be positive, got {lam}")
+    check_scale(lam)
     if a.is_empty:
         return a
     if a.is_ball:

@@ -127,6 +127,7 @@ def _emit(payload, args) -> None:
         sys.stdout.write(text)
 
 
+@parsing_input()
 def _functional_from_flag(flag: str, dim: int) -> SizeFunctional:
     if flag == "vol":
         return SizeFunctional.vol(dim)
@@ -176,6 +177,8 @@ def cmd_mixed_integral(args, config: RunConfig) -> int:
 
 def cmd_quermass(args, config: RunConfig) -> int:
     f = fn_from_json(_load_json(args.fn))
+    if not 0 <= args.k <= f.dim:
+        raise InputParse(f"--k must lie in [0, {f.dim}], got {args.k}")
     _emit({"value": quermassintegral_fn(f, args.k), "k": args.k}, args)
     return 0
 

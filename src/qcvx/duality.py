@@ -317,7 +317,7 @@ def _folded(op, views: Sequence[_DualView]) -> GeomConvexFn:
 
 
 def sandwich_check(phis: Sequence[GeomConvexFn], lambdas: Sequence[float],
-                   grid: GridSpec, tol: float = 1e-9) -> CheckReport:
+                   grid: GridSpec) -> CheckReport:
     """Verify (sum lam)^(-1) g1 <= g2 <= (min lam)^(-1) g1, where g1 is the
     inf-convolution of the lam_i phi_i(. / lam_i) and g2 the inf-max sum of
     the phi_i(. / lam_i).
@@ -325,7 +325,7 @@ def sandwich_check(phis: Sequence[GeomConvexFn], lambdas: Sequence[float],
     Both sums are exact maxima of affine pieces (``_inf_convolution``,
     ``_inf_max``, folded pairwise), evaluated at the points of ``grid``
     doubled once per function after the first.  The margins are the worst
-    slacks off the common zero set {g1 = g2 = 0}, judged at ``tol`` relative
+    slacks off the common zero set {g1 = g2 = 0}, judged at 1e-9 relative
     to max(1, max g2).  Functions with a domain are not supported.
     """
     lambdas = [float(l) for l in lambdas]
@@ -364,7 +364,7 @@ def sandwich_check(phis: Sequence[GeomConvexFn], lambdas: Sequence[float],
         "sandwich",
         "inf-convolution and inf-max sum agree within the weight "
         "bounds: (sum lam)^-1 * box <= oplus <= (min lam)^-1 * box",
-        lower_margin, 0.0, margin / scale_val, tol,
+        lower_margin, 0.0, margin / scale_val, 1e-9,
         equality=tightness / scale_val <= 1e-9,
         details={"lower_margin": lower_margin, "upper_margin": upper_margin,
                  "finite_points": len(x)})

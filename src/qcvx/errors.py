@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all modules."""
 
+import math
 from contextlib import contextmanager
 
 
@@ -89,3 +90,12 @@ def parsing_input():
         yield
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         raise InputParse(str(exc)) from exc
+
+
+def check_scale(lam: float) -> None:
+    """The one rule for a homothety factor: finite (else ValueError) and
+    positive (else ``NonpositiveScale``)."""
+    if not math.isfinite(lam):
+        raise ValueError(f"scale factor must be finite, got {lam}")
+    if lam <= 0:
+        raise NonpositiveScale(f"scale factor must be positive, got {lam}")

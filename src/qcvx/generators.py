@@ -131,27 +131,21 @@ def random_profile(rng, dim: int, log_concave: bool = False):
 
 
 @_shared
-def random_radial(rng, dim: int, log_concave: bool = False,
-                  ball_base: bool | None = None) -> RadialQC:
-    if ball_base is None:
-        ball_base = bool(rng.integers(2))
-    base = random_ball(rng, dim) if ball_base else \
+def random_radial(rng, dim: int, log_concave: bool = False) -> RadialQC:
+    base = random_ball(rng, dim) if rng.integers(2) else \
         random_polytope(rng, dim, origin_interior=True)
     return RadialQC(base, random_profile(rng, dim, log_concave))
 
 
-def random_size_functional(rng, dim: int, name: str | None = None):
-    if name == "vol" or dim == 1 or (name is None and rng.integers(2)):
+def random_size_functional(rng, dim: int):
+    if dim == 1 or rng.integers(2):
         return SizeFunctional.vol(dim)
-    if name in ("W1", "W2") or name is None:
-        k = int(name[1]) if name else int(rng.integers(1, dim))
-        return SizeFunctional.quermass(dim, k)
-    raise ValueError(f"unknown functional name {name!r}")
+    return SizeFunctional.quermass(dim, int(rng.integers(1, dim)))
 
 
-def random_geom_convex_fn(rng, dim: int, npieces: int | None = None):
+def random_geom_convex_fn(rng, dim: int):
     """Coercive piecewise-affine geometric convex function."""
-    npieces = int(npieces or rng.integers(2, 6))
+    npieces = int(rng.integers(2, 6))
     slopes = rng.normal(size=(npieces, dim)) * rng.uniform(0.5, 2.0)
     slopes = np.vstack([slopes, -slopes])  # symmetric slopes keep level sets bounded
     offsets = -rng.uniform(0.0, 0.5, len(slopes))
@@ -159,12 +153,12 @@ def random_geom_convex_fn(rng, dim: int, npieces: int | None = None):
     return GeomConvexFn.from_pieces(slopes, offsets)
 
 
-def conditioned_geom_convex_fn(rng, dim: int, max_aspect: float = 12.0):
+def conditioned_geom_convex_fn(rng, dim: int):
     """Like random_geom_convex_fn, conditioned on well-shaped level sets.
 
     Near-degenerate slope draws make a level set hundreds of units long and
     its polar a sliver; polarity checks resample until the unit level set
-    has bounded aspect ratio.
+    has aspect ratio at most 12 and radius at most 25.
     """
     while True:
         phi = random_geom_convex_fn(rng, dim)
@@ -174,5 +168,5 @@ def conditioned_geom_convex_fn(rng, dim: int, max_aspect: float = 12.0):
             continue
         r = inradius(level)
         big = level.bounding_radius()
-        if r > 1e-9 and big / r <= max_aspect and big <= 25.0:
+        if r > 1e-9 and big / r <= 12.0 and big <= 25.0:
             return phi

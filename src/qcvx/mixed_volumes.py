@@ -520,7 +520,7 @@ def _tuple_volumes(bodies, n: int):
     return value
 
 
-def minkowski_polynomial(bodies, dim: int | None = None) -> MinkowskiPolynomial:
+def minkowski_polynomial(bodies) -> MinkowskiPolynomial:
     """Fit Vol(sum eps_i K_i) on the deterministic grid {1..n+1}^m.
 
     Balls enter as the fixed polytope stand-in (``unit_ball_polytope``).
@@ -540,7 +540,7 @@ def minkowski_polynomial(bodies, dim: int | None = None) -> MinkowskiPolynomial:
     bodies = [_resolve(b) for b in bodies]
     if not bodies:
         raise ArityMismatch("need at least one body")
-    n = dim if dim is not None else bodies[0].dim
+    n = bodies[0].dim
     if any(b.dim != n for b in bodies):
         raise DimensionMismatch("all bodies must live in the polynomial's dimension")
 

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gamma
 
-from .errors import DivergentIntegral, NonpositiveScale, parsing_input
+from .errors import DivergentIntegral, check_scale, parsing_input
 from .quadrature import integrate_height, integrate_interval, integrate_radial
 
 
@@ -96,6 +96,9 @@ class Profile:
     def moment(self, p: float) -> float:
         if p <= -1:
             raise DivergentIntegral("moments need p > -1")
+        return self._moment(p)
+
+    def _moment(self, p: float) -> float:
         return integrate_radial(lambda r: self.value(r) * np.power(r, p))
 
     def height_integral(self, p: float) -> float:
@@ -118,8 +121,10 @@ class Profile:
 
     def scaled(self, lam: float) -> "Profile":
         """Profile of the lam-homothety: every level radius multiplied by lam."""
-        if lam <= 0:
-            raise NonpositiveScale(f"scale factor must be positive, got {lam}")
+        check_scale(lam)
+        return self._scaled(lam)
+
+    def _scaled(self, lam: float) -> "Profile":
         return ScaledProfile(self, lam) if lam != 1.0 else self
 
 
@@ -131,8 +136,8 @@ class StretchedExponentialProfile(Profile):
     p: float = 1.0
 
     def __post_init__(self):
-        if self.c <= 0 or self.p < 1.0:
-            raise ValueError("need c > 0 and p >= 1")
+        if not (0.0 < self.c < math.inf and 1.0 <= self.p < math.inf):
+            raise ValueError(f"need finite c > 0 and p >= 1, got c = {self.c}, p = {self.p}")
 
     def value(self, r):
         return np.exp(-self.c * np.power(np.maximum(r, 0.0), self.p))
@@ -140,9 +145,7 @@ class StretchedExponentialProfile(Profile):
     def inv(self, t):
         return np.power(np.log(1.0 / t) / self.c, 1.0 / self.p)
 
-    def moment(self, p):
-        if p <= -1:
-            raise DivergentIntegral("moments need p > -1")
+    def _moment(self, p):
         q = (p + 1.0) / self.p
         return float(gamma(q) / (self.p * self.c ** q))
 
@@ -152,9 +155,7 @@ class StretchedExponentialProfile(Profile):
     def is_regular(self):
         return True
 
-    def scaled(self, lam):
-        if lam <= 0:
-            raise NonpositiveScale(f"scale factor must be positive, got {lam}")
+    def _scaled(self, lam):
         return StretchedExponentialProfile(self.c / lam ** self.p, self.p)
 
 
@@ -174,8 +175,8 @@ class PowerLawProfile(Profile):
     s: float = 1.0
 
     def __post_init__(self):
-        if self.a <= 2 or self.s <= 0:
-            raise ValueError("need a > 2 and s > 0")
+        if not (2.0 < self.a < math.inf and 0.0 < self.s < math.inf):
+            raise ValueError(f"need finite a > 2 and s > 0, got a = {self.a}, s = {self.s}")
 
     def value(self, r):
         return np.power(1.0 + np.maximum(r, 0.0) / self.s, -self.a)
@@ -183,9 +184,7 @@ class PowerLawProfile(Profile):
     def inv(self, t):
         return self.s * (np.power(t, -1.0 / self.a) - 1.0)
 
-    def moment(self, p):
-        if p <= -1:
-            raise DivergentIntegral("moments need p > -1")
+    def _moment(self, p):
         if self.a <= p + 1:
             raise DivergentIntegral(
                 f"tail (1+r/s)^(-{self.a}) is not integrable against r^{p}")
@@ -197,14 +196,13 @@ class PowerLawProfile(Profile):
     def is_regular(self):
         return True
 
-    def scaled(self, lam):
-        if lam <= 0:
-            raise NonpositiveScale(f"scale factor must be positive, got {lam}")
+    def _scaled(self, lam):
         return PowerLawProfile(self.a, self.s * lam)
 
 
 class TableProfile(Profile):
-    """Monotone interpolation through knots; zero beyond the last knot."""
+    """Monotone interpolation through knots; zero beyond the last knot.  Never
+    regular: either discontinuous at the cutoff or not strictly decreasing."""
 
     def __init__(self, knots: Sequence[float], values: Sequence[float]):
         # imported here: scipy.interpolate (and the scipy.optimize it loads)
@@ -213,6 +211,10 @@ class TableProfile(Profile):
 
         knots = np.asarray(knots, dtype=float)
         values = np.asarray(values, dtype=float)
+        if knots.ndim != 1 or len(knots) < 2 or values.shape != knots.shape:
+            raise ValueError("a table needs at least two knots and one value per knot")
+        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
+            raise ValueError("table knots and values must be finite")
         if knots[0] != 0.0 or abs(values[0] - 1.0) > 1e-12:
             raise ValueError("table must start at h(0) = 1")
         if np.any(np.diff(knots) <= 0) or np.any(np.diff(values) > 0):
@@ -244,18 +246,11 @@ class TableProfile(Profile):
         out = np.where(t <= self.values[-1], self.knots[-1], lo)
         return float(out[0]) if scalar else out
 
-    def moment(self, p):
-        if p <= -1:
-            raise DivergentIntegral("moments need p > -1")
+    def _moment(self, p):
         return integrate_interval(lambda r: self.value(r) * np.power(r, p),
                                   0.0, float(self.knots[-1]), 1e-12)
 
-    def is_regular(self):
-        return False  # either discontinuous at the cutoff or not strictly decreasing
-
-    def scaled(self, lam):
-        if lam <= 0:
-            raise NonpositiveScale(f"scale factor must be positive, got {lam}")
+    def _scaled(self, lam):
         return TableProfile(self.knots * lam, self.values)
 
 
@@ -272,7 +267,7 @@ class ScaledProfile(Profile):
     def inv(self, t):
         return self.lam * self.inner.inv(t)
 
-    def moment(self, p):
+    def _moment(self, p):
         return self.lam ** (p + 1) * self.inner.moment(p)
 
     def is_log_concave(self):
@@ -281,9 +276,7 @@ class ScaledProfile(Profile):
     def is_regular(self):
         return self.inner.is_regular()
 
-    def scaled(self, lam):
-        if lam <= 0:
-            raise NonpositiveScale(f"scale factor must be positive, got {lam}")
+    def _scaled(self, lam):
         return ScaledProfile(self.inner, self.lam * lam)
 
 
@@ -304,9 +297,7 @@ class RescaledProfile(Profile):
     def is_regular(self):
         return self.inner.is_regular()
 
-    def scaled(self, lam):
-        if lam <= 0:
-            raise NonpositiveScale(f"scale factor must be positive, got {lam}")
+    def _scaled(self, lam):
         return RescaledProfile(self.inner.scaled(lam), self.alpha, self.alpha_inv)
 
 

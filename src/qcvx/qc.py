@@ -55,6 +55,7 @@ from .errors import (
     InputParse,
     NonpositiveScale,
     NotRotationInvariant,
+    check_scale,
     parsing_input,
 )
 from .grids import GridSpec, SampledField, lattice_convolution
@@ -125,7 +126,7 @@ class QCFunction:
         raise NotImplementedError
 
     def evaluate_many(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return search_heights(self, x)
 
     def bands(self) -> Optional[list[Band]]:
         """Banded decomposition, or None when one does not exist."""
@@ -138,10 +139,11 @@ class QCFunction:
         raise NotImplementedError
 
     def is_log_concave(self) -> bool:
-        raise NotImplementedError
+        return certify_log_concave(self)
 
-    def support_radius(self, t_min: float = 1e-3) -> float:
-        return self.level_set(t_min).bounding_radius()
+    def support_radius(self) -> float:
+        """Radius of a ball about 0 that holds the level set at height 1e-3."""
+        return self.level_set(1e-3).bounding_radius()
 
 
 def _as_point_or_scaled(base: ConvexBody, r: float) -> ConvexBody:
@@ -159,10 +161,11 @@ class LevelStack(QCFunction):
         heights = np.array([t for t, _ in levels], dtype=float)
         bodies = [b for _, b in levels]
         if validate:
-            if abs(heights[0] - 1.0) > HEIGHT_TOL:
+            # negated comparisons, so that a NaN height fails them
+            if not abs(heights[0] - 1.0) <= HEIGHT_TOL:
                 raise ValueError("geometric normalization requires the top height to be 1")
             heights[0] = 1.0  # a top that rounds off 1 would leave a band edge below it
-            if np.any(np.diff(heights) >= 0) or heights[-1] <= 0:
+            if not (np.all(np.diff(heights) < 0) and heights[-1] > 0):
                 raise ValueError("heights must strictly decrease inside (0, 1]")
             if bodies[0].is_empty:
                 raise ValueError("the top level set must be nonempty")
@@ -199,18 +202,13 @@ class LevelStack(QCFunction):
                 for hi, lo, body in zip(self.heights, lows, self.bodies)]
 
     def scale_space(self, lam: float) -> "LevelStack":
-        if lam <= 0:
-            raise NonpositiveScale(f"scale factor must be positive, got {lam}")
         return LevelStack([(float(t), scale(b, lam)) for t, b in zip(self.heights, self.bodies)],
                           validate=False)
 
     def is_rotation_invariant(self):
         return all(b.is_ball or b.is_point for b in self.bodies)
 
-    def is_log_concave(self):
-        return certify_log_concave(self)
-
-    def support_radius(self, t_min: float = 1e-3) -> float:
+    def support_radius(self) -> float:
         return self.bodies[-1].bounding_radius()
 
 
@@ -259,8 +257,8 @@ class RadialQC(QCFunction):
     def is_log_concave(self):
         return self.profile.is_log_concave()
 
-    def support_radius(self, t_min: float = 1e-3) -> float:
-        return float(self.profile.inv(t_min)) * self.base.bounding_radius()
+    def support_radius(self) -> float:
+        return float(self.profile.inv(1e-3)) * self.base.bounding_radius()
 
 
 class SumQC(QCFunction):
@@ -284,9 +282,6 @@ class SumQC(QCFunction):
             acc = body if acc is None else minkowski_sum(acc, body)
         return acc
 
-    def evaluate_many(self, x: np.ndarray) -> np.ndarray:
-        return search_heights(self, x)
-
     def bands(self):
         return list(self._bands)
 
@@ -296,8 +291,6 @@ class SumQC(QCFunction):
                       for b in self._bands])
 
     def scale_space(self, lam: float) -> "SumQC":
-        if lam <= 0:
-            raise NonpositiveScale(f"scale factor must be positive, got {lam}")
         return self.map_coefficients(
             lambda c: c.scaled(lam) if isinstance(c, Profile) else c * lam)
 
@@ -313,8 +306,8 @@ class SumQC(QCFunction):
             return True
         return certify_log_concave(self)
 
-    def support_radius(self, t_min: float = 1e-3) -> float:
-        return max(sum(_coef_at(c, t_min) * base.bounding_radius() for c, base in band.parts)
+    def support_radius(self) -> float:
+        return max(sum(_coef_at(c, 1e-3) * base.bounding_radius() for c, base in band.parts)
                    for band in self._bands)
 
 
@@ -398,9 +391,8 @@ def oplus(f: QCFunction, g: QCFunction) -> QCFunction:
 
 
 def odot(lam: float, f: QCFunction) -> QCFunction:
-    """Induced homothety: every level set scaled by lam."""
-    if lam <= 0:
-        raise NonpositiveScale(f"scale factor must be positive, got {lam}")
+    """Induced homothety: every level set scaled by lam (finite, positive)."""
+    check_scale(lam)
     return f.scale_space(lam)
 
 
@@ -575,11 +567,11 @@ def minkowski_polynomial_fn(fs: Sequence[QCFunction]):
 # log-concavity certification
 # ---------------------------------------------------------------------------
 
-def certify_log_concave(f: QCFunction, heights: Optional[Sequence[float]] = None,
-                        lambdas=(0.25, 0.5, 0.75), tol: float = 1e-7) -> bool:
+def certify_log_concave(f: QCFunction, heights: Optional[Sequence[float]] = None) -> bool:
     """Level-set criterion: lam*K_t + (1-lam)*K_s inside K_{t^lam s^(1-lam)}.
 
-    Exact characterization in the limit; tested here on sampled height pairs.
+    Exact characterization in the limit; tested here on sampled height pairs
+    at lam = 1/4, 1/2 and 3/4, with containment slack 1e-7.
     """
     if heights is None:
         if isinstance(f, LevelStack):
@@ -591,10 +583,10 @@ def certify_log_concave(f: QCFunction, heights: Optional[Sequence[float]] = None
     for i, t in enumerate(heights):
         for s in heights[i + 1:]:
             kt, ks = f.level_set(float(t)), f.level_set(float(s))
-            for lam in lambdas:
+            for lam in (0.25, 0.5, 0.75):
                 mix = minkowski_sum(scale(kt, lam), scale(ks, 1.0 - lam))
                 target = f.level_set(float(t ** lam * s ** (1.0 - lam)))
-                if not contains(target, mix, tol):
+                if not contains(target, mix, 1e-7):
                     return False
     return True
 
@@ -654,7 +646,10 @@ def supmin_bracket(f: QCFunction, g: QCFunction, grid: GridSpec) -> dict:
     exact values everywhere, and matches them up to a two-cell erosion at
     every height whose operand level sets are at least sqrt(2) * step thick.
     A lattice too coarse for any such height (``fat_height`` 0) certifies
-    nothing and is not ``ok``.
+    nothing and is not ``ok``.  The heights scanned are 1 and those of the
+    operands that are stacks (``merged_heights``); a continuous operand adds
+    none, so two continuous operands are judged at height 1 alone, where a
+    radial function's level set is a point, and certify no height.
     """
     field = grid_sup_min(f, g, grid)
     exact = oplus(f, g).evaluate_many(field.grid.points()).reshape(field.values.shape)

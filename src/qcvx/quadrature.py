@@ -40,16 +40,14 @@ def node_cap(max_nodes: int) -> Iterator[None]:
         _NODE_CAP.reset(token)
 
 
-@lru_cache(maxsize=8)
-def _gl_nodes(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+@lru_cache(maxsize=1)
+def _gl_nodes():
+    return np.polynomial.legendre.leggauss(NODES_PER_PANEL)
 
 
-def gl_panel(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-             order: int = NODES_PER_PANEL) -> float:
+def gl_panel(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
     """Single Gauss-Legendre panel on [a, b]."""
-    x, w = _gl_nodes(order)
+    x, w = _gl_nodes()
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return float(half * np.dot(w, fn(mid + half * x)))
 
@@ -61,10 +59,9 @@ def _panel_edges(a: float, b: float, panels: int) -> list[float]:
     return [k * step + a for k in range(panels)] + [b]
 
 
-def integrate_fixed(fn, a: float, b: float, panels: int = 1,
-                    order: int = NODES_PER_PANEL) -> float:
+def integrate_fixed(fn, a: float, b: float, panels: int = 1) -> float:
     edges = _panel_edges(a, b, panels)
-    return sum(gl_panel(fn, lo, hi, order) for lo, hi in zip(edges[:-1], edges[1:]))
+    return sum(gl_panel(fn, lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
 
 
 def integrate_interval(fn, a: float, b: float, rel_tol: float = REL_TOL,
@@ -105,9 +102,9 @@ def integrate_height(fn, lo: float = 0.0, hi: float = 1.0,
     return _tail(g, -np.log(hi), rel_tol, max_nodes, "height integral", " near t = 0")
 
 
-def integrate_radial(fn, rel_tol: float = REL_TOL, max_nodes: int | None = None) -> float:
+def integrate_radial(fn) -> float:
     """Integral of fn(r) dr over [0, inf) on geometrically growing panels."""
-    return _tail(fn, 0.0, rel_tol, max_nodes, "radial integral", "")
+    return _tail(fn, 0.0, REL_TOL, None, "radial integral", "")
 
 
 def _tail(fn, start: float, rel_tol: float, max_nodes, what: str, near: str) -> float:

@@ -87,7 +87,7 @@ class SizeFunctional:
     def quermass(cls, dim: int, k: int) -> "SizeFunctional":
         """W_k as a size functional: k unit-ball references, degree n - k."""
         if not 0 <= k < dim:
-            raise ValueError("quermassintegral index must lie in [0, n)")
+            raise ValueError(f"quermassintegral index must lie in [0, {dim}), got {k}")
         refs = tuple(ConvexBody.ball(1.0, dim) for _ in range(k))
         return cls(dim=dim, degree=dim - k, references=refs, name=f"W{k}")
 

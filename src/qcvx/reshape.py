@@ -44,7 +44,6 @@ from .qc import (
     indicator,
     integral,
     mixed_integral,
-    search_heights,
     terms_at,
 )
 from .quadrature import integrate_height
@@ -131,17 +130,15 @@ class PhiProfile:
         heights = np.asarray(heights, dtype=float)
         return heights, self.value(heights)
 
-    def certify_monotone(self, heights: Optional[Sequence[float]] = None) -> bool:
-        hs, vals = self.sample(heights)
-        order = np.argsort(hs)[::-1]  # descending heights -> increasing values
-        return bool(np.all(np.diff(vals[order]) > 0))
+    def certify_monotone(self) -> bool:
+        _, vals = self.sample()
+        return bool(np.all(np.diff(vals) > 0))
 
 
-def phi_profile(phi: SizeFunctional, f: QCFunction,
-                grid: Optional[Sequence[float]] = None) -> PhiProfile:
+def phi_profile(phi: SizeFunctional, f: QCFunction) -> PhiProfile:
     """Build and certify the size profile of a regular function."""
     prof = PhiProfile(phi, f)
-    if not prof.certify_monotone(grid):
+    if not prof.certify_monotone():
         raise NotRegular("size profile failed the monotonicity certification")
     return prof
 
@@ -337,9 +334,6 @@ class DilatedQC(QCFunction):
         target = math.log(1.0 / t) ** self.phi.degree * self.phi.ball_value()
         return scale(body, (target / size) ** (1.0 / self.phi.degree))
 
-    def evaluate_many(self, x: np.ndarray) -> np.ndarray:
-        return search_heights(self, x)
-
     def is_rotation_invariant(self):
         return self.source.is_rotation_invariant()
 
@@ -379,12 +373,10 @@ def dilate_to_exponential(phi: SizeFunctional, f: QCFunction) -> QCFunction:
     return SumQC(dilated)
 
 
-def dilation_nesting_report(f_tilde: QCFunction,
-                            heights: Optional[Sequence[float]] = None) -> CheckReport:
-    """Certify that the dilated level sets are nested (the monotonicity claim)."""
-    if heights is None:
-        heights = np.geomspace(0.95, 1e-3, 24)
-    heights = np.sort(np.asarray(heights, dtype=float))[::-1]
+def dilation_nesting_report(f_tilde: QCFunction) -> CheckReport:
+    """Certify that the dilated level sets are nested (the monotonicity claim)
+    at 24 geometric heights from 0.95 down to 1e-3."""
+    heights = np.geomspace(0.95, 1e-3, 24)
     failures = 0
     for ta, tb in zip(heights, heights[1:]):
         upper = f_tilde.level_set(float(ta))
@@ -456,17 +448,14 @@ class ParabolicCapQC(QCFunction):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.exp(-(np.abs(x[:, 0]) + x[:, 1] ** 2))
 
-    def scale_space(self, lam: float):
-        raise NotImplementedError("homothety of the worked example is not needed")
-
     def is_rotation_invariant(self):
         return False
 
     def is_log_concave(self):
         return True  # |x| + y^2 is convex
 
-    def support_radius(self, t_min: float = 1e-3) -> float:
-        return math.log(1.0 / t_min)
+    def support_radius(self) -> float:
+        return math.log(1.0 / 1e-3)
 
 
 def parabolic_cap_area_law(t: float) -> float:
@@ -474,12 +463,11 @@ def parabolic_cap_area_law(t: float) -> float:
     return (8.0 / 3.0) * math.log(1.0 / t) ** 1.5
 
 
-def exponential_section_exponent(f_tilde: QCFunction,
-                                 xs: Optional[np.ndarray] = None) -> tuple[float, float]:
+def exponential_section_exponent(f_tilde: QCFunction) -> tuple[float, float]:
     """Fit exp(-C |x|^q) to the section y = 0 of a dilated function by
-    log-log regression; returns (q, C)."""
-    if xs is None:
-        xs = np.geomspace(0.3, 6.0, 25)
+    log-log regression at 25 geometric points of 0.3 <= x <= 6; returns
+    (q, C)."""
+    xs = np.geomspace(0.3, 6.0, 25)
     pts = np.stack([xs, np.zeros_like(xs)], axis=1)
     vals = f_tilde.evaluate_many(pts)
     mask = (vals > 1e-12) & (vals < 1.0 - 1e-12)

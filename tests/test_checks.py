@@ -5,10 +5,13 @@ import math
 
 import pytest
 
-from qcvx.bodies import ConvexBody
+from qcvx import checks
+from qcvx.bodies import ConvexBody, scale
 from qcvx.checks import (
     CHECKS,
+    DEFAULT_TOLS,
     check_af,
+    check_af_bodies,
     check_alexandrov_rearrangement,
     check_bm_rearrangement,
     check_gen_bm,
@@ -384,3 +387,87 @@ def test_one_nan_height_raises():
     with pytest.raises(NumericalFailure, match="bm-rearrangement"):
         judge("bm-rearrangement", "s", tol=1e-9,
               **_levelwise([1.0, 0.5], [1.0, math.nan], [0.5, 0.5], 1e-9, {}))
+
+
+# -- every planted fault of 10 tol is caught -----------------------------------
+#
+# Each case is (draw, check, plant): draw(rng, dim) gives the inputs of an
+# equality case, check(inputs, dim) judges them at the default exact
+# tolerance, and plant(monkeypatch, rel, inputs) shrinks the side that must
+# dominate by the relative amount rel.
+
+def _shrink_sums(mp, rel, inputs):
+    """Phi(P_1 + ... + P_k) of two or more parts, times 1 - rel."""
+    real = SizeFunctional.eval_sum
+
+    def faulty(self, parts):
+        parts = list(parts)
+        value = real(self, parts)
+        return value * (1.0 - rel) if len(parts) > 1 else value
+
+    mp.setattr(SizeFunctional, "eval_sum", faulty)
+
+
+def _shrink_mixed_volume(mp, rel, inputs):
+    real = checks.mixed_volume
+    mp.setattr(checks, "mixed_volume", lambda bodies: real(bodies) * (1.0 - rel))
+
+
+def _shrink_surface_of_input(mp, rel, inputs):
+    """S(f) of the unrearranged input only, times 1 - rel."""
+    real, (f,) = checks.surface_area_fn, inputs
+    mp.setattr(checks, "surface_area_fn",
+               lambda g: real(g) * (1.0 - rel) if g is f else real(g))
+
+
+def _ball_stacks(count):
+    return lambda rng, dim: tuple(random_stack(rng, dim, rotation_invariant=True)
+                                  for _ in range(count))
+
+
+def _polytope_and_homothet(rng, dim):
+    a = random_polytope(rng, dim)
+    return a, scale(a, 1.7)
+
+
+def _degree_two_homothets(rng, dim):
+    a = random_polytope(rng, dim)
+    refs = tuple(random_polytope(rng, dim, origin_interior=True) for _ in range(dim - 2))
+    return SizeFunctional(dim=dim, degree=2, references=refs), [a, scale(a, 1.7)]
+
+
+FAULT_CASES = {
+    "gen-bm": (_ball_stacks(2),
+               lambda fg, dim: check_gen_bm(SizeFunctional.quermass(dim, 1), *fg),
+               _shrink_sums),
+    "bm-rearrangement": (_ball_stacks(2), lambda fg, dim: check_bm_rearrangement(*fg),
+                         _shrink_sums),
+    "gen-bm-bodies": (_polytope_and_homothet,
+                      lambda ab, dim: check_gen_bm_bodies(SizeFunctional.vol(dim), *ab),
+                      _shrink_sums),
+    "af-bodies": (_degree_two_homothets, lambda args, dim: check_af_bodies(*args),
+                  _shrink_mixed_volume),
+    "isoperimetric-qc": (_ball_stacks(1), lambda f, dim: check_isoperimetric_qc(*f),
+                         _shrink_surface_of_input),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("name", sorted(FAULT_CASES))
+def test_a_planted_fault_of_ten_tolerances_is_violated(monkeypatch, name, dim):
+    """In an equality case (rotation-invariant stacks, or a polytope and its
+    1.7-homothet) the check holds with equality; shrinking the side that must
+    dominate by 10 tol makes it violated, with a witness, and by 0.1 tol
+    does not."""
+    draw, check, plant = FAULT_CASES[name]
+    tol = DEFAULT_TOLS.exact
+    for trial in range(10):
+        inputs = draw(rng_for(5, trial), dim)
+        rep = check(inputs, dim)
+        assert rep.name == name and rep.verdict == "holds-with-equality", (trial, rep.margin)
+        for rel, caught in ((10.0 * tol, True), (0.1 * tol, False)):
+            with monkeypatch.context() as mp:
+                plant(mp, rel, inputs)
+                rep = check(inputs, dim)
+            assert (rep.verdict == "violated") is caught, (trial, rel, rep.margin)
+            assert (rep.witness is not None) is caught

@@ -258,6 +258,41 @@ def test_non_finite_body_exits_two_naming_the_value(workdir, capsys):
     assert "must be finite, got nan" in capsys.readouterr().err
 
 
+DISC = {"type": "ball", "radius": 1.0, "dim": 2}
+
+
+def _radial(profile):
+    return {"type": "radial", "base": DISC, "profile": profile}
+
+
+@pytest.mark.parametrize("command,payload,flags,message", [
+    ("integral", _radial({"kind": "exp", "c": math.nan}), [], "got c = nan"),
+    ("integral", _radial({"kind": "stretched", "c": 1.0, "p": math.nan}), [], "p = nan"),
+    ("integral", _radial({"kind": "powerlaw", "a": math.inf, "s": 1.0}), [], "got a = inf"),
+    ("mixed-integral", [_radial({"kind": "exp", "c": math.inf}), EXP_DISC], [],
+     "got c = inf"),
+    ("integral", {"type": "stack", "levels": [{"t": math.nan, "body": DISC}]}, [],
+     "top height to be 1"),
+    ("integral", {"type": "stack", "levels": [{"t": 1.0, "body": DISC}, {"t": math.nan, "body": {
+        "type": "ball", "radius": 2.0, "dim": 2}}]}, [], "strictly decrease"),
+    ("integral", _radial({"kind": "table", "knots": [], "values": []}), [], "two knots"),
+    ("quermass", EXP_DISC, ["--k", "7"], "--k must lie in [0, 2], got 7"),
+    ("quermass", EXP_DISC, ["--k", "-1"], "--k must lie in [0, 2], got -1"),
+    ("rearrange", EXP_DISC, ["--functional", "W2"], "must lie in [0, 2), got 2"),
+    ("rescale", EXP_DISC, ["--phi", "W2", "--match", "f.json"], "must lie in [0, 2), got 2"),
+    ("dilate", EXP_DISC, ["--phi", "W2"], "must lie in [0, 2), got 2"),
+])
+def test_bad_numbers_and_flags_exit_two(workdir, capsys, command, payload, flags, message):
+    """A non-finite profile parameter, a NaN stack height, an empty table, a
+    quermassintegral index outside [0, n] and a W_k flag with k = n are bad
+    input: exit 2 with an input error, never a NaN printed or a traceback."""
+    fn = _write(workdir / "f.json", payload)
+    assert main([command, fn, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") and message in captured.err
+
+
 def test_zero_panels_exits_two(workdir, capsys):
     fn = _write(workdir / "f.json", EXP_DISC)
     assert main(["integral", fn, "--panels", "0"]) == 2

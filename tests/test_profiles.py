@@ -7,10 +7,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import gamma
 
-from qcvx.errors import DivergentIntegral
+from qcvx.errors import DivergentIntegral, NonpositiveScale
 from qcvx.profiles import (
     GaussianProfile,
     PowerLawProfile,
+    RescaledProfile,
+    ScaledProfile,
     StretchedExponentialProfile,
     TableProfile,
     exponential_profile,
@@ -154,3 +156,50 @@ def test_table_profile_validation():
         TableProfile([0.5, 1.0], [1.0, 0.5])     # must start at r = 0
     with pytest.raises(ValueError):
         TableProfile([0.0, 1.0], [1.0, 1.1])     # values must not increase
+
+
+@pytest.mark.parametrize("cls,kwargs", [
+    (StretchedExponentialProfile, {"c": math.nan}),
+    (StretchedExponentialProfile, {"c": math.inf}),
+    (StretchedExponentialProfile, {"c": 1.0, "p": math.nan}),
+    (StretchedExponentialProfile, {"c": 1.0, "p": math.inf}),
+    (PowerLawProfile, {"a": math.nan}),
+    (PowerLawProfile, {"a": math.inf}),
+    (PowerLawProfile, {"a": 3.0, "s": math.inf}),
+    (TableProfile, {"knots": [], "values": []}),
+    (TableProfile, {"knots": [0.0], "values": [1.0]}),
+    (TableProfile, {"knots": [0.0, 1.0], "values": [1.0]}),
+    (TableProfile, {"knots": [0.0, 1.0, 2.0], "values": [1.0, 0.5]}),
+    (TableProfile, {"knots": [0.0, math.nan], "values": [1.0, 0.5]}),
+    (TableProfile, {"knots": [0.0, 1.0], "values": [1.0, math.nan]}),
+    (TableProfile, {"knots": [0.0, math.inf], "values": [1.0, 0.0]}),
+])
+def test_profiles_reject_parameters_that_are_not_finite_or_tables_too_short(cls, kwargs):
+    with pytest.raises(ValueError):
+        cls(**kwargs)
+
+
+FAMILIES = {
+    "stretched": StretchedExponentialProfile(1.5, 1.7),
+    "powerlaw": PowerLawProfile(4.0, 0.5),
+    "table": TableProfile([0.0, 1.0, 2.0], [1.0, 0.5, 0.0]),
+    "scaled": ScaledProfile(GaussianProfile(1.0), 2.0),
+    "rescaled": RescaledProfile(exponential_profile(1.0), np.sqrt, np.square),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_family_takes_the_one_scale_and_moment_rule(family):
+    """``Profile.scaled`` and ``Profile.moment`` hold the only checks: a
+    factor that is not positive is a NonpositiveScale, one that is not finite
+    a ValueError, and a moment of order p <= -1 diverges, in every family."""
+    prof = FAMILIES[family]
+    for lam in (0.0, -1.0):
+        with pytest.raises(NonpositiveScale):
+            prof.scaled(lam)
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            prof.scaled(lam)
+    with pytest.raises(DivergentIntegral):
+        prof.moment(-1.0)
+    assert prof.scaled(2.0).inv(0.5) == pytest.approx(2.0 * prof.inv(0.5), rel=1e-12)

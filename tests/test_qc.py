@@ -235,6 +235,25 @@ def test_odot_identity_and_indicator():
         odot(0.0, f)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: indicator(SQUARE),
+    lambda: EXP_DISC,
+    lambda: epsilon_extension(indicator(SQUARE), 0.5),  # a band of constant parts only
+    lambda: oplus(EXP_DISC, indicator(SQUARE)),
+], ids=["stack", "radial", "constant-band", "sum"])
+def test_odot_is_the_one_scale_check_for_functions(make):
+    """``odot`` rejects a factor that is not finite (ValueError) or not
+    positive (NonpositiveScale) for a stack, a radial function and banded
+    sums, before any ``scale_space`` builds a NaN level set."""
+    f = make()
+    for lam in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            odot(lam, f)
+    for lam in (0.0, -2.0):
+        with pytest.raises(NonpositiveScale):
+            odot(lam, f)
+
+
 @given(st.integers(0, 10_000), st.floats(0.2, 3.0))
 @settings(max_examples=15, deadline=None)
 def test_odot_distributes_over_oplus(seed, lam):
