@@ -39,7 +39,13 @@
         in strictly convex position (interior points, duplicates, joints
         turning near the flat-joint threshold either way, points collinear
         with the mean) with its full-precision vertices, affine rank and
-        area.  The qcvx package is the one Python imports, so set
+        area.  And `quadrature.json`: full-precision integrals that go
+        through the adaptive quadrature, which no check run reaches
+        (`integral`, `mixed_integral`, `quermassintegral_fn` and `odot` on
+        seeded radial, summed and banded functions in 2-D and 3-D, `moment`
+        and `height_integral` of a table and a rescaled profile, a
+        generalized `weight_constant`, and a run inside `node_cap(256)`).
+        The qcvx package is the one Python imports, so set
         PYTHONPATH to pick a checkout; when qcvx does not import, it writes
         nothing and exits 2 with a message that names PYTHONPATH.
 
@@ -47,9 +53,10 @@
         Reports which files are byte-identical and, on the same line,
         whether every verdict is unchanged (the JSONL `verdict` field, the
         CSV `equality_hits` and `violations` tallies, a bracket's `ok`).
-        `dilation.json`, `oracle.json`, `reports.json` and `kernel.json` are
-        compared like the JSONL, one row per level set, section, bracket,
-        report or body.  For each row that differs
+        `dilation.json`, `oracle.json`, `reports.json`, `kernel.json` and
+        `quadrature.json` are compared like the JSONL, one row per level
+        set, section, bracket, report, body or integral record.  For each
+        row that differs
         it lists the check, the trial, the field and the old and new values
         of every field whose relative change exceeds 1e-12 (strings and
         other non-numbers when they differ at all); numeric lists are
@@ -129,6 +136,9 @@ def run(outdir: Path) -> int:
     (outdir / "kernel.json").write_text(json.dumps(_kernel_records()) + "\n",
                                         encoding="utf-8")
     print("kernel.json: written")
+    (outdir / "quadrature.json").write_text(json.dumps(_quadrature_records()) + "\n",
+                                            encoding="utf-8")
+    print("quadrature.json: written")
     return status
 
 
@@ -268,6 +278,74 @@ def _kernel_records() -> list[dict]:
     records.append({"name": "minkowski_polynomial",
                     "coefficients": {",".join(map(str, ms)): c for ms, c in fit.items()}})
     return records + _planar_records()
+
+
+def _quadrature_records() -> list[dict]:
+    """Integrals that go through the adaptive quadrature, which no check run
+    reaches: `integral`, `mixed_integral`, `quermassintegral_fn` and the
+    integral of an `odot` on a seeded radial function, a sum of two and a
+    stack plus a radial function, in 2-D and 3-D; `moment` and
+    `height_integral` of a table and a rescaled profile; a generalized
+    `weight_constant`; and the 2-D functions and the profiles once more
+    inside `node_cap(256)`, with the error of a call that does not settle
+    there."""
+    import numpy as np
+
+    from qcvx.bodies import ConvexBody
+    from qcvx.generators import random_polytope, random_stack
+    from qcvx.profiles import (GaussianProfile, PowerLawProfile, RescaledProfile,
+                               StretchedExponentialProfile, TableProfile, exponential_profile)
+    from qcvx.qc import RadialQC, integral, mixed_integral, odot, oplus, quermassintegral_fn
+    from qcvx.quadrature import node_cap
+    from qcvx.rearrange import SizeFunctional
+
+    def functions(dim):
+        rng = np.random.default_rng(1428 + dim)
+        radial = RadialQC(random_polytope(rng, dim, 8, origin_interior=True),
+                          StretchedExponentialProfile(float(rng.uniform(0.5, 2.0)), 1.6))
+        other = RadialQC(random_polytope(rng, dim, 6, origin_interior=True),
+                         PowerLawProfile(float(rng.uniform(dim + 2.0, 7.0)), 0.8))
+        return {"radial": radial, "summed": oplus(radial, other),
+                "banded": oplus(random_stack(rng, dim, 3), other)}
+
+    def outcome(call):
+        try:
+            return call()
+        except Exception as exc:  # a call that fails is recorded, not fatal
+            return f"{type(exc).__name__}: {exc}"
+
+    def function_records(dim, tag=""):
+        records = []
+        for name in ("radial", "summed", "banded"):
+            rec = {"name": f"{name} {dim}d{tag}",
+                   "integral": outcome(lambda: integral(functions(dim)[name])),
+                   "odot": outcome(lambda: integral(odot(1.7, functions(dim)[name])))}
+            for k in range(1, dim + 1):
+                rec[f"W{k}"] = outcome(lambda: quermassintegral_fn(functions(dim)[name], k))
+            records.append(rec)
+        fs = functions(dim)
+        records.append({"name": f"mixed {dim}d{tag}", "value": outcome(
+            lambda: mixed_integral([fs["banded"], fs["summed"], fs["radial"]][:dim]))})
+        return records
+
+    def profile_records(tag=""):
+        profiles = {"table": TableProfile([0.0, 0.4, 1.1, 2.0, 3.5],
+                                          [1.0, 0.85, 0.4, 0.15, 0.0]),
+                    "rescaled": RescaledProfile(GaussianProfile(1.3), np.sqrt, np.square)}
+        return [{"name": f"profile {name}{tag}",
+                 **{f"moment {p}": outcome(lambda: prof.moment(p)) for p in (0.5, 2.0)},
+                 **{f"height_integral {p}": outcome(lambda: prof.height_integral(p))
+                    for p in (1.5, 3.0)}}
+                for name, prof in profiles.items()]
+
+    records = function_records(2) + function_records(3) + profile_records()
+    weights = (RadialQC(ConvexBody.ball(1.0, 3), GaussianProfile(0.9)),
+               RadialQC(ConvexBody.box([-1] * 3, [1] * 3), exponential_profile(1.4)))
+    records.append({"name": "weight_constant", "value": outcome(
+        lambda: SizeFunctional(dim=3, degree=1, weights=weights).weight_constant)})
+    with node_cap(256):
+        records += function_records(2, " node_cap 256") + profile_records(" node_cap 256")
+    return records
 
 
 PLANAR_KINDS = ("interior", "duplicates", "joint-out", "joint-in", "mean-collinear")

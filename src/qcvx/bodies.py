@@ -53,6 +53,7 @@ from .errors import (
 )
 
 VERTEX_TOL = 1e-10
+COORD_LIMIT = 1e50  # the largest |coordinate| ``polytope`` takes (README)
 UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 
 
@@ -334,6 +335,14 @@ class ConvexBody:
         bad = pts[~np.isfinite(pts)]
         if bad.size:
             raise ValueError(f"polytope vertex coordinates must be finite, got {bad[0]}")
+        bad = pts[np.abs(pts) > COORD_LIMIT]
+        if bad.size:
+            raise ValueError(f"polytope coordinates must lie in ±{COORD_LIMIT:g}, got {bad[0]}")
+        return cls._from_points(pts)
+
+    @classmethod
+    def _from_points(cls, pts: np.ndarray) -> "ConvexBody":
+        """conv of finite points, unchecked: a sum may leave ``COORD_LIMIT``."""
         verts, rank, cache = _extreme_points(pts)
         body = cls(dim=pts.shape[1], kind="polytope", vertices=verts)
         if len(verts) == len(pts):
@@ -591,22 +600,29 @@ def membership_margin(body: ConvexBody, x, tol: float = 1e-9):
     lower-dimensional polytope gives -1 inside and +1 outside.
     """
     x = np.asarray(x, dtype=float)
-    rows = np.atleast_2d(x)
-    if body.is_empty:
-        margins = np.full(len(rows), math.inf)
-    elif body.is_ball:
-        margins = point_norms(rows) - (body.radius + tol * max(1.0, body.radius))
-    else:
-        # coordinates first: numpy reduces along axis 0 several times faster
-        # than along axis 1, and ``affine_values`` reads them without a copy
-        xt = np.ascontiguousarray(rows.T)
-        scale = np.maximum(max(1.0, body.bounding_radius()), np.abs(xt).max(axis=0))
-        if body.affine_rank() == body.dim:
-            A, b = body.facets()
-            margins = affine_values(A, xt.T, -b).max(axis=0) - tol * scale
-        else:
-            margins = _flat_margins(body.vertices, rows, tol * scale)
+    (margins,) = _margins([body], np.atleast_2d(x), tol)
     return float(margins[0]) if x.ndim == 1 else margins
+
+
+def _margins(bodies, rows: np.ndarray, tol: float = 1e-9):
+    """``membership_margin`` of an (m, n) batch against each body in turn;
+    the batch is transposed and its max|x_i| found once for all of them."""
+    if any(body.is_polytope for body in bodies):
+        # coordinates first: faster reductions, and no copy in ``affine_values``
+        xt = np.ascontiguousarray(rows.T)
+        xmax = np.abs(xt).max(axis=0)
+    for body in bodies:
+        if body.is_empty:
+            yield np.full(len(rows), math.inf)
+        elif body.is_ball:
+            yield point_norms(rows) - (body.radius + tol * max(1.0, body.radius))
+        else:
+            scale = np.maximum(max(1.0, body.bounding_radius()), xmax)
+            if body.affine_rank() == body.dim:
+                A, b = body.facets()
+                yield affine_values(A, xt.T, -b).max(axis=0) - tol * scale
+            else:
+                yield _flat_margins(body.vertices, rows, tol * scale)
 
 
 def contains_point(body: ConvexBody, x, tol: float = 1e-9) -> bool:
@@ -643,7 +659,7 @@ def minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
             out.__dict__["_affine_rank"] = 2  # a sum of two polygons is one
             return out
     pts = (a.vertices[:, None, :] + b.vertices[None, :, :]).reshape(-1, a.dim)
-    return ConvexBody.polytope(pts)
+    return ConvexBody._from_points(pts)
 
 
 def scale(a: ConvexBody, lam: float) -> ConvexBody:

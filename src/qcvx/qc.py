@@ -34,6 +34,7 @@ import numpy as np
 from .bodies import (
     VERTEX_TOL,
     ConvexBody,
+    _margins,
     affine_values,
     approx_equal,
     body_from_json,
@@ -192,8 +193,8 @@ class LevelStack(QCFunction):
     def evaluate_many(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.zeros(len(x))
-        for t, body in zip(self.heights[::-1], self.bodies[::-1]):
-            out = np.where(membership_margin(body, x) <= 0.0, t, out)
+        for t, margins in zip(self.heights[::-1], _margins(self.bodies[::-1], x)):
+            out = np.where(margins <= 0.0, t, out)
         return out
 
     def bands(self):
@@ -321,8 +322,7 @@ def search_heights(f: QCFunction, x: np.ndarray) -> np.ndarray:
     per call, and their margins are taken for all rows at once.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    lows = membership_margin(f.level_set(1e-12), x)
-    highs = membership_margin(f.level_set(1.0), x)
+    lows, highs = _margins([f.level_set(1e-12), f.level_set(1.0)], x)
     out = np.where(lows > 0.0, 0.0, 1.0)
     for i in np.flatnonzero((lows <= 0.0) & (highs > 0.0)):
         out[i] = margin_root(lambda t: membership_margin(f.level_set(t), x[i]),

@@ -6,11 +6,14 @@ are doubled until two successive composite estimates agree to 1e-10 relative,
 with a hard cap of 2^14 nodes; integrands that keep growing at the cap raise
 ``DivergentIntegral``.  ``node_cap`` lowers or raises the cap for the calls
 made inside one ``with`` block (the CLI's ``--panels``); outside any block the
-cap is 2^14.
+cap is 2^14.  An integrand takes an array of nodes and must act on each node
+alone: one call covers the 1- and 2-panel rules that every interval forms,
+and in a tail those of the first four panels, which it always reaches.
 """
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache
@@ -45,11 +48,16 @@ def _gl_nodes():
     return np.polynomial.legendre.leggauss(NODES_PER_PANEL)
 
 
-def gl_panel(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
-    """Single Gauss-Legendre panel on [a, b]."""
+def gl_panel(fn: Callable[[np.ndarray], np.ndarray], rules) -> list[float]:
+    """The composite GL rule of each (a, b, panels), from one call of fn on all
+    their nodes; each panel is its own dot product, so no rule sees the others."""
     x, w = _gl_nodes()
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return float(half * np.dot(w, fn(mid + half * x)))
+    lo, hi = np.array([span for a, b, panels in rules
+                       for span in itertools.pairwise(_panel_edges(a, b, panels))]).T
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    vals = np.reshape(fn((mid[:, None] + half[:, None] * x).ravel()), (len(lo), -1))
+    sums = iter([float(h * np.dot(w, v)) for h, v in zip(half, vals)])
+    return [sum(itertools.islice(sums, panels)) for _, _, panels in rules]
 
 
 def _panel_edges(a: float, b: float, panels: int) -> list[float]:
@@ -59,22 +67,19 @@ def _panel_edges(a: float, b: float, panels: int) -> list[float]:
     return [k * step + a for k in range(panels)] + [b]
 
 
-def integrate_fixed(fn, a: float, b: float, panels: int = 1) -> float:
-    edges = _panel_edges(a, b, panels)
-    return sum(gl_panel(fn, lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
-
-
 def integrate_interval(fn, a: float, b: float, rel_tol: float = REL_TOL,
-                       max_nodes: int | None = None) -> float:
-    """Adaptive composite GL on a finite interval, panels doubled until stable."""
+                       max_nodes: int | None = None, opening=None) -> float:
+    """Adaptive composite GL on a finite interval, panels doubled until stable.
+    ``opening`` holds the 1- and 2-panel estimates where ``_tail`` formed them."""
     if b <= a:
         return 0.0
     max_nodes = _NODE_CAP.get() if max_nodes is None else max_nodes
-    panels = 1
-    prev = integrate_fixed(fn, a, b, panels)
+    if opening is None:  # one gl_panel call, the 1-panel rule alone below a cap of 128
+        opening = gl_panel(fn, [(a, b, 1), (a, b, 2)][:1 + (2 * NODES_PER_PANEL <= max_nodes)])
+    panels, prev = 1, opening[0]
     while panels * 2 * NODES_PER_PANEL <= max_nodes:
         panels *= 2
-        cur = integrate_fixed(fn, a, b, panels)
+        cur = opening[1] if panels == 2 else gl_panel(fn, [(a, b, panels)])[0]
         if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
             return cur
         prev = cur
@@ -109,14 +114,21 @@ def integrate_radial(fn) -> float:
 
 def _tail(fn, start: float, rel_tol: float, max_nodes, what: str, near: str) -> float:
     """Integral of fn over [start, inf) on panels of width 1, 2, 4, ..., up to
-    the first panel past start + 4 that adds at most rel_tol of the total;
-    eight growing panels in a row or the node cap raise DivergentIntegral."""
+    the first panel past start + 4 (the fourth or a later one) that adds at
+    most rel_tol of the total; eight growing panels in a row or the node cap
+    raise DivergentIntegral.  So the 1- and 2-panel rules of the first four
+    panels (within the cap) are always formed, in one ``gl_panel`` call."""
     max_nodes = _NODE_CAP.get() if max_nodes is None else max_nodes
-    total, edge, width, used, last, grew = 0.0, start, 1.0, 0, np.inf, 0
-    while used < max_nodes:
-        panel = integrate_interval(fn, edge, edge + width, rel_tol, 4 * NODES_PER_PANEL)
+    edges = itertools.accumulate((1.0, 2.0, 4.0), initial=start)  # edge += width
+    ahead = list(zip(edges, (1.0, 2.0, 4.0, 8.0)))[:-(-max_nodes // NODES_PER_PANEL)]
+    opened = (gl_panel(fn, [(a, a + w, panels) for a, w in ahead for panels in (1, 2)])
+              if ahead and all(a + w > a for a, w in ahead) else [])
+    total, edge, width, k, last, grew = 0.0, start, 1.0, 0, np.inf, 0
+    while k * NODES_PER_PANEL < max_nodes:
+        panel = integrate_interval(fn, edge, edge + width, rel_tol, 4 * NODES_PER_PANEL,
+                                   opened[2 * k:2 * k + 2] or None)
         total += panel
-        used += NODES_PER_PANEL
+        k += 1
         if abs(panel) <= rel_tol * max(abs(total), 1e-300) and edge > start + 4.0:
             return total
         grew = grew + 1 if abs(panel) > abs(last) else 0

@@ -94,8 +94,9 @@ class PhiProfile:
         """Phi of the level set at a height in (0, 1], or at each of an array
         of heights (every entry the float the height gives alone)."""
         ts = np.asarray(t, dtype=float)
-        if not np.all((ts > 0.0) & (ts <= 1.0)):
-            raise HeightOutOfRange(f"height must lie in (0, 1], got {t}")
+        bad = ts[~((ts > 0.0) & (ts <= 1.0))]
+        if bad.size:  # the first one, as a node alone would name it
+            raise HeightOutOfRange(f"height must lie in (0, 1], got {bad[0]}")
         if self._expansion is None:
             self._expansion = band_terms([self.f.bands()[0].parts] * self.phi.degree
                                          + [((1.0, ref),) for ref in self.phi.references])

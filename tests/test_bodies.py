@@ -10,11 +10,13 @@ from scipy.spatial import ConvexHull, QhullError
 
 from qcvx import bodies
 from qcvx.bodies import (
+    COORD_LIMIT,
     VERTEX_TOL,
     ConvexBody,
     _affine_frame,
     _ccw_order,
     _dedupe_rows,
+    _margins,
     _merged_ring,
     _polygon_edges,
     _prune_convex_ring,
@@ -44,7 +46,7 @@ from qcvx.errors import (
     OriginNotInterior,
     UnsupportedMix,
 )
-from qcvx.mixed_volumes import mixed_volume, quermassintegral_body
+from qcvx.mixed_volumes import minkowski_polynomial, mixed_volume, quermassintegral_body
 from qcvx.qc import LevelStack, evaluate
 
 UNIT_SQUARE = ConvexBody.box([0, 0], [1, 1])
@@ -93,6 +95,42 @@ def test_non_finite_input_rejected_at_the_constructors(bad):
         ConvexBody.ball(bad, 2)
     with pytest.raises(ValueError, match=name):
         scale(UNIT_SQUARE, bad)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_polytope_takes_coordinates_up_to_the_limit_and_names_one_beyond(dim):
+    simplex = np.vstack([np.zeros(dim), np.eye(dim)])
+    for edge in (COORD_LIMIT, -COORD_LIMIT):
+        pts = simplex.copy()
+        pts[1, 0] = edge
+        assert ConvexBody.polytope(pts).vertices[:, 0].tolist().count(edge) == 1
+    for beyond in (np.nextafter(COORD_LIMIT, math.inf), -np.nextafter(COORD_LIMIT, math.inf),
+                   1e100, -1e300):
+        pts = simplex.copy()
+        pts[-1, -1] = beyond
+        with pytest.raises(ValueError) as err:
+            ConvexBody.polytope(pts)
+        assert str(err.value).endswith(f"got {float(beyond)!r}")
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sums_and_homothets_of_bodies_at_the_limit_stay_finite(dim):
+    """Products of up to four coordinates stay finite up to about 1e77, so
+    the sums of in-range bodies (built without the range check), their
+    homothets by 1e20 and the Minkowski-polynomial grid are all finite."""
+    rng = np.random.default_rng(77 + dim)
+    ks = []
+    for _ in range(dim):
+        pts = rng.uniform(-1.0, 1.0, (8, dim))
+        ks.append(ConvexBody.polytope(COORD_LIMIT * pts / np.abs(pts).max()))
+    with np.errstate(all="raise"):
+        total = minkowski_sum(minkowski_sum(ks[0], ks[1]), ks[-1])
+        big = scale(ks[0], 1e20)
+        values = [volume(total), quermassintegral_body(total, 1), volume(big),
+                  mixed_volume(ks), mixed_volume([big] + ks[1:]),
+                  *minkowski_polynomial(ks).coefficients.values()]
+    assert np.abs(total.vertices).max() > COORD_LIMIT
+    assert all(math.isfinite(v) and v > 0.0 for v in values)
 
 
 def _vertex_rows(body, points):
@@ -536,6 +574,17 @@ def test_membership_margin_of_a_point_does_not_depend_on_its_batch(name):
             rows = np.arange(size) % len(points)
             got = membership_margin(body, points[rows], tol)
             assert got.tobytes() == alone[rows].tobytes(), (name, tol, size)
+
+
+def test_margins_of_a_batch_against_many_bodies_are_each_bodys_own():
+    """``_margins`` transposes a batch once for all the bodies it meets (the
+    levels of a stack): each body's margins are bitwise its own."""
+    rng = np.random.default_rng(41)
+    planar = [body for body in _batch_free_bodies().values() if body.dim == 2]
+    for size in (1, 7, 6561):
+        points = rng.normal(0.0, 2.0, (size, 2))
+        for body, got in zip(planar, _margins(planar, points)):
+            assert got.tobytes() == membership_margin(body, points).tobytes()
 
 
 def test_planted_knife_edge_points_read_alike_alone_and_in_a_batch():

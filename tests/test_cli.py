@@ -330,15 +330,23 @@ def test_check_into_a_missing_directory_exits_two_before_running(workdir, capsys
     assert len(runs) == 1 and (workdir / "run.jsonl").exists()
 
 
-def test_overflowing_mixed_volume_exits_one(workdir, capsys):
-    bodies = _write(workdir / "bodies.json", [
-        {"type": "polytope", "vertices": [[0, 0], [1e300, 0], [0, 1]]},
-        {"type": "polytope", "vertices": [[0, 0], [1, 0], [0, 1]]},
-    ])
-    assert main(["mixed-volume", bodies]) == 1
+TETRAHEDRON = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("bodies, value", [
+    ([{"type": "polytope", "vertices": [[0, 0], [1e300, 0], [0, 1]]},
+      {"type": "polytope", "vertices": [[0, 0], [1, 0], [0, 1]]}], "1e+300"),
+    ([{"type": "polytope", "vertices": (1e100 * np.array(TETRAHEDRON)).tolist()}] * 3, "1e+100"),
+], ids=["sliver-1e300", "tetrahedra-1e100"])
+def test_coordinates_beyond_the_range_exit_two(workdir, capsys, bodies, value):
+    """Coordinates past ``COORD_LIMIT`` would overflow in the kernel (a 1e300
+    sliver gave a negative mixed volume) or fail in Qhull (a tetrahedron
+    from about 1e80): they are bad input, rejected at ``polytope``."""
+    path = _write(workdir / "bodies.json", bodies)
+    assert main(["mixed-volume", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "not a mixed volume" in captured.err
+    assert captured.err.startswith("input error:") and captured.err.strip().endswith(value)
 
 
 def test_csv_format(workdir, capsys):

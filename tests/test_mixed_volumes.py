@@ -16,7 +16,7 @@ from qcvx.bodies import (
     scale,
     volume,
 )
-from qcvx.errors import ArityMismatch, IndexOutOfRange
+from qcvx.errors import ArityMismatch, IndexOutOfRange, NumericalFailure
 from qcvx.generators import random_stack
 from qcvx.mixed_volumes import (
     _crossing_terms,
@@ -572,3 +572,14 @@ def test_ball_substitute_support_bounds():
     d3 = unit_ball_polytope(3)
     h3 = np.max(d3.vertices @ direction_net(3, 2048).T, axis=0)
     assert np.max(np.abs(h3 - 1)) < 5e-3
+
+
+def test_a_facet_sum_that_overflows_raises_numerical_failure():
+    """Coordinates beyond ``COORD_LIMIT`` no longer reach the kernel through
+    ``polytope``, but ``scale`` still makes them: the sliver (0,0), (1e10,0),
+    (0,1) flattens to a segment, and its 1e150 homothet against a triangle
+    overflows the facet-measure sum, which must raise, not return."""
+    sliver = ConvexBody.polytope([[0, 0], [1e10, 0], [0, 1]])
+    triangle = ConvexBody.polytope([[0, 0], [1, 0], [0, 1]])
+    with pytest.raises(NumericalFailure, match="not a mixed volume"):
+        mixed_volume([scale(sliver, 1e150), triangle])

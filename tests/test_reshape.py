@@ -148,7 +148,8 @@ def test_phi_profile_expands_its_band_once(band_terms_calls):
 
 def test_phi_profile_takes_a_whole_array_of_heights_in_one_pass(monkeypatch):
     """Sampling 128 heights inverts the band's profiles once, not per height;
-    a height outside (0, 1] raises, alone or in an array."""
+    a height outside (0, 1] raises, alone or in an array, and the error names
+    the first such height, as a quadrature node alone would name it."""
     calls = []
 
     def counting(profiles, terms, t):
@@ -160,9 +161,11 @@ def test_phi_profile_takes_a_whole_array_of_heights_in_one_pass(monkeypatch):
     assert len(hs) == len(values) == 128
     assert calls == [1]
     prof = PhiProfile(VOL2, M2)
-    for bad in (0.0, 1.5, -0.5, math.nan, [0.5, 0.0], [1.0, 2.0]):
-        with pytest.raises(HeightOutOfRange):
+    for bad, first in ((0.0, "0.0"), (1.5, "1.5"), (-0.5, "-0.5"), (math.nan, "nan"),
+                       ([0.5, 0.0], "0.0"), ([1.0, 2.0, -1.0], "2.0")):
+        with pytest.raises(HeightOutOfRange) as err:
             prof.value(bad)
+        assert str(err.value).endswith(f"got {first}")
 
 
 def test_report_profile_table_expands_each_band_once(tmp_path, band_terms_calls):
