@@ -44,7 +44,10 @@
         (`integral`, `mixed_integral`, `quermassintegral_fn` and `odot` on
         seeded radial, summed and banded functions in 2-D and 3-D, `moment`
         and `height_integral` of a table and a rescaled profile, a
-        generalized `weight_constant`, and a run inside `node_cap(256)`).
+        generalized `weight_constant`, and a run inside `node_cap(256)`),
+        with the integral of `sdr` and the W1 of `phi_rearrange(W1, .)` of
+        the summed and banded functions and of the stack
+        {1: [-1,1]^2, 0.5: [-2,2]^2} plus exp(-|x|) over the unit disc.
         The qcvx package is the one Python imports, so set
         PYTHONPATH to pick a checkout; when qcvx does not import, it writes
         nothing and exits 2 with a message that names PYTHONPATH.
@@ -288,16 +291,19 @@ def _quadrature_records() -> list[dict]:
     `height_integral` of a table and a rescaled profile; a generalized
     `weight_constant`; and the 2-D functions and the profiles once more
     inside `node_cap(256)`, with the error of a call that does not settle
-    there."""
+    there.  The sums and the stack plus a radial function over the disc
+    also give the integral of their symmetric decreasing rearrangement and
+    the W1 of their W1-rearrangement, which keep those of the function."""
     import numpy as np
 
     from qcvx.bodies import ConvexBody
     from qcvx.generators import random_polytope, random_stack
     from qcvx.profiles import (GaussianProfile, PowerLawProfile, RescaledProfile,
                                StretchedExponentialProfile, TableProfile, exponential_profile)
-    from qcvx.qc import RadialQC, integral, mixed_integral, odot, oplus, quermassintegral_fn
+    from qcvx.qc import (LevelStack, RadialQC, integral, mixed_integral, odot, oplus,
+                         quermassintegral_fn)
     from qcvx.quadrature import node_cap
-    from qcvx.rearrange import SizeFunctional
+    from qcvx.rearrange import SizeFunctional, phi_rearrange, sdr
 
     def functions(dim):
         rng = np.random.default_rng(1428 + dim)
@@ -314,6 +320,11 @@ def _quadrature_records() -> list[dict]:
         except Exception as exc:  # a call that fails is recorded, not fatal
             return f"{type(exc).__name__}: {exc}"
 
+    def rearranged(f):
+        w1 = SizeFunctional.quermass(f.dim, 1)
+        return {"sdr integral": outcome(lambda: integral(sdr(f))),
+                "W1 rearranged": outcome(lambda: w1.eval_fn(phi_rearrange(w1, f)))}
+
     def function_records(dim, tag=""):
         records = []
         for name in ("radial", "summed", "banded"):
@@ -322,6 +333,8 @@ def _quadrature_records() -> list[dict]:
                    "odot": outcome(lambda: integral(odot(1.7, functions(dim)[name])))}
             for k in range(1, dim + 1):
                 rec[f"W{k}"] = outcome(lambda: quermassintegral_fn(functions(dim)[name], k))
+            if name != "radial":
+                rec.update(rearranged(functions(dim)[name]))
             records.append(rec)
         fs = functions(dim)
         records.append({"name": f"mixed {dim}d{tag}", "value": outcome(
@@ -339,6 +352,11 @@ def _quadrature_records() -> list[dict]:
                 for name, prof in profiles.items()]
 
     records = function_records(2) + function_records(3) + profile_records()
+    stack = LevelStack([(1.0, ConvexBody.box([-1.0] * 2, [1.0] * 2)),
+                        (0.5, ConvexBody.box([-2.0] * 2, [2.0] * 2))])
+    pair = oplus(stack, RadialQC(ConvexBody.ball(1.0, 2), exponential_profile(1.0)))
+    records.append({"name": "stack+disc 2d", "integral": outcome(lambda: integral(pair)),
+                    "W1": outcome(lambda: quermassintegral_fn(pair, 1)), **rearranged(pair)})
     weights = (RadialQC(ConvexBody.ball(1.0, 3), GaussianProfile(0.9)),
                RadialQC(ConvexBody.box([-1] * 3, [1] * 3), exponential_profile(1.4)))
     records.append({"name": "weight_constant", "value": outcome(

@@ -5,7 +5,12 @@ are canonicalized at construction by one rule, free of scale and position
 (``_resolution``, ``_extreme_points``): the survivors are input rows, sorted
 lexicographically, which makes structural equality testable.  Non-finite
 coordinates, radii and scale factors are rejected with a ValueError that names
-the value.
+the value.  The rule's absolute term, 64 ulps of max|x|, sets the small end:
+a body collapses along every direction in which it is thinner than ten times
+that, about 1.4e-13 * max|x| (a triangle of width w at (c, c) is a segment
+below w / c = 2.45e-13 and a point below 1.42e-13); at the origin the term
+scales with the body, which keeps its rank while its volume underflows (0.0
+for a triangle at scale 1e-162 and a tetrahedron at 2.2e-108).
 
 The sum of two full-dimensional polygons merges their edges by angle: each
 sum vertex is a vertex pair ``a[i] + b[j]``, the same floats the hull of all
@@ -396,7 +401,12 @@ class ConvexBody:
             return 0.0
         if self.is_ball:
             return self.radius
-        return float(np.max(np.linalg.norm(self.vertices, axis=1)))
+        with np.errstate(over="ignore"):  # squares of coordinates beyond 1e154
+            radius = float(np.max(np.linalg.norm(self.vertices, axis=1)))
+        if radius == math.inf:
+            unit = float(np.abs(self.vertices).max())
+            radius = unit * float(np.max(np.linalg.norm(self.vertices / unit, axis=1)))
+        return radius
 
     def affine_rank(self) -> int:
         if self.is_empty:

@@ -8,7 +8,8 @@ sorted, no timestamps).  Each subcommand takes only the flags its handler
 reads, so any other flag is an argparse error (exit 2).  Every flag applies
 to its own call only: handlers read the validated ``RunConfig``, the
 tolerances travel into the checks as arguments and ``--panels`` caps
-quadrature inside a ``quadrature.node_cap`` block.
+quadrature inside a ``quadrature.node_cap`` block.  ``oplus`` and ``dilate``
+print a banded result exactly, in the output-only ``sum`` form.
 """
 
 from __future__ import annotations
@@ -35,9 +36,7 @@ from .grids import GridSpec
 from .mixed_volumes import minkowski_polynomial, mixed_volume
 from .profiles import exponential_profile
 from .qc import (
-    LevelStack,
     RadialQC,
-    as_stack,
     epsilon_extension,
     fn_from_json,
     fn_to_json,
@@ -186,13 +185,7 @@ def cmd_quermass(args, config: RunConfig) -> int:
 def cmd_oplus(args, config: RunConfig) -> int:
     f = fn_from_json(_load_json(args.f))
     g = fn_from_json(_load_json(args.g))
-    s = oplus(f, g)
-    if not isinstance(s, (LevelStack, RadialQC)):
-        s = as_stack(s, np.geomspace(1.0, 1e-3, 64))
-    payload = fn_to_json(s)
-    if not args.emit_levels and payload.get("type") == "stack":
-        payload = {"type": "stack", "levels": f"<{len(s.heights)} levels suppressed>"}
-    _emit(payload, args)
+    _emit(fn_to_json(oplus(f, g)), args)
     return 0
 
 
@@ -287,8 +280,6 @@ def cmd_dilate(args, config: RunConfig) -> int:
     phi = _functional_from_flag(args.phi, f.dim)
     ft = dilate_to_exponential(phi, f)
     report = dilation_nesting_report(ft)
-    if not isinstance(ft, (LevelStack, RadialQC)):
-        ft = as_stack(ft, np.geomspace(1.0 - 1e-9, 1e-3, 64))
     _emit({"function": fn_to_json(ft), "report": json.loads(report.to_json())}, args)
     return 0 if report.ok else 1
 
@@ -372,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("oplus", cmd_oplus, "level-set sum of two functions")
     p.add_argument("f")
     p.add_argument("g")
-    p.add_argument("--emit-levels", action="store_true")
 
     p = command("oracle-compare", cmd_oracle_compare,
                 "level-set oplus vs brute-force sup-min lattice oracle")

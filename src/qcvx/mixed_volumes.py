@@ -350,22 +350,23 @@ def mixed_volume(bodies) -> float:
     # from here on at most one ball remains, in a distinct triple
     groups = _group_distinct(bodies) if balls else others
     if len(groups) == 1:
-        return volume(groups[0][0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        if len(groups) == 2:
-            (k, _), (l, _) = sorted(groups, key=lambda g: -g[1])
-            terms = [_facet_terms(k, l, 1.0 / n)]
-        else:
-            terms = _crossing_terms([g[0] for g in groups])
-        if terms is None:
-            # the h slot takes the ball, else the body with most vertices, so
-            # the one Minkowski sum is the smallest
-            k, l, m = sorted((g[0] for g in groups),
-                             key=lambda b: math.inf if b.is_ball else len(b.vertices))
-            terms = [_facet_terms(minkowski_sum(k, l), m, 1.0 / 6.0),
-                     _facet_terms(k, m, -1.0 / 6.0), _facet_terms(l, m, -1.0 / 6.0)]
-        total = float(sum(t.sum() for t in terms))
-        magnitude = float(sum(np.abs(t).sum() for t in terms))
+        total = magnitude = volume(groups[0][0])
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if len(groups) == 2:
+                (k, _), (l, _) = sorted(groups, key=lambda g: -g[1])
+                terms = [_facet_terms(k, l, 1.0 / n)]
+            else:
+                terms = _crossing_terms([g[0] for g in groups])
+            if terms is None:
+                # the h slot takes the ball, else the body with most vertices,
+                # so the one Minkowski sum is the smallest
+                k, l, m = sorted((g[0] for g in groups),
+                                 key=lambda b: math.inf if b.is_ball else len(b.vertices))
+                terms = [_facet_terms(minkowski_sum(k, l), m, 1.0 / 6.0),
+                         _facet_terms(k, m, -1.0 / 6.0), _facet_terms(l, m, -1.0 / 6.0)]
+            total = float(sum(t.sum() for t in terms))
+            magnitude = float(sum(np.abs(t).sum() for t in terms))
     # a mixed volume is nonnegative: only round-off may take the sum below 0
     if not (math.isfinite(total) and math.isfinite(magnitude)) or total < -1e-12 * magnitude:
         raise NumericalFailure(

@@ -364,16 +364,6 @@ def merged_heights(*fs: QCFunction, extra: Sequence[float] = ()) -> np.ndarray:
     return np.array(keep)
 
 
-def as_stack(f: QCFunction, heights: Sequence[float]) -> LevelStack:
-    """Sample f onto a height grid (inner approximation within each band).
-
-    The level set stored for a band is the exact one at the band's top, so
-    the sampled stack sits below f pointwise; the gap at height t is bounded
-    by the radius modulus of f over one band.
-    """
-    return LevelStack([(float(t), f.level_set(float(t))) for t in heights], validate=False)
-
-
 def oplus(f: QCFunction, g: QCFunction) -> QCFunction:
     """Levelwise Minkowski addition (sup-min convolution of geometric f, g)."""
     if f.dim != g.dim:
@@ -679,6 +669,9 @@ def supmin_bracket(f: QCFunction, g: QCFunction, grid: GridSpec) -> dict:
 # ---------------------------------------------------------------------------
 
 def fn_to_json(f: QCFunction) -> dict:
+    """JSON of a stack, a radial function or a ``SumQC``, whose bands run top
+    first in {"type": "sum", "bands": [{"lo", "hi", "parts": [{"coef",
+    "body"}]}]}, a form for output only (``fn_from_json`` refuses it)."""
     if isinstance(f, LevelStack):
         return {"type": "stack",
                 "levels": [{"t": float(t), "body": body_to_json(b)}
@@ -686,6 +679,10 @@ def fn_to_json(f: QCFunction) -> dict:
     if isinstance(f, RadialQC):
         return {"type": "radial", "base": body_to_json(f.base),
                 "profile": profile_to_json(f.profile)}
+    if isinstance(f, SumQC):
+        return {"type": "sum", "bands": [{"lo": b.lo, "hi": b.hi, "parts": [
+            {"coef": profile_to_json(c) if isinstance(c, Profile) else c,
+             "body": body_to_json(base)} for c, base in b.parts]} for b in f.bands()]}
     raise ValueError(f"{type(f).__name__} has no JSON form")
 
 

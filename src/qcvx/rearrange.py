@@ -30,12 +30,14 @@ import numpy as np
 from .bodies import ConvexBody, body_from_json
 from .errors import ArityMismatch, DegenerateBody, DimensionMismatch, parsing_input
 from .mixed_volumes import _multiset_multiplicity, mixed_volume
+from .profiles import Profile
 from .qc import (
     Band,
     LevelStack,
     QCFunction,
     RadialQC,
     SumQC,
+    band_terms,
     indicator,
     mixed_integral,
     terms_at,
@@ -147,6 +149,14 @@ class SizeFunctional:
             total += ways * measure([parts[i] for i in ms] + fixed)
         return total if const is None else const * total
 
+    def band_size(self, parts):
+        """t -> Phi(K_t), one value per height of t (constant factors alone
+        too), K_t the sum of coef(t) * base over a band's parts, expanded once
+        (``band_terms``); each call inverts each distinct profile once."""
+        const, profiles, terms = band_terms([tuple(parts)] * self.degree
+                                            + [((1.0, ref),) for ref in self.references])
+        return lambda t: self.weight_constant * (const + terms_at(profiles, terms, t) + 0.0 * t)
+
     def eval_body(self, a: ConvexBody) -> float:
         """Phi(A) = V(A, ..., A, references), weighted by C when generalized."""
         return self.eval_sum([a])
@@ -180,13 +190,28 @@ def ball_rearrange(phi: SizeFunctional, a: ConvexBody) -> ConvexBody:
     return ConvexBody.ball(ball_radius(phi, [a]), phi.dim)
 
 
+class PhiBallProfile(Profile):
+    """Radius (Phi(K_t) / Phi(D))^(1/m) of the Phi-balls of one band's level
+    sets K_t; only ``inv``, as a band coefficient is asked for nothing else."""
+
+    def __init__(self, phi: SizeFunctional, parts):
+        self.phi, self.parts, self._size = phi, tuple(parts), phi.band_size(parts)
+
+    def inv(self, t):
+        return (self._size(t) / self.phi.ball_value()) ** (1.0 / self.phi.degree)
+
+    def is_log_concave(self):
+        # Phi^(1/m) is concave under Minkowski combination (Brunn-Minkowski)
+        return all(not isinstance(c, Profile) or c.is_log_concave() for c, _ in self.parts)
+
+
 def phi_rearrange(phi: SizeFunctional, f: QCFunction) -> QCFunction:
     """Levelwise ball rearrangement f^Phi (rotation invariant, same Phi-size).
 
-    Exact wherever every band is homothetic (``Band.homothetic_base``):
-    Phi(sum_k c_k B) = (sum_k c_k)^m Phi(B), so each base goes to its
-    Phi-ball and the coefficients stay.  A band that mixes shapes is
-    sampled at 64 heights into a stack.
+    A stack goes to the stack of its levels' Phi-balls, a radial function
+    to the one over its base's Phi-ball, and any other banded function to
+    one part per band, its ``PhiBallProfile`` times the unit ball.  A
+    function without bands raises TypeError.
     """
     if isinstance(f, LevelStack):
         return LevelStack(
@@ -195,13 +220,10 @@ def phi_rearrange(phi: SizeFunctional, f: QCFunction) -> QCFunction:
     if isinstance(f, RadialQC):
         return RadialQC(ConvexBody.ball(ball_radius(phi, [f.base]), f.dim), f.profile)
     bands = f.bands()
-    if bands is not None and all(b.homothetic_base() is not None for b in bands):
-        return SumQC([Band(b.lo, b.hi, tuple((c, ball_rearrange(phi, base))
-                                             for c, base in b.parts))
-                      for b in bands])
-    heights = np.geomspace(1.0, 1e-3, 64)
-    return LevelStack([(float(t), ball_rearrange(phi, f.level_set(float(t))))
-                       for t in heights], validate=False)
+    if bands is None:
+        raise TypeError(f"cannot rearrange {type(f).__name__}: it has no bands")
+    ball = ConvexBody.ball(1.0, f.dim)
+    return SumQC([Band(b.lo, b.hi, ((PhiBallProfile(phi, b.parts), ball),)) for b in bands])
 
 
 def sdr(f: QCFunction) -> QCFunction:

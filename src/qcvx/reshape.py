@@ -12,14 +12,14 @@ log-concave input but can leave log-concavity (see ParabolicCapQC for the
 worked example that does).
 
 Size profiles are evaluated through ``PhiProfile``, which expands the one
-band of a regular function by multilinearity once; each height then costs
-one inversion per distinct profile of that band.
+band of a regular function once (``SizeFunctional.band_size``); each height
+then costs one inversion per distinct profile of that band.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,12 +39,10 @@ from .qc import (
     RadialQC,
     SumQC,
     _as_point_or_scaled,
-    band_terms,
     certify_log_concave,
     indicator,
     integral,
     mixed_integral,
-    terms_at,
 )
 from .quadrature import integrate_height
 from .rearrange import SizeFunctional
@@ -73,15 +71,12 @@ class PhiProfile:
     with an exact inverse; carries a monotonicity certification grid.
 
     Phi(K_t) = C * V(K_t, ..., K_t, refs) is multilinear in the radii of
-    the parts of f's one band, so the band is expanded (``band_terms``) the
-    first time a height is asked for and the expansion kept on the instance;
-    after that an array of heights costs one inversion per distinct profile
-    of the band.
+    the parts of f's one band, expanded once at construction (``band_size``);
+    an array of heights then costs one inversion per distinct profile.
     """
 
     phi: SizeFunctional
     f: QCFunction
-    _expansion: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_regular(self.f):
@@ -89,6 +84,7 @@ class PhiProfile:
                 "size profiles need a regular function (radial with a continuous, "
                 "strictly decreasing, vanishing profile); step functions have a "
                 "step profile, use the dilation instead")
+        self._size = self.phi.band_size(self.f.bands()[0].parts)
 
     def value(self, t):
         """Phi of the level set at a height in (0, 1], or at each of an array
@@ -97,13 +93,7 @@ class PhiProfile:
         bad = ts[~((ts > 0.0) & (ts <= 1.0))]
         if bad.size:  # the first one, as a node alone would name it
             raise HeightOutOfRange(f"height must lie in (0, 1], got {bad[0]}")
-        if self._expansion is None:
-            self._expansion = band_terms([self.f.bands()[0].parts] * self.phi.degree
-                                         + [((1.0, ref),) for ref in self.phi.references])
-        const, profiles, terms = self._expansion
-        if ts.ndim == 0:
-            return self.phi.weight_constant * float(const + terms_at(profiles, terms, float(ts)))
-        return self.phi.weight_constant * (const + terms_at(profiles, terms, ts))
+        return float(self._size(float(ts))) if ts.ndim == 0 else self._size(ts)
 
     def inverse(self, v: float) -> float:
         """The height at which the profile equals v."""

@@ -133,6 +133,48 @@ def test_sums_and_homothets_of_bodies_at_the_limit_stay_finite(dim):
     assert all(math.isfinite(v) and v > 0.0 for v in values)
 
 
+@pytest.mark.parametrize("c", [1.0, 1e6])
+def test_a_small_triangle_away_from_the_origin_flattens_then_collapses(c):
+    """The rank counts singular values above 10 x 64 ulps of max|x|, about
+    1.4e-13 c for a body at (c, c): a right triangle of width w keeps its
+    three vertices at w / c = 2.5e-13, is a segment at 2e-13 and a point
+    at 1e-13, whatever c."""
+    def triangle(ratio):
+        w = ratio * c
+        return ConvexBody.polytope([[c, c], [c + w, c], [c, c + w]])
+
+    for ratio, nverts, rank in ((2.5e-13, 3, 2), (2.0e-13, 2, 1), (1.0e-13, 1, 0)):
+        body = triangle(ratio)
+        assert (len(body.vertices), body.affine_rank()) == (nverts, rank)
+
+
+def test_a_small_body_at_the_origin_keeps_its_rank_but_its_volume_underflows():
+    """At the origin the resolution scales with the body, so it never
+    collapses; its volume leaves the normal range instead.  The triangle's
+    area is positive at lam = 3.2e-162 and 0.0 at 1e-162; the
+    tetrahedron's volume is exact to round-off at 1e-100, more than 0.1%
+    off at 1e-107, positive at 2.5e-108 and 0.0 at 2.2e-108.  A body of
+    full rank and zero size makes ``ball_radius`` raise."""
+    from qcvx.errors import DegenerateBody
+    from qcvx.rearrange import SizeFunctional, ball_radius
+
+    triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    tetrahedron = np.vstack([np.zeros(3), np.eye(3)])
+    assert volume(ConvexBody.polytope(3.2e-162 * triangle)) > 0.0
+    # volume / lam^3 in normal floats: 6 * vol * 1e300 (* 1e21) against 1
+    assert 6.0 * volume(ConvexBody.polytope(1e-100 * tetrahedron)) * 1e300 == pytest.approx(
+        1.0, rel=1e-15)
+    assert 6.0 * volume(ConvexBody.polytope(1e-107 * tetrahedron)) * 1e300 * 1e21 != \
+        pytest.approx(1.0, rel=1e-3)
+    assert volume(ConvexBody.polytope(2.5e-108 * tetrahedron)) > 0.0
+    for lam, pts in ((1e-162, triangle), (2.2e-108, tetrahedron)):
+        body = ConvexBody.polytope(lam * pts)
+        dim = pts.shape[1]
+        assert (len(body.vertices), body.affine_rank(), volume(body)) == (dim + 1, dim, 0.0)
+        with pytest.raises(DegenerateBody):
+            ball_radius(SizeFunctional.vol(dim), [body])
+
+
 def _vertex_rows(body, points):
     """Indices of the input rows that are vertices of the body, bitwise."""
     keys = {v.tobytes() for v in body.vertices}

@@ -57,15 +57,68 @@ def test_integral_and_mixed_integral(workdir, capsys):
         2 * math.pi, rel=1e-10)
 
 
-def test_oplus_emit_levels(workdir, capsys):
-    stack = {"type": "stack", "levels": [{"t": 1.0, "body": SQUARE}]}
-    f = _write(workdir / "f.json", stack)
-    g = _write(workdir / "g.json", stack)
-    assert main(["oplus", f, g, "--emit-levels"]) == 0
+BIG_SQUARE = {"type": "polytope", "vertices": [[-2, -2], [2, -2], [2, 2], [-2, 2]]}
+UNIT_SQUARE = {"type": "polytope", "vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]]}
+TWO_SQUARES = {"type": "stack", "levels": [{"t": 1.0, "body": UNIT_SQUARE},
+                                           {"t": 0.5, "body": BIG_SQUARE}]}
+
+
+def _sum_from_json(obj):
+    """The SumQC that a printed ``sum`` form describes."""
+    from qcvx.bodies import body_from_json
+    from qcvx.profiles import profile_from_json
+    from qcvx.qc import Band, SumQC
+    return SumQC([Band(b["lo"], b["hi"], tuple(
+        (profile_from_json(p["coef"]) if isinstance(p["coef"], dict) else p["coef"],
+         body_from_json(p["body"])) for p in b["parts"])) for b in obj["bands"]])
+
+
+def test_oplus_of_two_stacks_prints_every_level(workdir, capsys):
+    f = _write(workdir / "f.json", TWO_SQUARES)
+    g = _write(workdir / "g.json", {"type": "stack", "levels": [
+        {"t": 1.0, "body": SQUARE}, {"t": 0.25, "body": UNIT_SQUARE}]})
+    assert main(["oplus", f, g]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["type"] == "stack"
-    verts = np.array(out["levels"][0]["body"]["vertices"])
-    assert verts.max() == pytest.approx(2.0)
+    assert [lv["t"] for lv in out["levels"]] == [1.0, 0.5, 0.25]
+    # [-1,1]^2 + [0,1]^2, [-2,2]^2 + [0,1]^2, [-2,2]^2 + [-1,1]^2
+    assert [np.array(lv["body"]["vertices"]).max() for lv in out["levels"]] == [2.0, 3.0, 3.0]
+
+
+def test_oplus_of_a_stack_and_a_disc_prints_the_exact_sum(workdir, capsys):
+    from qcvx.qc import fn_from_json, integral, oplus
+    f = _write(workdir / "f.json", TWO_SQUARES)
+    g = _write(workdir / "g.json", EXP_DISC)
+    assert main(["oplus", f, g]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["type"] == "sum"
+    assert [(b["lo"], b["hi"]) for b in out["bands"]] == [(0.5, 1.0), (0.0, 0.5)]
+    exact = integral(oplus(fn_from_json(TWO_SQUARES), fn_from_json(EXP_DISC)))
+    assert integral(_sum_from_json(out)) == exact
+
+
+def test_a_printed_sum_is_not_an_input(workdir, capsys):
+    f = _write(workdir / "f.json", TWO_SQUARES)
+    g = _write(workdir / "g.json", EXP_DISC)
+    assert main(["oplus", f, g]) == 0
+    printed = workdir / "sum.json"
+    printed.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main(["integral", str(printed)]) == 2
+    assert "input error: unknown function type 'sum'" in capsys.readouterr().err
+
+
+def test_dilate_of_a_square_prints_one_exponential_band(workdir, capsys):
+    f = _write(workdir / "f.json", {"type": "stack", "levels": [{"t": 1.0, "body": UNIT_SQUARE}]})
+    assert main(["dilate", f]) == 0
+    out = json.loads(capsys.readouterr().out)
+    (band,) = out["function"]["bands"]
+    (part,) = band["parts"]
+    assert out["function"]["type"] == "sum" and (band["lo"], band["hi"]) == (0.0, 1.0)
+    # exp(-2 |x|_K / sqrt(pi)) over the square K of area 4: its level set at
+    # t has the area pi log(1/t)^2 of the exponential law
+    assert part["coef"]["kind"] == "exp"
+    assert part["coef"]["c"] == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-12)
+    assert part["body"]["vertices"] == [[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]
 
 
 def test_oracle_compare(workdir, capsys):
@@ -468,6 +521,7 @@ def test_the_scripted_argv_forms_parse_into_the_run_config(argv):
     ["integral", "f.json", "--dim", "3"],
     ["duality-check", "phi.json", "--seed", "1"],
     ["oplus", "f.json", "f.json", "--panels", "8"],  # oplus never reaches quadrature
+    ["oplus", "f.json", "f.json", "--emit-levels"],  # oplus prints every level
     ["oracle-compare", "f.json", "f.json", "--panels", "8"],
     ["check", "all", "--format", "csv"],          # check writes JSONL and CSV itself
     ["report", "--format", "csv"],

@@ -583,3 +583,19 @@ def test_a_facet_sum_that_overflows_raises_numerical_failure():
     triangle = ConvexBody.polytope([[0, 0], [1, 0], [0, 1]])
     with pytest.raises(NumericalFailure, match="not a mixed volume"):
         mixed_volume([scale(sliver, 1e150), triangle])
+
+
+def test_a_homothet_whose_norm_overflows_raises_numerical_failure():
+    """The squares in the norm of a 1e160 homothet overflow; its bounding
+    radius is taken in units of its largest coordinate instead, so the
+    homothet is not judged equal to the triangle, and a mixed volume that
+    overflows raises, one group or two; 1e150 still gives lam / 2."""
+    triangle = ConvexBody.polytope([[0, 0], [1, 0], [0, 1]])
+    for lam in (1e160, 1e200, 1e300):
+        assert scale(triangle, lam).bounding_radius() == lam
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(NumericalFailure, match="not a mixed volume"):
+                mixed_volume([scale(triangle, lam), triangle])
+    with pytest.warns(RuntimeWarning), pytest.raises(NumericalFailure, match="not a mixed"):
+        mixed_volume([scale(triangle, 1e160)] * 2)  # the area overflows
+    assert mixed_volume([scale(triangle, 1e150), triangle]) == 5e149

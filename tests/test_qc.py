@@ -39,7 +39,6 @@ from qcvx.qc import (
     SumQC,
     _band_at,
     _eroded,
-    as_stack,
     band_terms,
     certify_log_concave,
     epsilon_extension,
@@ -700,15 +699,6 @@ def test_epsilon_extension_over_a_ball_is_flagged_log_concave(monkeypatch):
     monkeypatch.setattr(qc, "certify_log_concave", refuse)
     fe = epsilon_extension(EXP_DISC, 0.5)
     assert isinstance(fe, SumQC) and fe.is_log_concave()
-
-
-# -- sampling ------------------------------------------------------------------
-
-def test_as_stack_inner_approximation():
-    heights = np.geomspace(1.0, 1e-2, 32)
-    approx = as_stack(EXP_DISC, heights)
-    pts = np.random.default_rng(0).uniform(-3, 3, (50, 2))
-    assert np.all(approx.evaluate_many(pts) <= EXP_DISC.evaluate_many(pts) + 1e-12)
 
 
 # -- banded sums of stacks, radial and dilated functions -------------------------

@@ -10,7 +10,7 @@ from qcvx import quadrature
 from qcvx.errors import HeightOutOfRange, NonInvertibleProfile, NotLogConcave, NotRegular
 from qcvx.generators import random_radial, rng_for
 from qcvx.profiles import GaussianProfile, exponential_profile
-from qcvx import reshape
+from qcvx import rearrange
 from qcvx.cli import main
 from qcvx.qc import RadialQC, SumQC, band_terms, indicator, integral, oplus, terms_at
 from qcvx.rearrange import SizeFunctional
@@ -117,7 +117,7 @@ def band_terms_calls(monkeypatch):
         calls.append(slots)
         return band_terms(slots)
 
-    monkeypatch.setattr(reshape, "band_terms", counting)
+    monkeypatch.setattr(rearrange, "band_terms", counting)
     return calls
 
 
@@ -156,7 +156,7 @@ def test_phi_profile_takes_a_whole_array_of_heights_in_one_pass(monkeypatch):
         calls.append(np.ndim(t))
         return terms_at(profiles, terms, t)
 
-    monkeypatch.setattr(reshape, "terms_at", counting)
+    monkeypatch.setattr(rearrange, "terms_at", counting)
     hs, values = PhiProfile(VOL2, GAUSS2).sample()
     assert len(hs) == len(values) == 128
     assert calls == [1]
