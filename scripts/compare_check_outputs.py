@@ -47,7 +47,13 @@
         generalized `weight_constant`, and a run inside `node_cap(256)`),
         with the integral of `sdr` and the W1 of `phi_rearrange(W1, .)` of
         the summed and banded functions and of the stack
-        {1: [-1,1]^2, 0.5: [-2,2]^2} plus exp(-|x|) over the unit disc.
+        {1: [-1,1]^2, 0.5: [-2,2]^2} plus exp(-|x|) over the unit disc;
+        then the seeded 2-D sum rescaled to match exp(-|x|) over the unit
+        disc (its `match_residual` and integral), the integral of
+        `odot(1.7, sdr(.))` of the 2-D and 3-D sums and of `sdr` of that
+        stack extended by 0.5, and the `is_log_concave` flags of the
+        table profiles [0, 1, 2] -> [1, 0.5, 0], (1 + r)^-3 and exp(-r),
+        the last two at 17 knots on [0, 8].
         The qcvx package is the one Python imports, so set
         PYTHONPATH to pick a checkout; when qcvx does not import, it writes
         nothing and exits 2 with a message that names PYTHONPATH.
@@ -293,17 +299,24 @@ def _quadrature_records() -> list[dict]:
     inside `node_cap(256)`, with the error of a call that does not settle
     there.  The sums and the stack plus a radial function over the disc
     also give the integral of their symmetric decreasing rearrangement and
-    the W1 of their W1-rearrangement, which keep those of the function."""
+    the W1 of their W1-rearrangement, which keep those of the function.
+    Last come the paths no other record reaches: the 2-D sum matched to
+    exp(-|x|) over the unit disc (`rescale_to_match`, whose heights come
+    from a root search) with its `match_residual` and integral, the
+    integral of 1.7 . sdr of the 2-D and 3-D sums (a scaled rearrangement
+    profile), that of sdr of the stack extended by 0.5 (bands of constant
+    factors alone) and the `is_log_concave` flags of three tables."""
     import numpy as np
 
     from qcvx.bodies import ConvexBody
     from qcvx.generators import random_polytope, random_stack
     from qcvx.profiles import (GaussianProfile, PowerLawProfile, RescaledProfile,
                                StretchedExponentialProfile, TableProfile, exponential_profile)
-    from qcvx.qc import (LevelStack, RadialQC, integral, mixed_integral, odot, oplus,
-                         quermassintegral_fn)
+    from qcvx.qc import (LevelStack, RadialQC, epsilon_extension, integral, mixed_integral,
+                         odot, oplus, quermassintegral_fn)
     from qcvx.quadrature import node_cap
     from qcvx.rearrange import SizeFunctional, phi_rearrange, sdr
+    from qcvx.reshape import match_residual, rescale_to_match
 
     def functions(dim):
         rng = np.random.default_rng(1428 + dim)
@@ -363,6 +376,22 @@ def _quadrature_records() -> list[dict]:
         lambda: SizeFunctional(dim=3, degree=1, weights=weights).weight_constant)})
     with node_cap(256):
         records += function_records(2, " node_cap 256") + profile_records(" node_cap 256")
+    vol2 = SizeFunctional.vol(2)
+    disc = RadialQC(ConvexBody.ball(1.0, 2), exponential_profile(1.0))
+    matched = outcome(lambda: rescale_to_match(vol2, functions(2)["summed"], disc))
+    records.append({"name": "summed 2d matched to exp disc",
+                    "match_residual": outcome(lambda: match_residual(vol2, matched, disc)),
+                    "integral": outcome(lambda: integral(matched))})
+    records += [{"name": f"1.7 . sdr of summed {dim}d", "integral": outcome(
+        lambda: integral(odot(1.7, sdr(functions(dim)["summed"]))))} for dim in (2, 3)]
+    records.append({"name": "stack extended by 0.5 2d", "sdr integral": outcome(
+        lambda: integral(sdr(epsilon_extension(stack, 0.5))))})
+    r = np.linspace(0.0, 8.0, 17)
+    tables = {"linear": TableProfile([0.0, 1.0, 2.0], [1.0, 0.5, 0.0]),
+              "(1 + r)^-3": TableProfile(r, (1.0 + r) ** -3.0),
+              "exp(-r) at 17 knots": TableProfile(r, np.exp(-r))}
+    records.append({"name": "table is_log_concave",
+                    **{name: outcome(prof.is_log_concave) for name, prof in tables.items()}})
     return records
 
 

@@ -264,6 +264,12 @@ def exponential_reference_quermass(n: int, i: int) -> float:
     return UNIT_BALL_VOLUME[n] * float(gamma(n - i + 1))
 
 
+def _is_exponential(f) -> bool:
+    """f is exp(-c|x|) over a ball, or the profile exp(-c r): the equality case."""
+    prof = f.profile if isinstance(f, RadialQC) and f.base.is_ball else f
+    return isinstance(prof, StretchedExponentialProfile) and prof.p == 1.0
+
+
 def check_moment_logconcavity(profile: Profile, p_grid: Sequence[float],
                               tols: Tolerances = DEFAULT_TOLS) -> CheckReport:
     """phi(p) = moment(p) / Gamma(p+1) is log-concave for log-concave profiles;
@@ -283,7 +289,7 @@ def check_moment_logconcavity(profile: Profile, p_grid: Sequence[float],
     moment_rhs = (profile.moment(1.0) / float(gamma(2))) ** (1.0 / 2.0)
     # np.min, unlike min, lets a NaN through to the judge
     margin = float(np.min(margins + [moment_rhs - moment_lhs]))
-    is_exp = isinstance(profile, StretchedExponentialProfile) and profile.p == 1.0
+    is_exp = _is_exponential(profile)
     tol = tols.quad if not is_exp else tols.exact
     return judge(
         "moment-logconcavity",
@@ -308,15 +314,13 @@ def check_lc_alexandrov(f: QCFunction, k: int, m: int,
         ** (1.0 / (n - m))
     right = (quermassintegral_fn(f, k) / exponential_reference_quermass(n, k)) \
         ** (1.0 / (n - k))
-    exp_profile = isinstance(f, RadialQC) and f.base.is_ball and \
-        isinstance(f.profile, StretchedExponentialProfile) and f.profile.p == 1.0
     return judge(
         "lc-alexandrov",
         "(W_k(f)/W_k(g))^(1/(n-k)) <= (W_m(f)/W_m(g))^(1/(n-m)) for g = exp(-|x|), "
         "equality iff f = exp(-c|x|)",
         left, right, (left - right) / pair_scale(left, right), tols.quad,
         witness=_witness(f=f, k=k, m=m),
-        details={"k": k, "m": m, "exponential_profile": exp_profile})
+        details={"k": k, "m": m, "exponential_profile": _is_exponential(f)})
 
 
 def check_lc_isoperimetric(f: QCFunction, tols: Tolerances = DEFAULT_TOLS) -> CheckReport:
@@ -328,15 +332,13 @@ def check_lc_isoperimetric(f: QCFunction, tols: Tolerances = DEFAULT_TOLS) -> Ch
     int_g = exponential_reference_quermass(n, 0)
     left = surface_area_fn(f)
     right = integral(f) ** ((n - 1) / n) * s_g / int_g ** ((n - 1) / n)
-    exp_profile = isinstance(f, RadialQC) and f.base.is_ball and \
-        isinstance(f.profile, StretchedExponentialProfile) and f.profile.p == 1.0
     return judge(
         "lc-isoperimetric",
         "S(f) >= (int f)^((n-1)/n) * S(g) / (int g)^((n-1)/n) for g = exp(-|x|), "
         "equality iff f = exp(-c|x|)",
         left, right, (left - right) / pair_scale(left, right), tols.quad,
         witness=_witness(f=f),
-        details={"exponential_profile": exp_profile})
+        details={"exponential_profile": _is_exponential(f)})
 
 
 # ---------------------------------------------------------------------------

@@ -47,16 +47,12 @@ from .qc import (
     supmin_bracket,
 )
 from .rearrange import (
+    PhiBallProfile,
     SizeFunctional,
     phi_rearrange,
     size_functional_from_json,
 )
-from .reshape import (
-    PhiProfile,
-    dilate_to_exponential,
-    dilation_nesting_report,
-    rescaled_bm,
-)
+from .reshape import dilate_to_exponential, dilation_nesting_report, rescaled_bm
 
 
 @dataclass(frozen=True)
@@ -298,8 +294,8 @@ def cmd_report(args, config: RunConfig) -> int:
     with (outdir / "phi_profile.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "phi_vol", "phi_W1"])
-        vol = PhiProfile(SizeFunctional.vol(2), f).value(ts)
-        w1 = PhiProfile(SizeFunctional.quermass(2, 1), f).value(ts)
+        vol = PhiBallProfile(SizeFunctional.vol(2), f.bands()[0].parts).size(ts)
+        w1 = PhiBallProfile(SizeFunctional.quermass(2, 1), f.bands()[0].parts).size(ts)
         for row in zip(ts, vol, w1):
             writer.writerow([f"{x:.12g}" for x in row])
 

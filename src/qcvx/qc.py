@@ -62,7 +62,7 @@ from .errors import (
 from .grids import GridSpec, SampledField, lattice_convolution
 from .mixed_volumes import mixed_volume, quermassintegral_body
 from .profiles import Profile, margin_root, profile_from_json, profile_to_json
-from .quadrature import integrate_height, integrate_interval
+from .quadrature import integrate_height
 
 HEIGHT_TOL = 1e-12
 
@@ -95,6 +95,11 @@ class Band:
 
 def _coef_at(coef, t) -> float:
     return float(coef.inv(t)) if isinstance(coef, Profile) else coef
+
+
+def _scaled_coef(coef, lam: float):
+    """The coefficient of the lam-homothety of a part: every factor times lam."""
+    return coef.scaled(lam) if isinstance(coef, Profile) else coef * lam
 
 
 def _band_at(bands: Sequence[Band], t: float) -> Band:
@@ -292,8 +297,7 @@ class SumQC(QCFunction):
                       for b in self._bands])
 
     def scale_space(self, lam: float) -> "SumQC":
-        return self.map_coefficients(
-            lambda c: c.scaled(lam) if isinstance(c, Profile) else c * lam)
+        return self.map_coefficients(lambda c: _scaled_coef(c, lam))
 
     def is_rotation_invariant(self):
         return all(base.is_ball or base.is_point
@@ -480,11 +484,7 @@ def mixed_integral(fs: Sequence[QCFunction]) -> float:
         const_sum, profiles, fn_terms = band_terms(slot_parts)
         total += const_sum * (hi - lo)
         if fn_terms:
-            integrand = functools.partial(terms_at, profiles, fn_terms)
-            if lo == 0.0:
-                total += integrate_height(integrand, 0.0, hi)
-            else:
-                total += integrate_interval(integrand, lo, hi)
+            total += integrate_height(functools.partial(terms_at, profiles, fn_terms), lo, hi)
     return float(total)
 
 

@@ -12,6 +12,10 @@ functional times the constant C = integral of prod c_i(t) dt, so rearranges
 identically.  Arbitrary weight functions are rejected: without the homothety
 the rearrangement would not preserve the functional's value.
 
+``PhiBallProfile`` is the one Phi-profile of a band: t -> Phi(K_t) expanded
+once (``band_size``), the radius of the Phi-balls that a rearrangement carries,
+and the inverse that rescalings take (``reshape.phi_profile``).
+
 The size of a sum is never measured on the sum itself: Phi is a mixed volume
 (a mixed integral for functions) and so multilinear, and ``eval_sum``
 expands Phi(P_1 + ... + P_k) into mixed volumes (mixed integrals) of the
@@ -27,16 +31,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import ConvexBody, body_from_json
-from .errors import ArityMismatch, DegenerateBody, DimensionMismatch, parsing_input
+from .bodies import ConvexBody, body_from_json, scale
+from .errors import (
+    ArityMismatch,
+    DegenerateBody,
+    DimensionMismatch,
+    HeightOutOfRange,
+    NonInvertibleProfile,
+    parsing_input,
+)
 from .mixed_volumes import _multiset_multiplicity, mixed_volume
-from .profiles import Profile
+from .profiles import Profile, margin_root
 from .qc import (
     Band,
     LevelStack,
     QCFunction,
     RadialQC,
     SumQC,
+    _scaled_coef,
     band_terms,
     indicator,
     mixed_integral,
@@ -191,14 +203,49 @@ def ball_rearrange(phi: SizeFunctional, a: ConvexBody) -> ConvexBody:
 
 
 class PhiBallProfile(Profile):
-    """Radius (Phi(K_t) / Phi(D))^(1/m) of the Phi-balls of one band's level
-    sets K_t; only ``inv``, as a band coefficient is asked for nothing else."""
+    """The Phi-profile of one band: the size t -> Phi(K_t) of its level sets
+    K_t (``size``), the radius (Phi(K_t) / Phi(D))^(1/m) of their Phi-balls
+    (``inv``, a rearrangement's band coefficient) and the height of a given
+    size (``height``).  Phi(K_t) is the band expanded once (``band_size``),
+    so an array of heights costs one inversion per distinct profile."""
 
     def __init__(self, phi: SizeFunctional, parts):
         self.phi, self.parts, self._size = phi, tuple(parts), phi.band_size(parts)
 
+    def size(self, t):
+        """Phi of the level set at a height in (0, 1], or at each of an array
+        of heights (every entry the float the height gives alone)."""
+        ts = np.asarray(t, dtype=float)
+        bad = ts[~((ts > 0.0) & (ts <= 1.0))]
+        if bad.size:  # the first one, as a node alone would name it
+            raise HeightOutOfRange(f"height must lie in (0, 1], got {bad[0]}")
+        return float(self._size(float(ts))) if ts.ndim == 0 else self._size(ts)
+
     def inv(self, t):
         return (self._size(t) / self.phi.ball_value()) ** (1.0 / self.phi.degree)
+
+    def height(self, v: float) -> float:
+        """The height of size v, for a size falling strictly with the height:
+        closed form for one part with a profile, else ``margin_root``."""
+        if v < 0:
+            raise NonInvertibleProfile("profile values are nonnegative")
+        if v == 0.0:
+            return 1.0
+        m = 1.0 / self.phi.degree
+        (coef, base), *rest = self.parts
+        if not rest and isinstance(coef, Profile):  # Phi(r * base) = r^m Phi(base)
+            return float(coef.value((v / self.phi.eval_body(base)) ** m))
+
+        def margin(t):  # the Phi-ball radii: smoother in log t than Phi itself
+            return v ** m - self.size(t) ** m
+
+        m_lo, m_hi = margin(1e-300), margin(1.0)
+        if m_lo > 0.0:
+            raise NonInvertibleProfile(f"value {v} beyond the resolvable range")
+        return 1.0 if m_hi <= 0.0 else margin_root(margin, 1e-300, 1.0, m_lo, m_hi)
+
+    def _scaled(self, lam):
+        return PhiBallProfile(self.phi, [(_scaled_coef(c, lam), base) for c, base in self.parts])
 
     def is_log_concave(self):
         # Phi^(1/m) is concave under Minkowski combination (Brunn-Minkowski)
@@ -210,8 +257,9 @@ def phi_rearrange(phi: SizeFunctional, f: QCFunction) -> QCFunction:
 
     A stack goes to the stack of its levels' Phi-balls, a radial function
     to the one over its base's Phi-ball, and any other banded function to
-    one part per band, its ``PhiBallProfile`` times the unit ball.  A
-    function without bands raises TypeError.
+    one part per band: its ``PhiBallProfile`` times the unit ball, or, for
+    a band of constant factors alone, its one level set's Phi-ball, as a
+    stack level.  A function without bands raises TypeError.
     """
     if isinstance(f, LevelStack):
         return LevelStack(
@@ -222,8 +270,13 @@ def phi_rearrange(phi: SizeFunctional, f: QCFunction) -> QCFunction:
     bands = f.bands()
     if bands is None:
         raise TypeError(f"cannot rearrange {type(f).__name__}: it has no bands")
-    ball = ConvexBody.ball(1.0, f.dim)
-    return SumQC([Band(b.lo, b.hi, ((PhiBallProfile(phi, b.parts), ball),)) for b in bands])
+
+    def rearranged(parts):
+        if any(isinstance(c, Profile) for c, _ in parts):
+            return PhiBallProfile(phi, parts), ConvexBody.ball(1.0, f.dim)
+        return 1.0, ConvexBody.ball(ball_radius(phi, [scale(b, c) for c, b in parts]), f.dim)
+
+    return SumQC([Band(b.lo, b.hi, (rearranged(b.parts),)) for b in bands])
 
 
 def sdr(f: QCFunction) -> QCFunction:

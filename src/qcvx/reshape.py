@@ -11,28 +11,23 @@ follows the exponential law M(x) = exp(-|x|), which exists for any geometric
 log-concave input but can leave log-concavity (see ParabolicCapQC for the
 worked example that does).
 
-Size profiles are evaluated through ``PhiProfile``, which expands the one
-band of a regular function once (``SizeFunctional.band_size``); each height
-then costs one inversion per distinct profile of that band.
+A size profile is the ``rearrange.PhiBallProfile`` of a regular function's
+one band, the profile its Phi-rearrangement carries: ``size`` is the band
+expanded once (``SizeFunctional.band_size``), so each height costs one
+inversion per distinct profile of the band, and ``height`` is its inverse.
+``phi_profile`` adds the regularity check and the monotone certification.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .bodies import ConvexBody, contains, scale, volume
-from .errors import (
-    DegenerateBody,
-    HeightOutOfRange,
-    NonInvertibleProfile,
-    NotLogConcave,
-    NotRegular,
-)
-from .profiles import Profile, RescaledProfile, StretchedExponentialProfile, margin_root
+from .errors import DegenerateBody, NotLogConcave, NotRegular
+from .profiles import Profile, RescaledProfile, StretchedExponentialProfile
 from .qc import (
     Band,
     QCFunction,
@@ -45,7 +40,7 @@ from .qc import (
     mixed_integral,
 )
 from .quadrature import integrate_height
-from .rearrange import SizeFunctional
+from .rearrange import PhiBallProfile, SizeFunctional
 from .report import CheckReport, judge, pair_scale
 
 PROFILE_GRID = 128
@@ -65,71 +60,21 @@ def is_regular(f: QCFunction) -> bool:
             and all(isinstance(c, Profile) and c.is_regular() for c, _ in bands[0].parts))
 
 
-@dataclass
-class PhiProfile:
-    """The decreasing bijection t -> Phi(level set of f at t) for regular f,
-    with an exact inverse; carries a monotonicity certification grid.
-
-    Phi(K_t) = C * V(K_t, ..., K_t, refs) is multilinear in the radii of
-    the parts of f's one band, expanded once at construction (``band_size``);
-    an array of heights then costs one inversion per distinct profile.
-    """
-
-    phi: SizeFunctional
-    f: QCFunction
-
-    def __post_init__(self):
-        if not is_regular(self.f):
-            raise NotRegular(
-                "size profiles need a regular function (radial with a continuous, "
-                "strictly decreasing, vanishing profile); step functions have a "
-                "step profile, use the dilation instead")
-        self._size = self.phi.band_size(self.f.bands()[0].parts)
-
-    def value(self, t):
-        """Phi of the level set at a height in (0, 1], or at each of an array
-        of heights (every entry the float the height gives alone)."""
-        ts = np.asarray(t, dtype=float)
-        bad = ts[~((ts > 0.0) & (ts <= 1.0))]
-        if bad.size:  # the first one, as a node alone would name it
-            raise HeightOutOfRange(f"height must lie in (0, 1], got {bad[0]}")
-        return float(self._size(float(ts))) if ts.ndim == 0 else self._size(ts)
-
-    def inverse(self, v: float) -> float:
-        """The height at which the profile equals v."""
-        if v < 0:
-            raise NonInvertibleProfile("profile values are nonnegative")
-        if v == 0.0:
-            return 1.0
-        if isinstance(self.f, RadialQC):
-            base_val = self.phi.eval_body(self.f.base)
-            r = (v / base_val) ** (1.0 / self.phi.degree)
-            return float(self.f.profile.value(r))
-        m = 1.0 / self.phi.degree
-
-        def margin(t):  # the Phi-ball radii: smoother in log t than Phi itself
-            return v ** m - self.value(t) ** m
-
-        m_lo, m_hi = margin(1e-300), margin(1.0)
-        if m_lo > 0.0:
-            raise NonInvertibleProfile(f"value {v} beyond the resolvable range")
-        return 1.0 if m_hi <= 0.0 else margin_root(margin, 1e-300, 1.0, m_lo, m_hi)
-
-    def sample(self, heights: Optional[Sequence[float]] = None):
-        if heights is None:
-            heights = np.geomspace(1.0 - 1e-12, 1e-6, PROFILE_GRID)
-        heights = np.asarray(heights, dtype=float)
-        return heights, self.value(heights)
-
-    def certify_monotone(self) -> bool:
-        _, vals = self.sample()
-        return bool(np.all(np.diff(vals) > 0))
+def _regular_profile(phi: SizeFunctional, f: QCFunction) -> PhiBallProfile:
+    """The Phi-profile of a regular function's one band."""
+    if not is_regular(f):
+        raise NotRegular(
+            "size profiles need a regular function (radial with a continuous, "
+            "strictly decreasing, vanishing profile); step functions have a "
+            "step profile, use the dilation instead")
+    return PhiBallProfile(phi, f.bands()[0].parts)
 
 
-def phi_profile(phi: SizeFunctional, f: QCFunction) -> PhiProfile:
-    """Build and certify the size profile of a regular function."""
-    prof = PhiProfile(phi, f)
-    if not prof.certify_monotone():
+def phi_profile(phi: SizeFunctional, f: QCFunction) -> PhiBallProfile:
+    """The Phi-profile of a regular function, its size certified to fall
+    strictly with the height at PROFILE_GRID heights from 1 - 1e-12 to 1e-6."""
+    prof = _regular_profile(phi, f)
+    if not np.all(np.diff(prof.size(np.geomspace(1.0 - 1e-12, 1e-6, PROFILE_GRID))) > 0):
         raise NotRegular("size profile failed the monotonicity certification")
     return prof
 
@@ -145,15 +90,13 @@ def _elementwise(fn):
 
 
 def _apply_rescaling(f: QCFunction, alpha, alpha_inv) -> QCFunction:
-    """alpha o f for an increasing bijection alpha of [0, 1] with inverse
-    alpha_inv, both taking floats."""
+    """alpha o f, f regular (``phi_profile`` has checked it), for an increasing
+    bijection alpha of [0, 1] with inverse alpha_inv, both taking floats."""
     vec_alpha, vec_alpha_inv = _elementwise(alpha), _elementwise(alpha_inv)
 
     def rescaled(p: Profile) -> Profile:
         return RescaledProfile(p, vec_alpha, vec_alpha_inv)
 
-    if not is_regular(f):
-        raise NotRegular("only regular (radial) functions can be rescaled")
     if isinstance(f, RadialQC):
         return RadialQC(f.base, rescaled(f.profile))
     return f.map_coefficients(rescaled)
@@ -182,7 +125,7 @@ def rescale_to_match(phi: SizeFunctional, f: QCFunction, g: QCFunction,
         base_vol = volume(f.base)
 
         def scaled_vol(ts):
-            return base_vol * (pg.value(ts) / base_phi) ** (n / m)
+            return base_vol * (pg.size(ts) / base_phi) ** (n / m)
 
         ref_integral = integrate_height(scaled_vol, rel_tol=1e-11)
         c = (integral(f) / ref_integral) ** (1.0 / n)
@@ -203,14 +146,14 @@ def rescale_to_match(phi: SizeFunctional, f: QCFunction, g: QCFunction,
             return 0.0
         if u >= 1.0:
             return 1.0
-        return min(1.0, pg.inverse(pf.value(u) / cm))
+        return min(1.0, pg.height(pf.size(u) / cm))
 
     def alpha_inv(t):
         if t <= 0.0:
             return 0.0
         if t >= 1.0:
             return 1.0
-        return min(1.0, pf.inverse(cm * pg.value(t)))
+        return min(1.0, pf.height(cm * pg.size(t)))
 
     return _apply_rescaling(f, alpha, alpha_inv)
 
@@ -221,7 +164,7 @@ def match_residual(phi: SizeFunctional, fa: QCFunction, fb: QCFunction,
     (both functions regular)."""
     if heights is None:
         heights = np.geomspace(0.999, 1e-4, 64)
-    va, vb = PhiProfile(phi, fa).value(heights), PhiProfile(phi, fb).value(heights)
+    va, vb = _regular_profile(phi, fa).size(heights), _regular_profile(phi, fb).size(heights)
     return float(np.max(np.abs(va - vb) / np.maximum(np.abs(vb), 1e-300), initial=0.0))
 
 

@@ -14,6 +14,7 @@ import pytest
 import qcvx
 from qcvx import quadrature
 from qcvx.cli import RunConfig, build_parser, main
+from qcvx.qc import fn_from_json, fn_to_json
 
 SQUARE = {"type": "polytope", "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]}
 EXP_DISC = {"type": "radial", "base": {"type": "ball", "radius": 1.0, "dim": 2},
@@ -163,6 +164,54 @@ def test_rearrange_roundtrip(workdir, capsys):
     assert out["levels"][0]["body"]["type"] == "ball"
     assert out["levels"][0]["body"]["radius"] == pytest.approx(
         1 / math.sqrt(math.pi), rel=1e-10)
+
+
+PROFILES = {
+    "exp": {"kind": "exp", "c": 1.3},
+    "gauss": {"kind": "gauss", "c": 0.7},
+    "stretched": {"kind": "stretched", "c": 1.1, "p": 1.5},
+    "powerlaw": {"kind": "powerlaw", "a": 4.5, "s": 0.8},
+    "table": {"kind": "table", "knots": [0.0, 1.0, 2.0], "values": [1.0, 0.5, 0.0]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PROFILES))
+def test_rearrange_prints_every_profile_kind_back(workdir, capsys, kind):
+    """A radial function over a square rearranges to its profile over a
+    disc: the profile prints back as it was read, the printed JSON reads and
+    prints again to the same bytes, and it integrates as the input does."""
+    fn = _write(workdir / "f.json", {"type": "radial", "base": UNIT_SQUARE,
+                                     "profile": PROFILES[kind]})
+    assert main(["rearrange", fn]) == 0
+    printed = capsys.readouterr().out
+    out = json.loads(printed)
+    assert out["base"]["type"] == "ball" and out["profile"] == PROFILES[kind]
+    assert json.dumps(fn_to_json(fn_from_json(out)), sort_keys=True, indent=2) + "\n" == printed
+    values = []
+    for path in (fn, _write(workdir / "g.json", out)):
+        assert main(["integral", path]) == 0
+        values.append(json.loads(capsys.readouterr().out)["value"])
+    assert values[1] == pytest.approx(values[0], rel=1e-12, abs=0.0)
+
+
+def test_a_profile_without_a_json_form_raises():
+    from qcvx.profiles import exponential_profile
+    from qcvx.qc import RadialQC, oplus
+    from qcvx.rearrange import sdr
+
+    disc = RadialQC(qcvx.ConvexBody.ball(1.0, 2), exponential_profile(1.0))
+    square = RadialQC(qcvx.ConvexBody.box([-1, -1], [1, 1]), exponential_profile(1.0))
+    with pytest.raises(ValueError, match="PhiBallProfile has no JSON form"):
+        fn_to_json(sdr(oplus(disc, square)))
+
+
+def test_dilate_of_a_table_with_compact_support(workdir, capsys):
+    """The table [0, 1, 2] -> [1, 0.5, 0] interpolates h = 1 - r/2, which
+    is log-concave, so it dilates to the exponential law."""
+    fn = _write(workdir / "f.json", {"type": "radial", "base": {
+        "type": "ball", "radius": 1.0, "dim": 2}, "profile": PROFILES["table"]})
+    assert main(["dilate", fn]) == 0
+    assert json.loads(capsys.readouterr().out)["function"]["profile"]["kind"] == "exp"
 
 
 def test_duality_check(workdir, capsys):

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import gamma
 
+from qcvx.bodies import ConvexBody
 from qcvx.errors import DivergentIntegral, NonpositiveScale
 from qcvx.profiles import (
     GaussianProfile,
     PowerLawProfile,
     RescaledProfile,
-    ScaledProfile,
     StretchedExponentialProfile,
     TableProfile,
     exponential_profile,
@@ -23,6 +23,7 @@ from qcvx.quadrature import (
     integrate_interval,
     integrate_radial,
 )
+from qcvx.rearrange import PhiBallProfile, SizeFunctional
 
 
 # -- quadrature ----------------------------------------------------------------
@@ -110,9 +111,17 @@ def test_inverse_round_trip(c, t):
 
 
 def test_log_concavity_flags():
+    """Closed forms, and the midpoint test of log h that tables take: past a
+    table's last knot log h is -inf, which keeps it concave, so the linear
+    h = 1 - r/2 passes; (1 + r)^-3 fails, and so does exp(-r) at 17 knots,
+    whose interpolant has a log midpoint defect of 1.1e-4 near r = 0.48."""
     assert exponential_profile(2.0).is_log_concave()
     assert GaussianProfile(0.5).is_log_concave()
     assert not PowerLawProfile(3.0, 1.0).is_log_concave()
+    assert TableProfile([0.0, 1.0, 2.0], [1.0, 0.5, 0.0]).is_log_concave()
+    r = np.linspace(0.0, 8.0, 17)
+    assert not TableProfile(r, (1.0 + r) ** -3.0).is_log_concave()
+    assert not TableProfile(r, np.exp(-r)).is_log_concave()
 
 
 def test_scaled_profile_homogeneity():
@@ -183,7 +192,10 @@ FAMILIES = {
     "stretched": StretchedExponentialProfile(1.5, 1.7),
     "powerlaw": PowerLawProfile(4.0, 0.5),
     "table": TableProfile([0.0, 1.0, 2.0], [1.0, 0.5, 0.0]),
-    "scaled": ScaledProfile(GaussianProfile(1.0), 2.0),
+    # a band with a profile part and a constant part, as a rearrangement has
+    "phi-ball": PhiBallProfile(SizeFunctional.vol(2),
+                               ((GaussianProfile(1.0), ConvexBody.box([-1.0, -0.5], [1.0, 0.5])),
+                                (0.5, ConvexBody.ball(1.0, 2)))),
     "rescaled": RescaledProfile(exponential_profile(1.0), np.sqrt, np.square),
 }
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcvx import quadrature
 from qcvx.bodies import ConvexBody, minkowski_sum, scale, volume
 from qcvx.errors import ArityMismatch, DimensionMismatch
-from qcvx.generators import random_ball, random_polytope, random_profile, random_stack
+from qcvx.generators import random_ball, random_polytope, random_profile, random_stack, rng_for
 from qcvx.profiles import GaussianProfile, exponential_profile
 from qcvx.qc import (LevelStack, RadialQC, epsilon_extension, evaluate, indicator, integral,
                      mixed_integral, odot, oplus)
@@ -172,6 +173,26 @@ def test_phi_rearrange_of_a_banded_function_is_exact(seed, dim, kind):
     lam = float(rng.uniform(0.3, 3.0))
     assert integral(odot(lam, sdr(s))) == pytest.approx(lam ** dim * integral(s),
                                                         rel=rel, abs=0.0)
+
+
+def test_a_band_of_constant_factors_rearranges_to_its_phi_ball(monkeypatch):
+    """Every band of an extended stack has constant factors alone, so it
+    rearranges, as a stack level does, to the Phi-ball of its one level set:
+    the integral of its sdr takes no quadrature panel, as the input's takes
+    none, and is the input's to 1e-13 relative."""
+    calls, panel = [], quadrature.gl_panel
+
+    def counting(fn, rules):
+        calls.append(rules)
+        return panel(fn, rules)
+
+    monkeypatch.setattr(quadrature, "gl_panel", counting)
+    for seed in range(20):
+        f = epsilon_extension(random_stack(rng_for(3, seed), 2), 0.5)
+        g = sdr(f)
+        assert all(c == 1.0 and base.is_ball for b in g.bands() for c, base in b.parts)
+        assert integral(g) == pytest.approx(integral(f), rel=1e-13, abs=0.0)
+    assert calls == []
 
 
 def test_phi_rearrange_of_a_function_without_bands_raises():

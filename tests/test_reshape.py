@@ -13,9 +13,8 @@ from qcvx.profiles import GaussianProfile, exponential_profile
 from qcvx import rearrange
 from qcvx.cli import main
 from qcvx.qc import RadialQC, SumQC, band_terms, indicator, integral, oplus, terms_at
-from qcvx.rearrange import SizeFunctional
+from qcvx.rearrange import PhiBallProfile, SizeFunctional
 from qcvx.reshape import (
-    PhiProfile,
     ParabolicCapQC,
     dilate_to_exponential,
     dilated_af,
@@ -48,12 +47,11 @@ def test_regularity_classification():
 def test_phi_profile_closed_form():
     prof = phi_profile(VOL2, M2)
     # Vol of the level set of exp(-|x|) is pi log^2(1/t)
-    assert prof.value(math.exp(-1.0)) == pytest.approx(math.pi, rel=1e-12)
-    assert prof.value(1.0) == pytest.approx(0.0, abs=1e-12)
+    assert prof.size(math.exp(-1.0)) == pytest.approx(math.pi, rel=1e-12)
+    assert prof.size(1.0) == pytest.approx(0.0, abs=1e-12)
     for t in (0.9, 0.5, 0.1):
-        assert prof.value(t) == pytest.approx(math.pi * math.log(1 / t) ** 2, rel=1e-12)
-    assert prof.inverse(math.pi) == pytest.approx(math.exp(-1.0), rel=1e-12)
-    assert prof.certify_monotone()
+        assert prof.size(t) == pytest.approx(math.pi * math.log(1 / t) ** 2, rel=1e-12)
+    assert prof.height(math.pi) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def test_phi_profile_inverse_of_a_sum_matches_the_closed_form():
@@ -67,19 +65,19 @@ def test_phi_profile_inverse_of_a_sum_matches_the_closed_form():
               RadialQC(diamond, exponential_profile(1.0)))
     prof = phi_profile(VOL2, f)
     area = volume(minkowski_sum(square, diamond))
-    calls, value = [0], prof.value
+    calls, size = [0], prof.size
 
     def counted(t):
         calls[0] += 1
-        return value(t)
+        return size(t)
 
-    prof.value = counted
+    prof.size = counted
     for v in (1e-8, 0.1, 1.0, 10.0, 1e3, 1e5, 3e6):
         calls[0] = 0
-        assert prof.inverse(v) == pytest.approx(math.exp(-math.sqrt(v / area)), rel=1e-12)
+        assert prof.height(v) == pytest.approx(math.exp(-math.sqrt(v / area)), rel=1e-12)
         assert calls[0] <= 30
     with pytest.raises(NonInvertibleProfile):
-        prof.inverse(area * 700.0 ** 2)
+        prof.height(area * 700.0 ** 2)
 
 
 def test_phi_profile_rejects_stacks():
@@ -129,13 +127,13 @@ def test_phi_profile_expands_its_band_once(band_terms_calls):
     for phi, f in _expansion_cases():
         assert len(f.bands()) == 1
         del band_terms_calls[:]
-        prof = PhiProfile(phi, f)
-        _, values = prof.sample(heights)
-        prof.inverse(float(values[5]))
+        prof = PhiBallProfile(phi, f.bands()[0].parts)
+        values = prof.size(heights)
+        prof.height(float(values[5]))
         assert len(band_terms_calls) == 1
         del band_terms_calls[:]
-        PhiProfile(phi, f).inverse(float(values[5]))
-        assert len(band_terms_calls) <= 1  # none for a radial closed form
+        PhiBallProfile(phi, f.bands()[0].parts).height(float(values[5]))
+        assert len(band_terms_calls) == 1
         del band_terms_calls[:]
         match_residual(phi, f, f, heights)
         assert len(band_terms_calls) == 2
@@ -147,24 +145,24 @@ def test_phi_profile_expands_its_band_once(band_terms_calls):
 
 
 def test_phi_profile_takes_a_whole_array_of_heights_in_one_pass(monkeypatch):
-    """Sampling 128 heights inverts the band's profiles once, not per height;
-    a height outside (0, 1] raises, alone or in an array, and the error names
-    the first such height, as a quadrature node alone would name it."""
+    """Certifying the profile at 128 heights inverts the band's profiles
+    once, not per height; a height outside (0, 1] raises, alone or in an
+    array, and the error names the first such height, as a quadrature node
+    alone would name it."""
     calls = []
 
     def counting(profiles, terms, t):
-        calls.append(np.ndim(t))
+        calls.append(np.shape(t))
         return terms_at(profiles, terms, t)
 
     monkeypatch.setattr(rearrange, "terms_at", counting)
-    hs, values = PhiProfile(VOL2, GAUSS2).sample()
-    assert len(hs) == len(values) == 128
-    assert calls == [1]
-    prof = PhiProfile(VOL2, M2)
+    phi_profile(VOL2, GAUSS2)
+    assert calls == [(128,)]
+    prof = phi_profile(VOL2, M2)
     for bad, first in ((0.0, "0.0"), (1.5, "1.5"), (-0.5, "-0.5"), (math.nan, "nan"),
                        ([0.5, 0.0], "0.0"), ([1.0, 2.0, -1.0], "2.0")):
         with pytest.raises(HeightOutOfRange) as err:
-            prof.value(bad)
+            prof.size(bad)
         assert str(err.value).endswith(f"got {first}")
 
 
