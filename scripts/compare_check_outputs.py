@@ -39,8 +39,8 @@
         in strictly convex position (interior points, duplicates, joints
         turning near the flat-joint threshold either way, points collinear
         with the mean) with its full-precision vertices, affine rank and
-        area.  And `quadrature.json`: full-precision integrals that go
-        through the adaptive quadrature, which no check run reaches
+        area.  And `quadrature.json`: full-precision height integrals,
+        by quadrature or in closed form, which no check run reaches
         (`integral`, `mixed_integral`, `quermassintegral_fn` and `odot` on
         seeded radial, summed and banded functions in 2-D and 3-D, `moment`
         and `height_integral` of a table and a rescaled profile, a
@@ -53,7 +53,12 @@
         `odot(1.7, sdr(.))` of the 2-D and 3-D sums and of `sdr` of that
         stack extended by 0.5, and the `is_log_concave` flags of the
         table profiles [0, 1, 2] -> [1, 0.5, 0], (1 + r)^-3 and exp(-r),
-        the last two at 17 knots on [0, 8].
+        the last two at 17 knots on [0, 8]; then the closed forms of
+        stretched-exponential bands: the mixed integral of [-1, 1]^2 and
+        exp(-|x|^p) over the unit disc at p = 2 and 3, the integral of that
+        square plus a Gaussian over the disc, those of seeded sums of two
+        exponential radial functions over different polytopes in 2-D and
+        3-D, and a `weight_constant` of two stretched weights.
         The qcvx package is the one Python imports, so set
         PYTHONPATH to pick a checkout; when qcvx does not import, it writes
         nothing and exits 2 with a message that names PYTHONPATH.
@@ -305,15 +310,21 @@ def _quadrature_records() -> list[dict]:
     from a root search) with its `match_residual` and integral, the
     integral of 1.7 . sdr of the 2-D and 3-D sums (a scaled rearrangement
     profile), that of sdr of the stack extended by 0.5 (bands of constant
-    factors alone) and the `is_log_concave` flags of three tables."""
+    factors alone) and the `is_log_concave` flags of three tables.  And the
+    closed forms of stretched-exponential bands: the mixed integral of the
+    square [-1, 1]^2 and exp(-|x|^p) over the unit disc at p = 2 and 3, the
+    integral of the square plus a Gaussian over that disc, the integrals of
+    two seeded sums of exponential radial functions over different
+    polytopes (2-D and 3-D), and a `weight_constant` of two stretched
+    weights of shapes 1.6 and 3."""
     import numpy as np
 
     from qcvx.bodies import ConvexBody
     from qcvx.generators import random_polytope, random_stack
     from qcvx.profiles import (GaussianProfile, PowerLawProfile, RescaledProfile,
                                StretchedExponentialProfile, TableProfile, exponential_profile)
-    from qcvx.qc import (LevelStack, RadialQC, epsilon_extension, integral, mixed_integral,
-                         odot, oplus, quermassintegral_fn)
+    from qcvx.qc import (LevelStack, RadialQC, epsilon_extension, indicator, integral,
+                         mixed_integral, odot, oplus, quermassintegral_fn)
     from qcvx.quadrature import node_cap
     from qcvx.rearrange import SizeFunctional, phi_rearrange, sdr
     from qcvx.reshape import match_residual, rescale_to_match
@@ -392,6 +403,22 @@ def _quadrature_records() -> list[dict]:
               "exp(-r) at 17 knots": TableProfile(r, np.exp(-r))}
     records.append({"name": "table is_log_concave",
                     **{name: outcome(prof.is_log_concave) for name, prof in tables.items()}})
+    square = indicator(ConvexBody.box([-1.0] * 2, [1.0] * 2))
+    records.append({"name": "square and stretched disc 2d", **{
+        f"mixed p={p}": outcome(lambda: mixed_integral(
+            [square, RadialQC(ConvexBody.ball(1.0, 2), StretchedExponentialProfile(1.0, p))]))
+        for p in (2.0, 3.0)}, "square plus Gaussian disc integral": outcome(lambda: integral(
+            oplus(square, RadialQC(ConvexBody.ball(1.0, 2), GaussianProfile(1.0)))))})
+    rng = np.random.default_rng(1431)
+    for dim in (2, 3):
+        exps = [RadialQC(random_polytope(rng, dim, 8, origin_interior=True),
+                         exponential_profile(float(rng.uniform(0.5, 2.0)))) for _ in range(2)]
+        records.append({"name": f"exp plus exp {dim}d",
+                        "integral": outcome(lambda: integral(oplus(*exps)))})
+    weights = (RadialQC(ConvexBody.ball(1.0, 3), StretchedExponentialProfile(1.2, 1.6)),
+               RadialQC(ConvexBody.box([-1] * 3, [1] * 3), StretchedExponentialProfile(0.7, 3.0)))
+    records.append({"name": "stretched weight_constant", "value": outcome(
+        lambda: SizeFunctional(dim=3, degree=1, weights=weights).weight_constant)})
     return records
 
 

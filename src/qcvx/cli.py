@@ -332,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("json", "csv"), default="json")
         if panels:
             p.add_argument("--panels", type=int, default=None,
-                           help="cap on quadrature nodes (default 2^14)")
+                           help="cap on quadrature nodes (default 2^14); closed-form "
+                                "integrals take none")
         if runs:
             p.add_argument("--seed", type=int, default=RunConfig.seed)
             p.add_argument("--trials", type=int, default=RunConfig.trials)

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gamma
 
 from .errors import DivergentIntegral, check_scale, parsing_input
-from .quadrature import integrate_height, integrate_interval, integrate_radial
+from .quadrature import integrate_height, integrate_interval, integrate_radial, log_power_integral
 
 
 _EPS = math.ulp(1.0)
@@ -149,6 +149,13 @@ class StretchedExponentialProfile(Profile):
     def _moment(self, p):
         q = (p + 1.0) / self.p
         return float(gamma(q) / (self.p * self.c ** q))
+
+    def height_integral(self, p):
+        """r(t)^p = c^(-p/p') log(1/t)^(p/p') for the shape p', so a
+        non-integer p takes the closed form of ``log_power_integral``."""
+        if p == 0 or (p >= 1 and float(p).is_integer()):
+            return super().height_integral(p)
+        return self.c ** (-p / self.p) * log_power_integral(p / self.p)
 
     def is_log_concave(self):
         return True

@@ -17,8 +17,9 @@ The levelwise sum ``oplus`` realizes the sup-min convolution exactly on these
 representations; ``grid_sup_min`` provides the brute-force lattice oracle.
 
 Mixed integrals reduce to one mixed volume per height band times a scalar
-quadrature, because within a band every operand decomposes into fixed bodies
-with smooth scalar radius factors.
+height integral, because within a band every operand decomposes into fixed
+bodies with smooth scalar radius factors; products of stretched-exponential
+radii integrate in closed form, the others by quadrature.
 """
 
 from __future__ import annotations
@@ -61,8 +62,14 @@ from .errors import (
 )
 from .grids import GridSpec, SampledField, lattice_convolution
 from .mixed_volumes import mixed_volume, quermassintegral_body
-from .profiles import Profile, margin_root, profile_from_json, profile_to_json
-from .quadrature import integrate_height
+from .profiles import (
+    Profile,
+    StretchedExponentialProfile,
+    margin_root,
+    profile_from_json,
+    profile_to_json,
+)
+from .quadrature import integrate_height, log_power_integral
 
 HEIGHT_TOL = 1e-12
 
@@ -461,6 +468,31 @@ def terms_at(profiles: Sequence[Profile], terms: Sequence[tuple], t):
     return total
 
 
+def integrate_terms(profiles: Sequence[Profile], terms: Sequence[tuple],
+                    lo: float = 0.0, hi: float = 1.0) -> float:
+    """Integral of ``terms_at(profiles, terms, t)`` dt over (lo, hi].
+
+    A term whose profiles are all stretched-exponential,
+    c * prod (log(1/t) / c_i)^(1/p_i), is k * log(1/t)^s with
+    k = c * prod c_i^(-1/p_i) and s = sum 1/p_i, and is integrated in
+    closed form (``log_power_integral``); the other terms go to one
+    ``integrate_height`` call, which is made only if there are any.
+    """
+    total, rest = 0.0, []
+    for const, picks in terms:
+        factors = [profiles[i] for i in picks]
+        if all(isinstance(p, StretchedExponentialProfile) for p in factors):
+            k = const
+            for p in factors:
+                k *= p.c ** (-1.0 / p.p)
+            total += k * log_power_integral(sum(1.0 / p.p for p in factors), lo, hi)
+        else:
+            rest.append((const, picks))
+    if rest:
+        total += integrate_height(functools.partial(terms_at, profiles, rest), lo, hi)
+    return total
+
+
 def mixed_integral(fs: Sequence[QCFunction]) -> float:
     """V(f_1, ..., f_n) = integral over t of V(level sets at t)."""
     fs = list(fs)
@@ -484,7 +516,7 @@ def mixed_integral(fs: Sequence[QCFunction]) -> float:
         const_sum, profiles, fn_terms = band_terms(slot_parts)
         total += const_sum * (hi - lo)
         if fn_terms:
-            total += integrate_height(functools.partial(terms_at, profiles, fn_terms), lo, hi)
+            total += integrate_terms(profiles, fn_terms, lo, hi)
     return float(total)
 
 

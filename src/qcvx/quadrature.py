@@ -1,25 +1,33 @@
-"""Composite Gauss-Legendre quadrature for height and radial integrals.
+"""Height and radial integrals: closed forms where they exist, composite
+Gauss-Legendre quadrature for the rest.
 
-Integrals over heights t in (0, 1] use the substitution t = e^(-s), which
-turns every supported profile into a smooth integrand on [0, inf).  Panels
-are doubled until two successive composite estimates agree to 1e-10 relative,
-with a hard cap of 2^14 nodes; integrands that keep growing at the cap raise
-``DivergentIntegral``.  ``node_cap`` lowers or raises the cap for the calls
-made inside one ``with`` block (the CLI's ``--panels``); outside any block the
-cap is 2^14.  An integrand takes an array of nodes and must act on each node
-alone: one call covers the 1- and 2-panel rules that every interval forms,
-and in a tail those of the first four panels, which it always reaches.
+A product of stretched-exponential level radii is k * log(1/t)^s, which
+``log_power_integral`` integrates over a band from incomplete Gamma values,
+with no node.  Integrals over heights t in (0, 1] use the substitution
+t = e^(-s), which turns every supported profile into a smooth integrand on
+[0, inf) but for a power s^e of a radius at t = 1, where a band that reaches
+t = 1 is graded as s = u^3.  Panels are doubled until two successive
+composite estimates agree to 1e-10 relative, with a hard cap of 2^14 nodes;
+integrands that keep growing at the cap raise ``DivergentIntegral``.
+``node_cap`` lowers or raises the cap for the quadrature calls made inside
+one ``with`` block (the CLI's ``--panels``), and bounds no closed form;
+outside any block the cap is 2^14.  An integrand takes an array of nodes and
+must act on each node alone: one call covers the 1- and 2-panel rules that
+every interval forms, and in a tail those of the first four panels, which it
+always reaches.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
+from scipy.special import gammainc, gammaincc
 
 from .errors import DivergentIntegral
 
@@ -90,21 +98,47 @@ def integrate_height(fn, lo: float = 0.0, hi: float = 1.0,
                      rel_tol: float = REL_TOL, max_nodes: int | None = None) -> float:
     """Integral of fn(t) dt over (lo, hi] in (0, 1].
 
-    A positive ``lo`` stays in t-space; lo == 0 switches to s = log(1/t) with
-    geometrically growing panels so that profile blow-ups near t = 0 are
-    resolved.  Non-integrable tails raise DivergentIntegral.
+    Below t = 1 a positive ``lo`` stays in t-space; lo == 0 switches to
+    s = log(1/t) with geometrically growing panels so that profile blow-ups
+    near t = 0 are resolved.  A band that reaches t = 1 substitutes s = u^3
+    near s = 0, on the first panel u in [0, 1] of (0, 1] and on all of
+    (lo, 1], which smooths a power s^e of a radius at t = 1 into u^(3e + 2).
+    Non-integrable tails raise DivergentIntegral.
     """
     if hi <= lo:
         return 0.0
     max_nodes = _NODE_CAP.get() if max_nodes is None else max_nodes
-    if lo > 0.0:
+    if lo > 0.0 and hi < 1.0:
         return integrate_interval(fn, lo, hi, rel_tol, max_nodes)
+    knee = 0.0 if hi < 1.0 else (1.0 if lo == 0.0 else math.inf)  # s = u^3 below it
 
-    def g(s):
-        t = np.exp(-s)
-        return fn(t) * t
+    def g(u):
+        cubed = u < knee
+        t = np.exp(-np.where(cubed, u * u * u, u))
+        return fn(t) * t * np.where(cubed, 3.0 * u * u, 1.0)
 
+    if lo > 0.0:
+        return integrate_interval(g, 0.0, (-math.log(lo)) ** (1.0 / 3.0), rel_tol, max_nodes)
     return _tail(g, -np.log(hi), rel_tol, max_nodes, "height integral", " near t = 0")
+
+
+def log_power_integral(s: float, lo: float = 0.0, hi: float = 1.0) -> float:
+    """Integral of log(1/t)^s dt over (lo, hi] in [0, 1], for s > -1, in
+    closed form: Gamma(s + 1) * [Q(s + 1, log 1/hi) - Q(s + 1, log 1/lo)],
+    with Q the regularized upper incomplete Gamma function (Q(a, 0) = 1 at
+    hi = 1, Q(a, inf) = 0 at lo = 0).  Where both Q are above 1/2 the lower
+    function P = 1 - Q takes the difference, P(log 1/lo) - P(log 1/hi),
+    which cancels less.  s <= -1 raises DivergentIntegral (t = 1)."""
+    if not s > -1.0:
+        raise DivergentIntegral(f"log(1/t)^{s} is not integrable near t = 1")
+    if hi <= lo:
+        return 0.0
+    a = s + 1.0
+    x_hi, x_lo = -math.log(hi), (math.inf if lo == 0.0 else -math.log(lo))
+    q_lo = float(gammaincc(a, x_lo))
+    if q_lo > 0.5:
+        return math.gamma(a) * float(gammainc(a, x_lo) - gammainc(a, x_hi))
+    return math.gamma(a) * float(gammaincc(a, x_hi) - q_lo)
 
 
 def integrate_radial(fn) -> float:

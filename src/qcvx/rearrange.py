@@ -25,7 +25,6 @@ Lebesgue integral, int f oplus g = sum_j C(n, j) V(f[j], g[n-j])).
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -51,10 +50,10 @@ from .qc import (
     _scaled_coef,
     band_terms,
     indicator,
+    integrate_terms,
     mixed_integral,
     terms_at,
 )
-from .quadrature import integrate_height
 
 
 @dataclass(frozen=True)
@@ -117,8 +116,7 @@ class SizeFunctional:
         cached = self.__dict__.get("_weight_constant")
         if cached is None:
             profiles = [w.profile for w in self.weights]
-            cached = integrate_height(functools.partial(
-                terms_at, profiles, [(1.0, tuple(range(len(profiles))))]))
+            cached = integrate_terms(profiles, [(1.0, tuple(range(len(profiles))))])
             if not 0.0 < cached < np.inf:
                 raise ValueError("weight functions must have finite positive mass")
             self.__dict__["_weight_constant"] = cached

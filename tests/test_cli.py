@@ -475,13 +475,15 @@ def test_tolerance_flags_are_wired(workdir, capsys):
 
 
 # a mixed integral of two radial functions on different bases needs a height
-# integral from t = 0: four panels of nodes, so a cap of 128 cannot settle it
+# integral from t = 0 (the power-law radius keeps it off the stretched-
+# exponential closed form): four panels of nodes, so a cap of 128 cannot
+# settle it
 NEEDS_QUADRATURE = [
     {"type": "radial", "base": {"type": "ball", "radius": 1.0, "dim": 2},
      "profile": {"kind": "stretched", "c": 1.0, "p": 1.5}},
     {"type": "radial", "base": {"type": "polytope",
                                 "vertices": [[-1, -1], [1, -1], [-1, 1], [1, 1]]},
-     "profile": {"kind": "exp", "c": 1.0}}]
+     "profile": {"kind": "powerlaw", "a": 4.0, "s": 1.0}}]
 
 
 def test_flags_do_not_leak_into_later_calls(workdir, capsys):

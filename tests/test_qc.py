@@ -730,10 +730,12 @@ def test_odot_scales_banded_sum_integral(make):
 
 
 def test_mixed_integral_of_dilated_sum_keeps_its_value():
-    # the value the two-operand banded sum gave before SumQC held all bands
+    # the band integrates exp and Gaussian radii in closed form; the value is
+    # the band expansion integrated term by term by mpmath at 40 digits
+    # (the adaptive quadrature gave 8.472331392316487, 1.7e-12 below)
     s = oplus(_dilated_box(), RadialQC(DIAMOND, exponential_profile(1.0)))
     g = RadialQC(ConvexBody.ball(1.0, 2), GaussianProfile(1.0))
-    assert mixed_integral([s, g]) == pytest.approx(8.472331392316487, rel=1e-12)
+    assert mixed_integral([s, g]) == pytest.approx(8.4723313923311909, rel=1e-12)
 
 
 def _phi_by_band_terms(phi, f, t):

@@ -1,12 +1,18 @@
-"""Node-set quadrature against the panel-by-panel rule it replaces.
+"""Node-set quadrature against the panel-by-panel rule it replaces, and the
+closed forms that take stretched-exponential terms off the quadrature.
 
 ``gl_panel`` evaluates every node set the adaptive rule is certain to need in
 one integrand call.  The reference below is the rule as it was before: one
-integrand call per 64-node panel, each composite rule summed panel by panel.
-Every value must come out the same float, every failure the same message,
-and the integrand must see exactly the same nodes.
+integrand call per 64-node panel, each composite rule summed panel by panel,
+with the same substitutions.  Every value must come out the same float, every
+failure the same message, and the integrand must see exactly the same nodes.
+
+A product of stretched-exponential radii is k * log(1/t)^s and integrates to
+incomplete Gamma values; those are checked against a series reference that
+shares no code with scipy.
 """
 
+import math
 import sys
 
 import numpy as np
@@ -24,7 +30,15 @@ from qcvx.profiles import (
     TableProfile,
     exponential_profile,
 )
-from qcvx.qc import RadialQC, integral, mixed_integral, oplus, quermassintegral_fn
+from qcvx.qc import (
+    RadialQC,
+    indicator,
+    integral,
+    integrate_terms,
+    mixed_integral,
+    oplus,
+    quermassintegral_fn,
+)
 from qcvx.quadrature import (
     NODES_PER_PANEL,
     REL_TOL,
@@ -88,13 +102,18 @@ def _ref_height(fn, lo=0.0, hi=1.0, rel_tol=REL_TOL, max_nodes=None):
     if hi <= lo:
         return 0.0
     max_nodes = quadrature._NODE_CAP.get() if max_nodes is None else max_nodes
-    if lo > 0.0:
+    if lo > 0.0 and hi < 1.0:
         return _ref_interval(fn, lo, hi, rel_tol, max_nodes)
 
-    def g(s):
-        t = np.exp(-s)
+    def g(u):  # s = u^3 near t = 1: on the first panel of (0, 1], on all of (lo, 1]
+        if hi == 1.0 and (lo > 0.0 or u[0] < 1.0):
+            t = np.exp(-(u * u * u))
+            return fn(t) * t * (3.0 * u * u)
+        t = np.exp(-u)
         return fn(t) * t
 
+    if lo > 0.0:
+        return _ref_interval(g, 0.0, (-math.log(lo)) ** (1.0 / 3.0), rel_tol, max_nodes)
     return _ref_tail(g, -np.log(hi), rel_tol, max_nodes, "height integral", " near t = 0")
 
 
@@ -223,7 +242,8 @@ def test_generalized_weight_constant_is_bitwise_the_reference(monkeypatch):
 @pytest.mark.parametrize("cap", [1, 64, 128, 200, 256, None])
 def test_node_caps_give_the_reference_outcome_on_the_same_nodes(cap):
     """Below 128 nodes an interval forms its 1-panel rule only, and a tail
-    stops at ceil(cap / 64) panels; a slow power-law tail raises there."""
+    stops at ceil(cap / 64) panels; a slow power-law tail raises there.  A
+    band (lo, 1] is one interval in u = log(1/t)^(1/3)."""
     prof = PowerLawProfile(4.5, 0.5)
 
     def height(t):
@@ -234,6 +254,7 @@ def test_node_caps_give_the_reference_outcome_on_the_same_nodes(cap):
 
     runs = [(integrate_height, _ref_height, height),
             (lambda f: integrate_height(f, 0.05, 0.8), lambda f: _ref_height(f, 0.05, 0.8), height),
+            (lambda f: integrate_height(f, 0.05, 1.0), lambda f: _ref_height(f, 0.05, 1.0), height),
             (lambda f: integrate_interval(f, 0.05, 0.8), lambda f: _ref_interval(f, 0.05, 0.8),
              height),
             (integrate_radial, _ref_radial, radial)]
@@ -244,7 +265,7 @@ def test_node_caps_give_the_reference_outcome_on_the_same_nodes(cap):
             assert outcomes[-1] == _outcome(lambda: ref(fn))
             assert _nodes_seen(run, fn)[1] == _nodes_seen(ref, fn)[1]
     settled = [outcome[0] == "value" for outcome in outcomes]
-    assert settled == ([False, True, True, False] if cap else [True] * 4)
+    assert settled == ([False, True, True, True, False] if cap else [True] * 5)
 
 
 def test_a_divergent_moment_raises_the_reference_message(monkeypatch):
@@ -300,3 +321,105 @@ def test_tail_evaluates_no_node_the_panel_by_panel_rule_skips():
                          (lambda f: integrate_interval(f, 0.0, 3.0),
                           lambda f: _ref_interval(f, 0.0, 3.0))):
             assert _nodes_seen(run, fn)[1] == _nodes_seen(ref, fn)[1]
+
+
+# -- closed forms ---------------------------------------------------------------
+
+def _lower_gamma(a, x):
+    """gamma(a, x) = x^a e^(-x) sum_k x^k / (a (a + 1) ... (a + k)): positive
+    terms, summed exactly until they stop counting; Gamma(a) at x = inf."""
+    if x == math.inf:
+        return math.gamma(a)
+    terms = [1.0 / a]
+    while terms[-1] > 1e-20 * max(terms):
+        terms.append(terms[-1] * x / (a + len(terms)))
+    return x ** a * math.exp(-x) * math.fsum(terms)
+
+
+def _log_power_reference(e, lo, hi):
+    """Integral of log(1/t)^e dt over (lo, hi] = gamma(e + 1, log 1/lo)
+    - gamma(e + 1, log 1/hi)."""
+    x_lo = math.inf if lo == 0.0 else -math.log(lo)
+    return _lower_gamma(e + 1.0, x_lo) - _lower_gamma(e + 1.0, -math.log(hi))
+
+
+def _panel_calls(monkeypatch):
+    """The list that every later ``gl_panel`` call appends its rules to."""
+    calls, panel = [], quadrature.gl_panel
+
+    def counting(fn, rules):
+        calls.append(rules)
+        return panel(fn, rules)
+
+    monkeypatch.setattr(quadrature, "gl_panel", counting)
+    return calls
+
+
+BANDS = [(0.0, 1.0), (0.0, 0.6), (0.2, 1.0), (0.2, 0.6)]
+
+
+@pytest.mark.parametrize("lo, hi", BANDS)
+@pytest.mark.parametrize("e", [0.2, 1 / 3, 0.5, 2 / 3, 0.9])
+def test_one_stretched_factor_integrates_to_its_gamma_value(e, lo, hi):
+    """The level radius of exp(-c r^(1/e)) is (log(1/t) / c)^e: in closed form
+    and by the graded quadrature, its integral over a band is
+    c^(-e) gamma(e + 1, .) to 1e-12, at t = 1 too, where the radius has an
+    e-th power singularity in s = log(1/t)."""
+    c = 1.3
+    prof = StretchedExponentialProfile(c, 1.0 / e)
+    exact = c ** -e * _log_power_reference(e, lo, hi)
+    assert integrate_terms([prof], [(1.0, (0,))], lo, hi) == pytest.approx(exact, rel=1e-12)
+    assert integrate_height(prof.inv, lo, hi) == pytest.approx(exact, rel=1e-12)
+    if (lo, hi) == (0.0, 1.0):
+        assert prof.height_integral(1.5) == pytest.approx(
+            c ** (-1.5 * e) * math.gamma(1.0 + 1.5 * e), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_square_against_a_stretched_disc_is_its_mixed_area_times_gamma(p):
+    """K = [-1, 1]^2, B the unit disc: V(K, r B) = 4 r, so the mixed integral
+    of 1_K and exp(-|x|^p) is V(K, B) Gamma(1 + 1/p) with V(K, B) = 4."""
+    square = ConvexBody.box([-1.0, -1.0], [1.0, 1.0])
+    disc = RadialQC(ConvexBody.ball(1.0, 2), StretchedExponentialProfile(1.0, p))
+    assert mixed_integral([indicator(square), disc]) == pytest.approx(
+        4.0 * math.gamma(1.0 + 1.0 / p), rel=1e-12)
+
+
+def test_square_plus_a_gaussian_disc_is_its_steiner_sum(monkeypatch):
+    """|K + r B| = 4 + 2 V(K, B) r + pi r^2 with r = log(1/t)^(1/2), so the
+    integral of 1_K (+) exp(-|x|^2) is 4 + 2 V(K, B) Gamma(3/2) + pi; its band
+    has stretched-exponential radii alone and takes no quadrature panel."""
+    calls = _panel_calls(monkeypatch)
+    square = ConvexBody.box([-1.0, -1.0], [1.0, 1.0])
+    gauss = RadialQC(ConvexBody.ball(1.0, 2), GaussianProfile(1.0))
+    assert integral(oplus(indicator(square), gauss)) == pytest.approx(
+        4.0 + 8.0 * math.gamma(1.5) + math.pi, rel=1e-12)
+    assert calls == []
+
+
+def test_stretched_only_bands_take_no_quadrature_panel(monkeypatch):
+    """Sums of stretched-exponential radial functions, their quermassintegrals,
+    a generalized weight constant of such weights and a non-integer height
+    integral are all closed forms; a power-law factor still takes panels."""
+    calls = _panel_calls(monkeypatch)
+    for dim in (2, 3):
+        f, summed, banded = _seeded_functions(dim)
+        for h in (summed, banded):
+            integral(h)
+            quermassintegral_fn(h, 1)
+        mixed_integral([summed, f, banded][:dim])
+    weights = (RadialQC(ConvexBody.ball(1.0, 3), GaussianProfile(0.9)),
+               RadialQC(ConvexBody.box([-1] * 3, [1] * 3), exponential_profile(1.4)))
+    SizeFunctional(dim=3, degree=1, weights=weights).weight_constant
+    StretchedExponentialProfile(1.5, 1.7).height_integral(0.5)
+    assert calls == []
+    weights = weights[:1] + (RadialQC(ConvexBody.ball(1.0, 3), PowerLawProfile(5.0, 1.0)),)
+    SizeFunctional(dim=3, degree=1, weights=weights).weight_constant
+    assert calls
+
+
+def test_a_power_at_or_below_minus_one_diverges_at_t_one():
+    for s in (-1.0, -1.5):
+        with pytest.raises(DivergentIntegral, match="near t = 1"):
+            quadrature.log_power_integral(s)
+    assert quadrature.log_power_integral(0.5, 0.6, 0.6) == 0.0
